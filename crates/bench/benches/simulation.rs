@@ -26,7 +26,6 @@ fn job(bench: &str, backend: BackendChoice) -> Job {
         label: bench.into(),
         telemetry: None,
         telemetry_out: None,
-        sim_threads: 1,
     }
 }
 

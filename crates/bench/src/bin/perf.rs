@@ -9,16 +9,7 @@
 //! produce identical fingerprints, which is how the determinism invariant
 //! of the ISSUE 3 performance overhaul is checked across code changes.
 //!
-//! A second section sweeps the simulator's stepping thread count
-//! (ISSUE 8): the heaviest matrix corners re-run at threads = 1, 2, 4,
-//! 8, recording cycles/wall-second and the speedup over the
-//! single-thread baseline. The host's `available_parallelism` is
-//! recorded alongside — on a single-core runner the honest speedup is
-//! ≤ 1 (the pool parks its workers), and the numbers say so rather
-//! than pretending. The fingerprints must not move across thread
-//! counts; the binary exits non-zero if they do.
-//!
-//! A third section benchmarks trace ingestion (ISSUE 9): a pinned
+//! A second section benchmarks trace ingestion: a pinned
 //! workload is recorded once, written in both on-disk formats (text v1
 //! and the SECMTRC binary container), and each file is loaded through
 //! `TraceKernel::from_file` repeatedly to measure file size, ingest
@@ -35,6 +26,7 @@
 use secmem_bench::timing::{warmed, Stopwatch};
 use std::fmt::Write as _;
 
+use secmem_bench::sweep::report_fingerprint;
 use secmem_bench::{run_job, BackendChoice, Job};
 use secmem_core::{SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::PassthroughBackend;
@@ -71,18 +63,6 @@ fn schemes(smoke: bool) -> Vec<SecurityScheme> {
     }
 }
 
-/// FNV-1a over the report's debug rendering: covers every statistic,
-/// fault event, and stall field, so any behavioral divergence between two
-/// builds changes the fingerprint.
-fn fingerprint(text: &str) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in text.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 struct RunRow {
     bench: String,
     scheme: &'static str,
@@ -91,22 +71,6 @@ struct RunRow {
     cycles_per_sec: f64,
     report_fp: u64,
 }
-
-/// One point on the thread-scaling curve.
-struct ScaleRow {
-    bench: String,
-    scheme: &'static str,
-    threads: usize,
-    sim_cycles: u64,
-    wall_ms: f64,
-    cycles_per_sec: f64,
-    /// cycles/sec at this thread count over cycles/sec at 1 thread.
-    speedup: f64,
-    report_fp: u64,
-}
-
-/// Stepping thread counts the scaling section sweeps.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One trace-ingestion measurement: a format's on-disk footprint, how
 /// fast it loads, and what the loaded kernel keeps resident.
@@ -167,7 +131,7 @@ fn trace_ingest_section(smoke: bool, gpu: &GpuConfig, cycles: u64) -> (Vec<Inges
         let resident_bytes = loaded.resident_bytes() as u64;
         let mut sim = Simulator::new(gpu.clone(), &loaded, |_, g| PassthroughBackend::from_config(g));
         let report = sim.run(cycles);
-        let report_fp = fingerprint(&format!("{report:?}"));
+        let report_fp = report_fingerprint(&report);
         eprintln!(
             "[perf] {format:>14} ingest  {file_bytes:>9} B file  {ingest_ms:>9.2} ms/load  \
              {insts_per_sec:>11.0} inst/s  {resident_bytes:>9} B resident  fp {report_fp:016x}",
@@ -248,7 +212,6 @@ fn main() {
                 label: scheme.label().to_string(),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             };
             let watch = Stopwatch::start();
             let result = run_job(&job);
@@ -257,7 +220,7 @@ fn main() {
             let sim_cycles = result.report.cycles;
             let cycles_per_sec =
                 if wall.as_secs_f64() > 0.0 { sim_cycles as f64 / wall.as_secs_f64() } else { 0.0 };
-            let report_fp = fingerprint(&format!("{:?}", result.report));
+            let report_fp = report_fingerprint(&result.report);
             eprintln!(
                 "[perf] {bench:>14} {:>13}  {sim_cycles:>7} cyc  {wall_ms:>9.2} ms  {:>11.0} cyc/s  fp {report_fp:016x}",
                 scheme.label(),
@@ -281,71 +244,7 @@ fn main() {
         total_wall,
     );
 
-    // Thread-scaling sweep: the latency-bound and bandwidth-bound
-    // corners under the heaviest scheme, at each stepping thread count.
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scale_benches: &[&str] = if smoke { &["fdtd2d"] } else { &["nw", "fdtd2d"] };
-    let scheme = SecurityScheme::CtrMacBmt;
-    let mut scaling: Vec<ScaleRow> = Vec::new();
-    let mut fp_diverged = false;
-    eprintln!("[perf] thread scaling (host parallelism = {host_parallelism}):");
-    for bench in scale_benches {
-        let mut baseline_cps = 0.0;
-        let mut baseline_fp = 0u64;
-        for threads in THREAD_COUNTS {
-            let kernel = suite::by_name(bench).expect("scaling bench is in the suite");
-            let job = Job {
-                kernel,
-                gpu: gpu.clone(),
-                backend: BackendChoice::Secure(SecureMemConfig::with_scheme(scheme)),
-                cycles,
-                warmup: 0,
-                label: scheme.label().to_string(),
-                telemetry: None,
-                telemetry_out: None,
-                sim_threads: threads,
-            };
-            let watch = Stopwatch::start();
-            let result = run_job(&job);
-            let wall = watch.elapsed();
-            let wall_ms = wall.as_secs_f64() * 1e3;
-            let sim_cycles = result.report.cycles;
-            let cycles_per_sec =
-                if wall.as_secs_f64() > 0.0 { sim_cycles as f64 / wall.as_secs_f64() } else { 0.0 };
-            let report_fp = fingerprint(&format!("{:?}", result.report));
-            if threads == 1 {
-                baseline_cps = cycles_per_sec;
-                baseline_fp = report_fp;
-            } else if report_fp != baseline_fp {
-                eprintln!(
-                    "[perf] DETERMINISM VIOLATION: {bench}/{} fp {report_fp:016x} at {threads} \
-                     threads != {baseline_fp:016x} at 1 thread",
-                    scheme.label()
-                );
-                fp_diverged = true;
-            }
-            let speedup = if baseline_cps > 0.0 { cycles_per_sec / baseline_cps } else { 0.0 };
-            eprintln!(
-                "[perf] {bench:>14} {:>13}  threads {threads}  {wall_ms:>9.2} ms  {:>11.0} cyc/s  {speedup:>5.2}x  fp {report_fp:016x}",
-                scheme.label(),
-                cycles_per_sec,
-            );
-            scaling.push(ScaleRow {
-                bench: (*bench).to_string(),
-                scheme: scheme.label(),
-                threads,
-                sim_cycles,
-                wall_ms,
-                cycles_per_sec,
-                speedup,
-                report_fp,
-            });
-        }
-    }
-    if fp_diverged {
-        eprintln!("[perf] aborting: thread count changed simulation results");
-        std::process::exit(1);
-    }
 
     let (ingest, ingest_diverged) = trace_ingest_section(smoke, &gpu, cycles);
     if ingest_diverged {
@@ -353,7 +252,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let json = to_json(&rows, &scaling, &ingest, host_parallelism, smoke, cycles, total_wall, aggregate);
+    let json = to_json(&rows, &ingest, host_parallelism, smoke, cycles, total_wall, aggregate);
     if let Err(err) = std::fs::write(&out_path, &json) {
         eprintln!("[perf] failed to write {out_path}: {err}");
         std::process::exit(1);
@@ -361,10 +260,8 @@ fn main() {
     eprintln!("[perf] wrote {out_path}");
 }
 
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     rows: &[RunRow],
-    scaling: &[ScaleRow],
     ingest: &[IngestRow],
     host_parallelism: usize,
     smoke: bool,
@@ -389,16 +286,6 @@ fn to_json(
             r.bench, r.scheme, r.sim_cycles, r.wall_ms, r.cycles_per_sec, r.report_fp
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"thread_scaling\": [\n");
-    for (i, r) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"threads\": {}, \"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}, \"report_fp\": \"{:016x}\"}}",
-            r.bench, r.scheme, r.threads, r.sim_cycles, r.wall_ms, r.cycles_per_sec, r.speedup, r.report_fp
-        );
-        out.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
     out.push_str("  \"trace_ingest\": [\n");

@@ -7,7 +7,7 @@
 //! secmem-trace convert IN OUT
 //! secmem-trace stats FILE
 //! secmem-trace verify FILE
-//! secmem-trace run FILE [--scheme S] [--cycles N] [--small] [--threads N] [--json]
+//! secmem-trace run FILE [--scheme S] [--cycles N] [--small] [--json]
 //!
 //! schemes: baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt
 //! ```
@@ -36,7 +36,7 @@ const USAGE: &str = "usage: secmem-trace <record|convert|stats|verify|run> ...
   convert IN OUT
   stats FILE
   verify FILE
-  run FILE [--scheme S] [--cycles N] [--small] [--threads N] [--json]";
+  run FILE [--scheme S] [--cycles N] [--small] [--json]";
 
 /// True when the output path asks for the binary container.
 fn wants_binary(path: &Path) -> bool {
@@ -189,16 +189,12 @@ fn cmd_run(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let mut scheme = "baseline".to_string();
     let mut cycles = 50_000u64;
     let mut gpu = GpuConfig::volta();
-    let mut threads = 1usize;
     let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scheme" => scheme = need(args, "--scheme")?,
             "--cycles" => cycles = need(args, "--cycles")?.parse().map_err(|e| format!("--cycles: {e}"))?,
             "--small" => gpu = GpuConfig::small(),
-            "--threads" => {
-                threads = need(args, "--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
             "--json" => json = true,
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
@@ -214,13 +210,11 @@ fn cmd_run(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let report = match backend {
         None => {
             let mut sim = Simulator::new(gpu.clone(), &kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_threads(threads);
             sim.run(cycles)
         }
         Some(s) => {
             let cfg = SecureMemConfig { scheme: s, ..SecureMemConfig::secure_mem() };
             let mut sim = Simulator::new(gpu.clone(), &kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_threads(threads);
             sim.run(cycles)
         }
     };

@@ -25,8 +25,6 @@
 //!   --checkpoint-every N  snapshot full simulator state every N cycles
 //!   --checkpoint-out F    where snapshots go (default simulate.ckpt)
 //!   --resume-from F       restore a snapshot and continue the run from it
-//!   --threads N           partition/SM stepping threads (default 1;
-//!                         results are byte-identical at every value)
 //! ```
 //!
 //! Checkpointing makes paper-scale runs crash-safe: a run killed between
@@ -64,7 +62,6 @@ struct Options {
     checkpoint_every: u64,
     checkpoint_out: PathBuf,
     resume_from: Option<PathBuf>,
-    sim_threads: usize,
 }
 
 fn find_kernel(name: &str) -> Option<SyntheticKernel> {
@@ -89,7 +86,6 @@ fn parse() -> Result<Options, String> {
         checkpoint_every: 0,
         checkpoint_out: PathBuf::from("simulate.ckpt"),
         resume_from: None,
-        sim_threads: 1,
     };
     let mut it = std::env::args().skip(1);
     let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -158,9 +154,6 @@ fn parse() -> Result<Options, String> {
                 o.checkpoint_out = PathBuf::from(need(&mut it, "--checkpoint-out")?);
             }
             "--resume-from" => o.resume_from = Some(PathBuf::from(need(&mut it, "--resume-from")?)),
-            "--threads" => {
-                o.sim_threads = need(&mut it, "--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
             "--help" | "-h" => return Err("see the doc comment at the top of simulate.rs".into()),
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -238,7 +231,6 @@ fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
         BackendChoice::Baseline => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_threads(job.sim_threads);
             sim.set_telemetry(telemetry);
             let report = drive_checkpointed(&mut sim, o)?;
             let telemetry = sim.telemetry_snapshot();
@@ -248,7 +240,6 @@ fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
             let cfg = cfg.clone();
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_threads(job.sim_threads);
             sim.set_telemetry(telemetry);
             let report = drive_checkpointed(&mut sim, o)?;
             let reuse = sim
@@ -259,79 +250,6 @@ fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
             let telemetry = sim.telemetry_snapshot();
             Ok(RunResult { bench, label: job.label.clone(), report, reuse, telemetry })
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use secmem_gpusim::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
-    use secmem_gpusim::kernel::StreamKernel;
-
-    fn options(dir: &Path) -> Options {
-        Options {
-            bench: "fdtd2d".into(),
-            scheme: "baseline".into(),
-            cycles: 1_000_000,
-            warmup: 0,
-            gpu: GpuConfig::small(),
-            cfg: SecureMemConfig::secure_mem(),
-            json: false,
-            telemetry: false,
-            sample_interval: 512,
-            trace_out: None,
-            checkpoint_every: 0,
-            checkpoint_out: dir.join("run.ckpt"),
-            resume_from: None,
-            sim_threads: 1,
-        }
-    }
-
-    /// Drops every data-read completion: all warps wedge and the
-    /// forward-progress watchdog trips.
-    fn stalling_sim(cfg: &GpuConfig) -> Simulator<PassthroughBackend> {
-        let plan = FaultPlan::new(11)
-            .with(FaultSpec::new(FaultKind::Drop, FaultTrigger::Always).on_class(TrafficClass::Data));
-        let kernel = StreamKernel { alu_per_mem: 0, bytes_per_warp: 1 << 18, warps: 4 };
-        Simulator::new(cfg.clone(), &kernel, move |p, c| {
-            let mut b = PassthroughBackend::from_config(c);
-            b.install_faults(plan.injector_for(p));
-            b
-        })
-    }
-
-    #[test]
-    fn watchdog_trip_leaves_a_loadable_emergency_snapshot() {
-        let dir = std::env::temp_dir().join(format!("simulate_emergency_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut o = options(&dir);
-        let mut gpu = GpuConfig::small();
-        gpu.watchdog_cycles = 2_000;
-        o.gpu = gpu.clone();
-
-        let mut sim = stalling_sim(&gpu);
-        let report = drive_checkpointed(&mut sim, &o).expect("stall is reported, not an error");
-        let stall = report.stall.as_ref().expect("report must carry the stall diagnostics");
-
-        // The wedged machine must be captured, decodable, and restorable
-        // into an identically built simulator — which then stalls at the
-        // exact same cycle, proving the snapshot holds the stuck state.
-        let path = emergency_path(&o.checkpoint_out);
-        let frame = Frame::read_file(&path).expect("emergency snapshot decodes");
-        assert_eq!(frame.cycle, sim.now(), "snapshot taken at the stall cycle");
-        let mut revived = stalling_sim(&gpu);
-        revived.restore_checkpoint(&frame).expect("emergency snapshot restores");
-        let err = revived.run_checked(o.cycles).expect_err("restored machine is still wedged");
-        let secmem_gpusim::error::SimError::Stalled(again) = *err else { panic!("expected stall") };
-        assert!(
-            again.cycle > stall.cycle && again.cycle <= stall.cycle + gpu.watchdog_cycles,
-            "restored machine must re-trip within one watchdog window \
-             (first at {}, again at {})",
-            stall.cycle,
-            again.cycle
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -380,7 +298,6 @@ fn main() {
         label: o.scheme.clone(),
         telemetry,
         telemetry_out: None, // single run: the trace is written below
-        sim_threads: o.sim_threads,
     };
     let checkpointing = o.checkpoint_every > 0 || o.resume_from.is_some();
     let result = if checkpointing {
@@ -438,5 +355,77 @@ fn main() {
         for line in summary.lines() {
             println!("  {line}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use secmem_gpusim::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+    use secmem_gpusim::kernel::StreamKernel;
+
+    fn options(dir: &Path) -> Options {
+        Options {
+            bench: "fdtd2d".into(),
+            scheme: "baseline".into(),
+            cycles: 1_000_000,
+            warmup: 0,
+            gpu: GpuConfig::small(),
+            cfg: SecureMemConfig::secure_mem(),
+            json: false,
+            telemetry: false,
+            sample_interval: 512,
+            trace_out: None,
+            checkpoint_every: 0,
+            checkpoint_out: dir.join("run.ckpt"),
+            resume_from: None,
+        }
+    }
+
+    /// Drops every data-read completion: all warps wedge and the
+    /// forward-progress watchdog trips.
+    fn stalling_sim(cfg: &GpuConfig) -> Simulator<PassthroughBackend> {
+        let plan = FaultPlan::new(11)
+            .with(FaultSpec::new(FaultKind::Drop, FaultTrigger::Always).on_class(TrafficClass::Data));
+        let kernel = StreamKernel { alu_per_mem: 0, bytes_per_warp: 1 << 18, warps: 4 };
+        Simulator::new(cfg.clone(), &kernel, move |p, c| {
+            let mut b = PassthroughBackend::from_config(c);
+            b.install_faults(plan.injector_for(p));
+            b
+        })
+    }
+
+    #[test]
+    fn watchdog_trip_leaves_a_loadable_emergency_snapshot() {
+        let dir = std::env::temp_dir().join(format!("simulate_emergency_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut o = options(&dir);
+        let mut gpu = GpuConfig::small();
+        gpu.watchdog_cycles = 2_000;
+        o.gpu = gpu.clone();
+
+        let mut sim = stalling_sim(&gpu);
+        let report = drive_checkpointed(&mut sim, &o).expect("stall is reported, not an error");
+        let stall = report.stall.as_ref().expect("report must carry the stall diagnostics");
+
+        // The wedged machine must be captured, decodable, and restorable
+        // into an identically built simulator — which then stalls at the
+        // exact same cycle, proving the snapshot holds the stuck state.
+        let path = emergency_path(&o.checkpoint_out);
+        let frame = Frame::read_file(&path).expect("emergency snapshot decodes");
+        assert_eq!(frame.cycle, sim.now(), "snapshot taken at the stall cycle");
+        let mut revived = stalling_sim(&gpu);
+        revived.restore_checkpoint(&frame).expect("emergency snapshot restores");
+        let err = revived.run_checked(o.cycles).expect_err("restored machine is still wedged");
+        let secmem_gpusim::error::SimError::Stalled(again) = *err else { panic!("expected stall") };
+        assert!(
+            again.cycle > stall.cycle && again.cycle <= stall.cycle + gpu.watchdog_cycles,
+            "restored machine must re-trip within one watchdog window \
+             (first at {}, again at {})",
+            stall.cycle,
+            again.cycle
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

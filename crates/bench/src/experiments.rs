@@ -96,7 +96,6 @@ impl Baselines {
                 label: "baseline".into(),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             })
             .collect();
         let mut reports = HashMap::new();
@@ -134,7 +133,6 @@ fn suite_secure_jobs(opts: &ExpOpts, configs: &[(String, SecureMemConfig)]) -> V
                 label: label.clone(),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -478,7 +476,6 @@ pub fn fig10_11(opts: &ExpOpts, class_index: usize) -> ExpTable {
         label: label.into(),
         telemetry: None,
         telemetry_out: None,
-        sim_threads: 1,
     };
     let results = run_jobs_t(
         opts,
@@ -591,7 +588,6 @@ pub fn fig13(opts: &ExpOpts) -> ExpTable {
                 label: format!("secureMem_{mb}MB"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -746,7 +742,6 @@ pub fn ablation_scheduler(opts: &ExpOpts) -> ExpTable {
                 label: format!("base_{tag}"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
             jobs.push(Job {
                 kernel: kernel.clone(),
@@ -757,7 +752,6 @@ pub fn ablation_scheduler(opts: &ExpOpts) -> ExpTable {
                 label: format!("sec_{tag}"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -807,7 +801,6 @@ pub fn selective_encryption(opts: &ExpOpts, baselines: &Baselines) -> ExpTable {
                 label: format!("protect_{pct}%"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -847,7 +840,6 @@ pub fn ablation_dram(opts: &ExpOpts) -> ExpTable {
                 label: format!("base_{tag}"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
             jobs.push(Job {
                 kernel: kernel.clone(),
@@ -858,7 +850,6 @@ pub fn ablation_dram(opts: &ExpOpts) -> ExpTable {
                 label: format!("sec_{tag}"),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -884,50 +875,6 @@ pub fn ablation_dram(opts: &ExpOpts) -> ExpTable {
     t.push_row(vec!["GMEAN".into(), fmt_ratio(gmean(&flat_all)), fmt_ratio(gmean(&banked_all))]);
     t.note("16 banks/partition, 2 KB rows, 8-cycle row-miss penalty, 95% derate");
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_tables_render() {
-        let opts = ExpOpts { cycles: 100, ..ExpOpts::default() };
-        let t1 = table1(&opts);
-        assert!(t1.render().contains("80 @ 1132 MHz"));
-        let t2 = table2(&opts);
-        assert!(t2.render().contains("32.00 MB"));
-        assert!(t2.render().contains("256.00 MB"));
-        let t3 = table3(&opts);
-        assert!(t3.render().contains("64 MSHRs"));
-        let t6 = table6(&opts);
-        assert!(t6.render().contains("JSSC'20"));
-        let t7 = table7(&opts);
-        assert!(t7.render().contains("AES engine"));
-        let ad = area_displacement(&opts);
-        assert!(ad.render().contains("total"));
-    }
-
-    #[test]
-    fn small_gpu_experiment_smoke() {
-        // A tiny end-to-end run through the harness plumbing.
-        let opts = ExpOpts {
-            gpu: secmem_gpusim::config::GpuConfig::small(),
-            cycles: 1_500,
-            threads: 2,
-            ..ExpOpts::default()
-        };
-        let baselines = Baselines::compute(&opts);
-        let t4 = table4(&opts, &baselines);
-        assert_eq!(t4.rows.len(), 14);
-        let configs = vec![("secureMem".to_string(), SecureMemConfig::secure_mem())];
-        let t = normalized_ipc_table("smoke", &opts, &baselines, &configs);
-        assert_eq!(t.rows.len(), 15, "14 benchmarks + GMEAN");
-        for row in &t.rows {
-            let v: f64 = row[1].parse().expect("ratio parses");
-            assert!(v.is_finite() && v >= 0.0);
-        }
-    }
 }
 
 /// Extension: the DL-accelerator workload suite (`secmem_workloads::ml`)
@@ -957,7 +904,6 @@ pub fn ml_suite(opts: &ExpOpts) -> ExpTable {
             label: "baseline".into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         });
         for (label, cfg) in &schemes {
             jobs.push(Job {
@@ -969,7 +915,6 @@ pub fn ml_suite(opts: &ExpOpts) -> ExpTable {
                 label: (*label).to_string(),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             });
         }
     }
@@ -1023,4 +968,48 @@ pub fn matrix(opts: &ExpOpts) -> ExpTable {
         table.note(format!("{} job(s) FAILED after retry", failures.len()));
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn static_tables_render() {
+        let opts = ExpOpts { cycles: 100, ..ExpOpts::default() };
+        let t1 = table1(&opts);
+        assert!(t1.render().contains("80 @ 1132 MHz"));
+        let t2 = table2(&opts);
+        assert!(t2.render().contains("32.00 MB"));
+        assert!(t2.render().contains("256.00 MB"));
+        let t3 = table3(&opts);
+        assert!(t3.render().contains("64 MSHRs"));
+        let t6 = table6(&opts);
+        assert!(t6.render().contains("JSSC'20"));
+        let t7 = table7(&opts);
+        assert!(t7.render().contains("AES engine"));
+        let ad = area_displacement(&opts);
+        assert!(ad.render().contains("total"));
+    }
+
+    #[test]
+    fn small_gpu_experiment_smoke() {
+        // A tiny end-to-end run through the harness plumbing.
+        let opts = ExpOpts {
+            gpu: secmem_gpusim::config::GpuConfig::small(),
+            cycles: 1_500,
+            threads: 2,
+            ..ExpOpts::default()
+        };
+        let baselines = Baselines::compute(&opts);
+        let t4 = table4(&opts, &baselines);
+        assert_eq!(t4.rows.len(), 14);
+        let configs = vec![("secureMem".to_string(), SecureMemConfig::secure_mem())];
+        let t = normalized_ipc_table("smoke", &opts, &baselines, &configs);
+        assert_eq!(t.rows.len(), 15, "14 benchmarks + GMEAN");
+        for row in &t.rows {
+            let v: f64 = row[1].parse().expect("ratio parses");
+            assert!(v.is_finite() && v >= 0.0);
+        }
+    }
 }

@@ -368,7 +368,7 @@ mod tests {
                         // would only exercise the lexer.
                         let src = String::from_utf8_lossy(input);
                         let info = secmem_lint::scanner::FileInfo::analyze(&src);
-                        let parsed = secmem_lint::parse_file(&info, &["for_each", "for_each_grouped"]);
+                        let parsed = secmem_lint::parse_file(&info);
                         assert!(!parsed.fns.is_empty(), "lint-source exemplar {i} parsed no fns");
                     }
                 }

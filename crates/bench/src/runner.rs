@@ -62,12 +62,6 @@ pub struct Job {
     /// Where the coordinating thread writes this job's Chrome trace
     /// (ignored unless [`Job::telemetry`] is set).
     pub telemetry_out: Option<PathBuf>,
-    /// Worker threads for the simulator's partition/SM stepping
-    /// (clamped to at least 1). Reports are byte-identical at every
-    /// value, so this is a performance knob, not part of the job's
-    /// identity — [`job_fingerprint`](crate::job_fingerprint)
-    /// deliberately excludes it.
-    pub sim_threads: usize,
 }
 
 /// Runs a single job.
@@ -82,7 +76,6 @@ pub fn run_job(job: &Job) -> RunResult {
         BackendChoice::Baseline => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_threads(job.sim_threads);
             sim.set_telemetry(telemetry);
             let report = if job.warmup > 0 {
                 sim.run_with_warmup(job.warmup, job.cycles)
@@ -96,7 +89,6 @@ pub fn run_job(job: &Job) -> RunResult {
             let cfg = cfg.clone();
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_threads(job.sim_threads);
             sim.set_telemetry(telemetry);
             let report = if job.warmup > 0 {
                 sim.run_with_warmup(job.warmup, job.cycles)
@@ -208,7 +200,6 @@ pub fn run_job_cached(job: &Job, cache: &WarmCache) -> RunResult {
         BackendChoice::Baseline => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_threads(job.sim_threads);
             let report = warmed_report(&mut sim, job, cache);
             RunResult { bench, label: job.label.clone(), report, reuse: None, telemetry: None }
         }
@@ -216,7 +207,6 @@ pub fn run_job_cached(job: &Job, cache: &WarmCache) -> RunResult {
             let cfg = cfg.clone();
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_threads(job.sim_threads);
             let report = warmed_report(&mut sim, job, cache);
             let reuse = sim
                 .partition(0)
@@ -390,7 +380,6 @@ mod tests {
             label: "baseline".into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         };
         let r = run_job(&job);
         assert!(r.report.thread_instructions > 0);
@@ -411,7 +400,6 @@ mod tests {
             label: "secure".into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         };
         let r = run_job(&job);
         assert!(r.report.thread_instructions > 0);
@@ -432,7 +420,6 @@ mod tests {
                 label: (*n).into(),
                 telemetry: None,
                 telemetry_out: None,
-                sim_threads: 1,
             })
             .collect();
         let results = run_jobs(jobs, 3);
@@ -455,7 +442,6 @@ mod tests {
             label: label.into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         };
         let jobs = vec![
             job("fdtd2d", tiny_gpu(), "ok-1"),
@@ -488,7 +474,6 @@ mod tests {
             label: label.into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         };
         let cold = run_job(&mk("cold"));
         let cache = WarmCache::new();
@@ -513,7 +498,6 @@ mod tests {
             label: "x".into(),
             telemetry: None,
             telemetry_out: None,
-            sim_threads: 1,
         };
         let cache = WarmCache::new();
         let _ = run_job_cached(&mk(BackendChoice::Baseline, 500), &cache);
@@ -539,7 +523,6 @@ mod tests {
             label: name.into(),
             telemetry: Some(TelemetryConfig { sample_interval: 128, ..TelemetryConfig::default() }),
             telemetry_out: Some(trace(name)),
-            sim_threads: 1,
         };
         let mut bad_gpu = tiny_gpu();
         bad_gpu.issue_width = 0;

@@ -244,7 +244,6 @@ impl SweepSpec {
                     label: scheme.label().to_string(),
                     telemetry: telemetry.clone(),
                     telemetry_out: None,
-                    sim_threads: 1,
                 });
             }
         }
@@ -437,14 +436,6 @@ mod tests {
         let mut relabeled = jobs[0].clone();
         relabeled.label = "renamed".into();
         assert_eq!(job_fingerprint(&jobs[0]), job_fingerprint(&relabeled), "label is display-only");
-
-        let mut threaded = jobs[0].clone();
-        threaded.sim_threads = 8;
-        assert_eq!(
-            job_fingerprint(&jobs[0]),
-            job_fingerprint(&threaded),
-            "sim_threads is a performance knob, not simulation identity"
-        );
 
         let mut other_seed = tiny_spec();
         other_seed.seed = 1;

@@ -8,12 +8,12 @@
 //! sweep runner's warm-checkpoint forking trustworthy: if resume were
 //! even one DRAM burst off, the fingerprints here would diverge.
 
-use secmem_checkpoint::{fnv1a, Frame};
+use secmem_bench::sweep::report_fingerprint;
+use secmem_checkpoint::Frame;
 use secmem_core::{SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
-use secmem_gpusim::stats::SimReport;
 use secmem_workloads::{suite, SyntheticKernel};
 
 const CYCLES: u64 = 3_000;
@@ -36,10 +36,6 @@ fn kernel(bench: &str) -> SyntheticKernel {
     suite::by_name(bench).unwrap_or_else(|| panic!("suite workload {bench}"))
 }
 
-fn fingerprint(report: &SimReport) -> u64 {
-    fnv1a(format!("{report:?}").as_bytes())
-}
-
 /// One uninterrupted run vs. snapshot-at-CUT + file-format round-trip +
 /// restore-into-fresh-sim + run-to-end, generic over the backend.
 fn check<B: MemoryBackend>(bench: &str, scheme: SecurityScheme, build: impl Fn() -> Simulator<B>) {
@@ -58,8 +54,8 @@ fn check<B: MemoryBackend>(bench: &str, scheme: SecurityScheme, build: impl Fn()
     let resumed_report = resumed.run(CYCLES);
 
     assert_eq!(
-        fingerprint(&unbroken),
-        fingerprint(&resumed_report),
+        report_fingerprint(&unbroken),
+        report_fingerprint(&resumed_report),
         "{bench}/{scheme:?}: resumed report diverges from the uninterrupted run\n\
          uninterrupted: {unbroken:?}\nresumed: {resumed_report:?}"
     );

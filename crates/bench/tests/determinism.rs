@@ -41,7 +41,6 @@ fn job_for(scheme: SecurityScheme, warmup: u64, telemetry: bool) -> Job {
         label: scheme.label().to_string(),
         telemetry: telemetry.then(|| TelemetryConfig { sample_interval: 512, ..TelemetryConfig::default() }),
         telemetry_out: None,
-        sim_threads: 1,
     }
 }
 

@@ -7,22 +7,17 @@
 //! binary container (including restoring a frame taken under the other
 //! format).
 
-use secmem_checkpoint::fnv1a;
+use secmem_bench::sweep::report_fingerprint;
 use secmem_core::{SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::PassthroughBackend;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::sim::Simulator;
-use secmem_gpusim::stats::SimReport;
 use secmem_gpusim::trace::{Trace, TraceKernel};
 use secmem_gpusim::trace_bin::{self, BinaryTrace};
 use secmem_gpusim::types::{Access, Inst, SectorMask};
 use secmem_workloads::suite;
 use std::path::PathBuf;
-
-fn fingerprint(report: &SimReport) -> u64 {
-    fnv1a(format!("{report:?}").as_bytes())
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("secmem-trace-format-{tag}-{}", std::process::id()));
@@ -136,12 +131,12 @@ fn replay_fp(gpu: &GpuConfig, kernel: &TraceKernel, scheme: Option<SecuritySchem
     match scheme {
         None => {
             let mut sim = Simulator::new(gpu.clone(), kernel, |_, g| PassthroughBackend::from_config(g));
-            fingerprint(&sim.run(cycles))
+            report_fingerprint(&sim.run(cycles))
         }
         Some(s) => {
             let cfg = SecureMemConfig::with_scheme(s);
             let mut sim = Simulator::new(gpu.clone(), kernel, move |_, g| SecureBackend::new(cfg.clone(), g));
-            fingerprint(&sim.run(cycles))
+            report_fingerprint(&sim.run(cycles))
         }
     }
 }
@@ -212,8 +207,8 @@ fn checkpoint_resume_is_invisible_for_streamed_binary_replay() {
     let mut resumed = build(&bin_path);
     resumed.restore_checkpoint(&frame).expect("binary frame restores into binary replay");
     assert_eq!(
-        fingerprint(&unbroken),
-        fingerprint(&resumed.run(CYCLES)),
+        report_fingerprint(&unbroken),
+        report_fingerprint(&resumed.run(CYCLES)),
         "resumed streamed replay diverges from the uninterrupted run"
     );
 
@@ -225,8 +220,8 @@ fn checkpoint_resume_is_invisible_for_streamed_binary_replay() {
     let mut cross = build(&bin_path);
     cross.restore_checkpoint(&cross_frame).expect("text frame restores into binary replay");
     assert_eq!(
-        fingerprint(&unbroken),
-        fingerprint(&cross.run(CYCLES)),
+        report_fingerprint(&unbroken),
+        report_fingerprint(&cross.run(CYCLES)),
         "cross-format resume diverges from the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);

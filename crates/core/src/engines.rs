@@ -164,7 +164,7 @@ mod tests {
         let mut bank = AesEngineBank::new(2, 40, 1132, 850);
         let done = bank.schedule(100, 32);
         // 32 B at ~24 B/cycle = ~1.33 cycles service + 40 latency.
-        assert!(done >= 141 && done <= 143, "done at {done}");
+        assert!((141..=143).contains(&done), "done at {done}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn drive(scheme: SecurityScheme, mshrs: u32, requests: &[(u64, u32, bool)]) -> (
     let mut b = SecureBackend::new(cfg, &gpu);
     let mut responses = 0u64;
     let mut now = 0u64;
-    let mut pending = requests.iter().copied().collect::<Vec<_>>();
+    let mut pending = requests.to_vec();
     pending.reverse();
     let mut next_id = 0u64;
     loop {

@@ -23,8 +23,8 @@ use crate::types::{BackendReq, Cycle, TrafficClass};
 /// same `BackendReq` (id, line, sectors, bank) that was submitted; writes
 /// complete silently.
 ///
-/// `Send` is a supertrait: partitions step on pool worker threads during
-/// the parallel phase of [`crate::sim::Simulator::step`].
+/// `Send` is a supertrait so every [`crate::sim::Simulator`] is `Send`
+/// and can be moved to another thread whole.
 pub trait MemoryBackend: Send {
     /// True if a read can be submitted this cycle.
     fn can_accept_read(&self) -> bool;

@@ -235,9 +235,10 @@ impl GpuConfig {
             return Err(ConfigError::new("protected_bytes", "must be a multiple of partitions * interleave"));
         }
         if self.icnt_latency == 0 {
-            // The phased step loop replays the serial schedule only
-            // because a message pushed at cycle `now` can never be
-            // delivered at `now`; zero latency would break that.
+            // At zero latency a request would reach its partition in the
+            // cycle it was sent (SMs step before partitions) while a
+            // response would still wait a cycle: the two directions
+            // would silently disagree on the configured latency.
             return Err(ConfigError::new("icnt_latency", "must be at least 1 cycle"));
         }
         // Pre-check every cache geometry the simulator will construct, so

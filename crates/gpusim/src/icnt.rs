@@ -55,25 +55,6 @@ impl<T> DelayQueue<T> {
         Ok(())
     }
 
-    /// [`DelayQueue::try_push`] against *virtual* occupancy: the queue is
-    /// treated as if it still held `drained` additional elements.
-    ///
-    /// The parallel step pops a partition's arrivals before the SMs place
-    /// this cycle's requests; the serial loop did those pops *after*. To
-    /// replay the serial accept/reject decisions exactly, pushes must see
-    /// the pre-pop occupancy, which is `len() + drained`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the element back if `len() + drained` reaches capacity.
-    pub fn try_push_occupied(&mut self, now: Cycle, item: T, drained: usize) -> Result<(), T> {
-        if self.q.len().saturating_add(drained) >= self.cap {
-            return Err(item);
-        }
-        self.q.push_back((now + self.latency, item));
-        Ok(())
-    }
-
     /// Returns a reference to the front element if a [`DelayQueue::pop`]
     /// at `now` would succeed, without consuming rate.
     pub fn ready(&self, now: Cycle) -> Option<&T> {
@@ -109,17 +90,6 @@ impl<T> DelayQueue<T> {
     /// Used by the idle-skip scheduler to find the next delivery event.
     pub fn next_ready_at(&self) -> Option<Cycle> {
         self.q.front().map(|(ready, _)| *ready)
-    }
-
-    /// How many elements [`DelayQueue::pop`] drained at cycle `now`
-    /// (zero for any other cycle). This is the virtual occupancy the
-    /// phased step feeds to [`DelayQueue::try_push_occupied`].
-    pub fn drained_this_cycle(&self, now: Cycle) -> usize {
-        if self.drained_at == now {
-            self.drained_count as usize
-        } else {
-            0
-        }
     }
 
     /// Current occupancy.
@@ -193,36 +163,9 @@ impl Interconnect {
         self.to_partition[partition as usize].try_push(now, req)
     }
 
-    /// [`Interconnect::push_request`] against virtual occupancy: the
-    /// partition's queue is treated as if it still held every element
-    /// popped from it this cycle (see [`DelayQueue::try_push_occupied`]).
-    /// The phased step uses this for all its pushes, which happen after
-    /// the partitions' arrival pops instead of before them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request back if the queue would have been full.
-    pub fn push_request_occupied(
-        &mut self,
-        now: Cycle,
-        partition: u32,
-        req: MemRequest,
-    ) -> Result<(), MemRequest> {
-        let q = &mut self.to_partition[partition as usize];
-        let drained = q.drained_this_cycle(now);
-        q.try_push_occupied(now, req, drained)
-    }
-
     /// True if the request path toward `partition` is full.
     pub fn request_full(&self, partition: u32) -> bool {
         self.to_partition[partition as usize].is_full()
-    }
-
-    /// Mutable views of the per-partition request lanes and per-SM
-    /// response lanes, for the parallel step's per-entity phase (each
-    /// chunk owns disjoint lanes).
-    pub fn split_lanes(&mut self) -> (&mut [DelayQueue<MemRequest>], &mut [DelayQueue<MemRequest>]) {
-        (&mut self.to_partition, &mut self.to_sm)
     }
 
     /// Receives the next request at `partition`, if any is ready.
@@ -385,29 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn push_occupied_replays_pre_pop_capacity() {
-        let mut q: DelayQueue<u32> = DelayQueue::new(1, 4, 4);
-        for i in 0..4 {
-            q.try_push(0, i).unwrap();
-        }
-        assert!(q.is_full());
-        // Pop two arrivals, as the parallel step's partition phase does.
-        assert_eq!(q.pop(1), Some(0));
-        assert_eq!(q.pop(1), Some(1));
-        // A plain push would now succeed twice; against the virtual
-        // occupancy of 2 it must behave as if the queue were still full.
-        assert!(q.try_push_occupied(1, 10, 2).is_err());
-        assert!(q.try_push_occupied(1, 10, 1).is_ok());
-        assert!(q.try_push_occupied(1, 11, 1).is_err(), "virtual occupancy counts the new push too");
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
     fn interconnect_routes_by_partition_and_sm() {
         let cfg = GpuConfig::small();
         let mut icnt = Interconnect::new(&cfg);
         icnt.push_request(0, 2, req(7)).unwrap();
-        assert_eq!(icnt.pop_request(0 + cfg.icnt_latency as u64, 1), None);
+        assert_eq!(icnt.pop_request(cfg.icnt_latency as u64, 1), None);
         let got = icnt.pop_request(cfg.icnt_latency as u64, 2).expect("request arrives");
         assert_eq!(got.id, 7);
         icnt.push_response(100, 3, req(9));

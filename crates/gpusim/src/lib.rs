@@ -41,10 +41,7 @@
 //! assert!(report.ipc() > 0.0);
 //! ```
 
-// `deny`, not `forbid`: the worker pool in `par` is the one module
-// allowed to use `unsafe` (a scoped, generation-stamped task slot for
-// borrowed closures). Everything else still errors on `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -59,7 +56,6 @@ pub mod icnt;
 pub mod kernel;
 pub mod mshr;
 pub mod narrow;
-pub mod par;
 pub mod partition;
 pub mod reuse;
 pub mod rng;

@@ -9,9 +9,8 @@ use secmem_telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySnapshot};
 use crate::backend::MemoryBackend;
 use crate::config::{AddressMap, GpuConfig};
 use crate::error::{PartitionStall, SimError, StallReport};
-use crate::icnt::{DelayQueue, Interconnect};
+use crate::icnt::Interconnect;
 use crate::kernel::Kernel;
-use crate::par::WorkerPool;
 use crate::partition::MemPartition;
 use crate::sm::{Sm, SmOutput};
 use crate::stats::SimReport;
@@ -44,26 +43,9 @@ pub struct Simulator<B> {
     /// Periodic sampling state; present only when telemetry is enabled,
     /// so the per-step cost of disabled telemetry is one `Option` check.
     sampler: Option<SimSampler>,
-    /// Per-SM request buffers for the phased step: SMs issue into their
-    /// own slot during the parallel phase; the coordinator drains the
-    /// slots onto the interconnect in SM-id order afterwards.
-    sm_out: Vec<SmOutput>,
-    /// Per-partition telemetry staging sinks (empty until
-    /// [`Simulator::set_telemetry`]). Partitions record into their own
-    /// sink during the parallel phase; the coordinator commits the
-    /// buffered events to the master sink in partition-id order, so the
-    /// event stream is byte-identical to the serial schedule.
-    staging: Vec<Telemetry>,
-    /// Thread count for the per-entity phase of [`Simulator::step`].
-    threads: usize,
-    /// Worker pool backing `threads > 1`; `None` runs inline.
-    pool: Option<WorkerPool>,
-    /// Precomputed phase-A chunk assignment, one id per step entity
-    /// (SMs first, then partitions), dealing each entity kind
-    /// round-robin across chunks so every worker gets an even share of
-    /// heavy SM steps and light partition steps. Rebuilt by
-    /// [`Simulator::set_threads`]; empty while running inline.
-    phase_groups: Vec<u32>,
+    /// Request buffer every SM issues into during [`Simulator::step`],
+    /// reused across SMs and cycles so stepping never allocates.
+    out: SmOutput,
 }
 
 /// Metric names for the per-class DRAM byte series, in
@@ -141,7 +123,6 @@ impl<B: MemoryBackend> Simulator<B> {
             sms,
             overflow: vec![VecDeque::new(); cfg.num_sms as usize],
             partitions,
-            sm_out: (0..cfg.num_sms).map(|_| SmOutput::default()).collect(),
             cfg,
             now: 0,
             stall: None,
@@ -149,52 +130,16 @@ impl<B: MemoryBackend> Simulator<B> {
             wd_last_progress: 0,
             telemetry: Telemetry::disabled(),
             sampler: None,
-            staging: Vec::new(),
-            threads: 1,
-            pool: None,
-            phase_groups: Vec::new(),
+            out: SmOutput::default(),
         })
     }
 
-    /// Sets how many OS threads [`Simulator::step`] fans its per-entity
-    /// phase over (clamped to at least 1; 1 — the default — runs fully
-    /// inline). This is purely a wall-clock knob: the same phase
-    /// functions run in every configuration and all cross-entity effects
-    /// are applied by the coordinating thread in canonical entity order,
-    /// so reports, telemetry and checkpoints are byte-identical at every
-    /// thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        if self.pool.as_ref().map_or(0, WorkerPool::chunks) != threads {
-            self.pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
-        }
-        // The grouped assignment is pure load balancing (phase A is
-        // order-free), computed once here rather than per cycle.
-        self.phase_groups = match &self.pool {
-            Some(pool) => phase_group_ids(self.sms.len(), self.partitions.len(), pool.chunks()),
-            None => Vec::new(),
-        };
-    }
-
-    /// The configured step-phase thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Attaches a telemetry sink. Each partition (and from there each
-    /// backend and DRAM channel) receives its own *staging* sink; the
-    /// step loop commits staged events to the master in partition-id
-    /// order every cycle, which keeps the event stream identical to the
-    /// serial schedule even when partitions step on worker threads. An
-    /// enabled sink arms the periodic sampler; a disabled one detaches
-    /// everything.
+    /// Attaches a telemetry sink, shared with every partition (and from
+    /// there every backend and DRAM channel). An enabled sink arms the
+    /// periodic sampler; a disabled one detaches everything.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.staging.clear();
         for p in &mut self.partitions {
-            let stage = telemetry.staging();
-            p.set_telemetry(stage.clone());
-            self.staging.push(stage);
+            p.set_telemetry(telemetry.clone());
         }
         let prev = self.gather_counters();
         let interval = telemetry.sample_interval().max(1);
@@ -234,104 +179,57 @@ impl<B: MemoryBackend> Simulator<B> {
     }
 
     /// Advances the whole GPU by one cycle.
-    ///
-    /// The cycle is phased so the per-entity work can fan out over
-    /// [`Simulator::set_threads`] OS threads without changing results —
-    /// the same phase functions run at every thread count, and all
-    /// cross-entity effects are applied by the coordinating thread in
-    /// canonical entity order:
-    ///
-    /// - **Phase A (parallel over SMs and partitions):** each SM drains
-    ///   its response lane and — when it has no overflow to retry —
-    ///   issues into its private [`SmOutput`] slot; each partition
-    ///   drains its request lane and advances, leaving responses in its
-    ///   own buffer. Every entity touches only its own state plus the
-    ///   interconnect lanes it exclusively owns.
-    /// - **Phase B (coordinator, SM-id order):** overflow retries, the
-    ///   deferred SMs' cycles, and the buffered requests go onto the
-    ///   interconnect exactly as the serial loop dispatched them.
-    ///   Pushes use [`Interconnect::push_request_occupied`] so
-    ///   accept/reject decisions replay the pre-pop queue occupancy the
-    ///   serial schedule observed (phase A popped arrivals the serial
-    ///   loop would only have popped after these pushes; with the
-    ///   interconnect latency ≥ 1 the pushes themselves can never be
-    ///   popped in the same cycle, so occupancy is the only coupling).
-    /// - **Phase C (coordinator, partition-id order):** responses are
-    ///   forwarded to their SMs and staged telemetry events are
-    ///   committed to the master sink.
     pub fn step(&mut self) {
         let now = self.now;
-        let l1_ports = self.cfg.l1_ports as usize;
 
-        // Phase A: per-entity work, fanned out when a pool is attached.
-        {
-            let Self { sms, overflow, partitions, icnt, sm_out, pool, phase_groups, .. } = self;
-            let (to_part, to_sm) = icnt.split_lanes();
-            // lint:allow(H2): one bounded, short-lived buffer of borrows per cycle; the buffers it points into are reused
-            let mut entities: Vec<StepEntity<'_, B>> = Vec::with_capacity(sms.len() + partitions.len());
-            for (((sm, lane), out), overflow) in
-                sms.iter_mut().zip(to_sm.iter_mut()).zip(sm_out.iter_mut()).zip(overflow.iter())
-            {
-                entities.push(StepEntity::Sm { sm, lane, out, has_overflow: !overflow.is_empty(), l1_ports });
-            }
-            for (part, lane) in partitions.iter_mut().zip(to_part.iter_mut()) {
-                entities.push(StepEntity::Partition { part, lane });
-            }
-            match pool {
-                Some(pool) => {
-                    // lint:allow(T1): the entity step reaches warp-program instruction fetch, whose coalesced-access list is heap-backed by design (trace format)
-                    pool.for_each_grouped(&mut entities, phase_groups, &|_, e| e.phase_a(now))
-                }
-                None => {
-                    for e in &mut entities {
-                        // lint:allow(T1): same instruction-fetch access-list allocation as the pooled branch
-                        e.phase_a(now);
-                    }
-                }
+        // 1. Deliver memory responses to SMs.
+        for sm in &mut self.sms {
+            let id = sm.id();
+            while let Some(resp) = self.icnt.pop_response(now, id) {
+                sm.on_response(&resp);
             }
         }
 
-        // Phase B: dispatch onto the interconnect in SM-id order.
-        for (i, sm) in self.sms.iter_mut().enumerate() {
-            let overflow = &mut self.overflow[i];
-            let out = &mut self.sm_out[i];
-            if !overflow.is_empty() {
-                // Deferred in phase A: replay the serial path — retry
-                // requests that could not be placed last cycle (a reject
-                // goes back to the queue head untouched), then issue
-                // with the gated port count.
-                while let Some(req) = overflow.pop_front() {
-                    let p = self.map.partition_of(req.line_addr);
-                    if let Err(req) = self.icnt.push_request_occupied(now, p, req) {
-                        overflow.push_front(req);
-                        break;
-                    }
+        // 2. SMs issue and dispatch; requests go onto the interconnect.
+        let out = &mut self.out;
+        for (sm, overflow) in self.sms.iter_mut().zip(&mut self.overflow) {
+            // Retry requests that could not be placed last cycle; a
+            // rejected request goes back to the queue head untouched.
+            while let Some(req) = overflow.pop_front() {
+                let p = self.map.partition_of(req.line_addr);
+                if let Err(req) = self.icnt.push_request(now, p, req) {
+                    overflow.push_front(req);
+                    break;
                 }
-                let room = if overflow.is_empty() { l1_ports } else { 0 };
-                out.requests.clear();
-                sm.cycle(now, room, out);
             }
+            let room = if overflow.is_empty() { self.cfg.l1_ports as usize } else { 0 };
+            out.requests.clear();
+            sm.cycle(now, room, out);
             for req in out.requests.drain(..) {
                 let p = self.map.partition_of(req.line_addr);
-                if let Err(back) = self.icnt.push_request_occupied(now, p, req) {
+                if let Err(back) = self.icnt.push_request(now, p, req) {
                     overflow.push_back(back);
                 }
             }
         }
 
-        // Phase C: forward responses and commit staged telemetry, both
-        // in partition-id order.
+        // 3. Partitions accept requests, advance, and emit responses.
         for part in &mut self.partitions {
+            let id = part.id();
+            while !part.input_full() {
+                let Some(req) = self.icnt.pop_request(now, id) else { break };
+                part.input.push_back(req);
+            }
+            // A partition with no event due this cycle would run a no-op
+            // `cycle` (same event model `advance_idle` skips whole steps
+            // on); responses only ever appear as a result of `cycle`.
+            if part.next_event_cycle(now) != Some(now) {
+                continue;
+            }
+            part.cycle(now);
             for resp in part.responses.drain(..) {
                 if let Some(warp) = resp.warp {
                     self.icnt.push_response(now, warp.sm, resp);
-                }
-            }
-        }
-        if self.telemetry.is_enabled() {
-            for stage in &self.staging {
-                for ev in stage.take_events() {
-                    self.telemetry.record_event(ev);
                 }
             }
         }
@@ -926,82 +824,6 @@ impl PrevCounters {
     }
 }
 
-/// Chunk assignment for the phase-A entity list (SMs first, then
-/// partitions): each entity kind is dealt round-robin across chunks so
-/// every worker gets an even share of heavy SM steps and light
-/// partition steps. A contiguous split would hand all SMs to the early
-/// chunks and all partitions to the late ones, serialising the run on
-/// the SM-heavy workers. Computed once per thread-count change, not per
-/// cycle.
-fn phase_group_ids(sms: usize, partitions: usize, chunks: usize) -> Vec<u32> {
-    let chunks = chunks.max(1);
-    let mut groups = Vec::with_capacity(sms + partitions);
-    for i in 0..sms {
-        groups.push(crate::narrow::usize_to_u32(i % chunks, "reduced mod chunk count"));
-    }
-    for p in 0..partitions {
-        groups.push(crate::narrow::usize_to_u32(p % chunks, "reduced mod chunk count"));
-    }
-    groups
-}
-
-/// One unit of phase-A work: an SM or a partition, bundled with the
-/// interconnect lane it exclusively owns for the cycle. The simulator
-/// builds one entity per SM and per partition each step and hands the
-/// slice to [`WorkerPool::for_each`]; every entity is independent of
-/// every other, which is what makes the fan-out order-free.
-enum StepEntity<'a, B> {
-    /// An SM with its response lane and private request buffer.
-    Sm {
-        sm: &'a mut Sm,
-        lane: &'a mut DelayQueue<MemRequest>,
-        out: &'a mut SmOutput,
-        /// Rejected requests from last cycle are waiting; the retry and
-        /// this SM's `cycle` must run on the coordinator (phase B)
-        /// because the retry pushes onto shared interconnect queues.
-        has_overflow: bool,
-        l1_ports: usize,
-    },
-    /// A partition with its request lane.
-    Partition { part: &'a mut MemPartition<B>, lane: &'a mut DelayQueue<MemRequest> },
-}
-
-impl<B: MemoryBackend> StepEntity<'_, B> {
-    /// The per-entity slice of one cycle (see [`Simulator::step`]).
-    /// Touches only the entity's own state and lane, so it is safe to
-    /// run concurrently with any other entity's `phase_a`.
-    fn phase_a(&mut self, now: Cycle) {
-        match self {
-            StepEntity::Sm { sm, lane, out, has_overflow, l1_ports } => {
-                // Deliver memory responses, then issue. Responses pushed
-                // this cycle (phase C) ride the ≥ 1-cycle interconnect
-                // latency, so this drain sees exactly what the serial
-                // schedule saw.
-                while let Some(resp) = lane.pop(now) {
-                    sm.on_response(&resp);
-                }
-                if !*has_overflow {
-                    out.requests.clear();
-                    sm.cycle(now, *l1_ports, out);
-                }
-            }
-            StepEntity::Partition { part, lane } => {
-                while !part.input_full() {
-                    let Some(req) = lane.pop(now) else { break };
-                    part.input.push_back(req);
-                }
-                // A partition with no event due this cycle would run a
-                // no-op `cycle` (same event model `advance_idle` skips
-                // whole steps on); responses only ever appear as a
-                // result of `cycle`.
-                if part.next_event_cycle(now) == Some(now) {
-                    part.cycle(now);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1078,8 +900,7 @@ mod tests {
         cfg.num_partitions = 3;
         let kernel = StreamKernel { alu_per_mem: 1, bytes_per_warp: 4096, warps: 1 };
         let err = Simulator::try_new(cfg, &kernel, |_, c| PassthroughBackend::from_config(c))
-            .err()
-            .expect("three partitions is invalid");
+            .expect_err("three partitions is invalid");
         match err {
             crate::error::SimError::Config(e) => assert_eq!(e.field, "num_partitions"),
             other => panic!("expected config error, got {other:?}"),
@@ -1384,7 +1205,7 @@ mod tests {
         #[test]
         fn livelock_returns_stall_report() {
             let mut sim = drop_all_sim();
-            let err = sim.run_checked(1_000_000).err().expect("must stall");
+            let err = sim.run_checked(1_000_000).expect_err("must stall");
             let SimError::Stalled(stall) = *err else { panic!("expected stall, got {err:?}") };
             assert!(stall.cycle < 100_000, "stopped early, not at max_cycles");
             assert!(stall.stalled_for >= 2_000);

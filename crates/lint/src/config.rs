@@ -211,19 +211,13 @@ pub struct Policy {
     /// Library crates held to E1 error hygiene.
     pub lib_crates: Vec<String>,
     /// Crates whose functions are nodes in the intra-workspace call
-    /// graph (P1/T1). Host-side tooling (bench drivers, the sweep
+    /// graph (T1). Host-side tooling (bench drivers, the sweep
     /// server, the linter itself) is excluded so common names like
     /// `run` do not alias simulator call chains.
     pub call_graph_crates: Vec<String>,
     /// Traits whose impls must round-trip every named field of the self
     /// type through both `save` and `load` (S1).
     pub snapshot_traits: Vec<String>,
-    /// Worker-pool entry points whose call arguments seed phase-A
-    /// reachability (P1).
-    pub phase_entry_points: Vec<String>,
-    /// Coordinator-owned functions that phase-A-reachable code must
-    /// never call directly (P1): the phase-B/C staging commit points.
-    pub p1_forbidden_calls: Vec<String>,
 }
 
 impl Default for Policy {
@@ -237,7 +231,6 @@ impl Default for Policy {
             // engine/mdcache -> dram, plus the hasher they key maps with.
             hot_files: s(&[
                 "crates/gpusim/src/sim.rs",
-                "crates/gpusim/src/par.rs",
                 "crates/gpusim/src/sm.rs",
                 "crates/gpusim/src/icnt.rs",
                 "crates/gpusim/src/partition.rs",
@@ -281,10 +274,6 @@ impl Default for Policy {
             lib_crates: s(&["gpusim", "core", "crypto", "telemetry", "workloads", "checkpoint", "serve"]),
             call_graph_crates: s(&["gpusim", "core", "crypto", "telemetry", "workloads", "checkpoint"]),
             snapshot_traits: s(&["Snapshot"]),
-            phase_entry_points: s(&["for_each", "for_each_grouped"]),
-            // Phase B/C commit points (DESIGN.md §14): only the
-            // coordinator may move staged work across entities.
-            p1_forbidden_calls: s(&["push_request_occupied", "push_response", "take_events"]),
         }
     }
 }

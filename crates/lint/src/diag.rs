@@ -95,14 +95,6 @@ pub const CATALOGUE: &[LintDoc] = &[
                     plumbing breaks resume == uninterrupted silently",
     },
     LintDoc {
-        id: "P1",
-        name: "phase-a-purity",
-        invariant: "functions transitively reachable from a WorkerPool entity-step \
-                    closure touch no cross-entity state: no static mut, no atomic \
-                    store/fetch, no Mutex/RwLock/RefCell/Cell, no coordinator staging \
-                    commits",
-    },
-    LintDoc {
         id: "T1",
         name: "transitive-hot-path",
         invariant: "hot-path functions never call (transitively) into code that can \

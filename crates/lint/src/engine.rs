@@ -134,7 +134,7 @@ pub fn lint_source(rel: &str, src: &str, policy: &Policy) -> Vec<Diagnostic> {
 }
 
 /// Lints a set of files as one workspace: per-file token lints, then
-/// the semantic lints (S1/P1/T1) over the stitched workspace model,
+/// the semantic lints (S1/T1) over the stitched workspace model,
 /// then inline allow filtering. `files` pairs workspace-relative paths
 /// with source text.
 pub fn lint_sources(files: &[(String, String)], policy: &Policy) -> Vec<Diagnostic> {

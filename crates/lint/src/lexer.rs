@@ -76,7 +76,7 @@ impl Token {
 
     /// True for a `Punct` token equal to `c`.
     pub fn is_punct(&self, src: &str, c: char) -> bool {
-        self.kind == TokKind::Punct && self.text(src).chars().next() == Some(c)
+        self.kind == TokKind::Punct && self.text(src).starts_with(c)
     }
 }
 

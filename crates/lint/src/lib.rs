@@ -15,7 +15,7 @@
 //! token-pattern rules ([`lints`]) over one file at a time, and — since
 //! PR 10 — an item-level parser ([`parser`]) whose per-file skeletons
 //! are stitched into a workspace model with an intra-workspace call
-//! graph ([`model`]), on which the semantic lints S1/P1/T1 run
+//! graph ([`model`]), on which the semantic lints S1/T1 run
 //! ([`semantic`]). No `syn`, matching the workspace's zero-dependency
 //! policy. See DESIGN.md §11 and §16 for the lint catalogue with
 //! per-lint origin PRs, and `lint.toml` for the baseline.

@@ -7,7 +7,7 @@
 //! then the whole workspace. That over-approximates the real call graph
 //! (a `cycle()` call in `sim.rs` may resolve to several `cycle`
 //! methods), which is the safe direction for the reachability lints:
-//! P1/T1 may consider a function reachable that is not, but never miss
+//! T1 may consider a function reachable that is not, but never miss
 //! one that is. Functions defined in crates outside
 //! [`Policy::call_graph_crates`] are not candidates at all, which keeps
 //! host-side tooling (the linter itself, the sweep server) from
@@ -98,9 +98,8 @@ impl WorkspaceModel {
     /// Parses every file and builds the call graph. `files` pairs
     /// repo-relative paths with analyzed file info.
     pub fn build(files: &[(String, FileInfo<'_>)], policy: &Policy) -> Self {
-        let entries: Vec<&str> = policy.phase_entry_points.iter().map(|s| s.as_str()).collect();
         let parsed: Vec<(String, ParsedFile)> =
-            files.iter().map(|(rel, info)| (rel.clone(), parse_file(info, &entries))).collect();
+            files.iter().map(|(rel, info)| (rel.clone(), parse_file(info))).collect();
 
         let mut fns = Vec::new();
         let mut by_name: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
@@ -204,7 +203,8 @@ impl WorkspaceModel {
     fn resolve(&self, file: &str, krate: &str, name: &str, caller: FnId, require_self: bool) -> Vec<FnId> {
         let Some(cands) = self.by_name.get(name) else { return Vec::new() };
         let cross_crate_ok = !COMMON_STD_NAMES.contains(&name);
-        let tiers: [(&dyn Fn(&FnNode) -> bool, bool); 3] = [
+        type NodeFilter<'f> = &'f dyn Fn(&FnNode) -> bool;
+        let tiers: [(NodeFilter<'_>, bool); 3] = [
             (&|n: &FnNode| n.file == file, true),
             (&|n: &FnNode| n.krate == krate, true),
             (&|_| true, cross_crate_ok),
@@ -225,12 +225,6 @@ impl WorkspaceModel {
             }
         }
         Vec::new()
-    }
-
-    /// Function ids matching a bare name, resolved from `file`'s
-    /// perspective (used to seed phase roots).
-    pub fn resolve_name(&self, file: &str, name: &str) -> Vec<FnId> {
-        self.resolve(file, Policy::crate_of(file), name, usize::MAX, false)
     }
 
     /// The unique non-test struct definition for `name` visible from
@@ -256,54 +250,5 @@ impl WorkspaceModel {
             }
         }
         None
-    }
-
-    /// Breadth-first reachability from `roots` over the call graph.
-    /// Returns per-function reachability plus, for each reached
-    /// function, the id it was first reached from (roots map to
-    /// themselves) — enough to reconstruct a witness path.
-    pub fn reachable(&self, roots: &[FnId]) -> (Vec<bool>, Vec<FnId>) {
-        let mut seen = vec![false; self.fns.len()];
-        let mut parent: Vec<FnId> = (0..self.fns.len()).collect();
-        let mut queue: Vec<FnId> = Vec::new();
-        for &r in roots {
-            if r < seen.len() && !seen[r] {
-                seen[r] = true;
-                queue.push(r);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let f = queue[qi];
-            qi += 1;
-            for rc in &self.calls[f] {
-                for &t in &rc.targets {
-                    if !seen[t] {
-                        seen[t] = true;
-                        parent[t] = f;
-                        queue.push(t);
-                    }
-                }
-            }
-        }
-        (seen, parent)
-    }
-
-    /// Reconstructs the witness path `root → … → id` from a parent map
-    /// produced by [`WorkspaceModel::reachable`], as function names.
-    pub fn witness_path(&self, parent: &[FnId], id: FnId) -> Vec<String> {
-        let mut path = vec![self.fns[id].def.name.clone()];
-        let mut cur = id;
-        // A root is its own parent; bound the walk defensively.
-        for _ in 0..64 {
-            let p = parent[cur];
-            if p == cur {
-                break;
-            }
-            path.push(self.fns[p].def.name.clone());
-            cur = p;
-        }
-        path.reverse();
-        path
     }
 }

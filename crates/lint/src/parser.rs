@@ -2,10 +2,10 @@
 //!
 //! Extracts the *item skeleton* of a file — structs and their named
 //! fields, enums, functions with the calls / panic sites / allocation
-//! sites / synchronization touches inside their bodies, and the trait /
+//! sites inside their bodies, and the trait /
 //! self-type attribution of every associated function — without
 //! building expression trees. That skeleton is exactly what the
-//! semantic lints (S1/P1/T1) need and nothing more; anything the parser
+//! semantic lints (S1/T1) need and nothing more; anything the parser
 //! does not understand it skips soundly (macro bodies, attribute
 //! groups, generic argument lists), so it stays total over arbitrary
 //! input the same way the lexer does.
@@ -14,8 +14,6 @@
 //!
 //! * calls inside a nested `fn` body are attributed to the enclosing
 //!   function too (the nested fn is also parsed as its own item);
-//! * a mention of a sync *type* (`Mutex`, `AtomicU64`, …) anywhere in a
-//!   signature or body counts as a sync touch, even in a type position;
 //! * macro invocation bodies are skipped entirely, so calls made inside
 //!   `format!(…)` arguments are invisible.
 
@@ -27,7 +25,7 @@ use crate::scanner::FileInfo;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
     /// The callee name (last path segment), or a display label for
-    /// panic/alloc/sync sites (e.g. `panic!`, `.unwrap()`, `Mutex`).
+    /// panic/alloc sites (e.g. `panic!`, `.unwrap()`, `Vec::with_capacity`).
     pub name: String,
     /// True when the call is a method call (`recv.name(…)`).
     pub method: bool,
@@ -92,9 +90,6 @@ pub struct FnDef {
     pub panics: Vec<Site>,
     /// Allocation sites (the H2 pattern set).
     pub allocs: Vec<Site>,
-    /// Synchronization touches: sync type mentions, lock/borrow/atomic
-    /// RMW method calls, `static mut`.
-    pub sync_marks: Vec<Site>,
     /// All identifiers mentioned in the body, sorted and deduplicated.
     /// Populated only for trait-impl methods (S1 consumes it).
     pub body_idents: Vec<String>,
@@ -109,10 +104,6 @@ pub struct ParsedFile {
     pub enums: Vec<EnumDef>,
     /// Function definitions (nested fns appear as their own entries).
     pub fns: Vec<FnDef>,
-    /// Callee names found inside the argument group of a call to one of
-    /// the phase entry points (`entry_names` in [`parse_file`]), from
-    /// non-test code: the roots of phase-A reachability.
-    pub phase_roots: Vec<Site>,
 }
 
 /// Keywords that can be directly followed by `(` without being a call.
@@ -141,61 +132,18 @@ const ALLOC_TYPES: &[&str] =
     &["Box", "BTreeMap", "BTreeSet", "HashMap", "HashSet", "String", "Vec", "VecDeque"];
 const ALLOC_CTORS: &[&str] = &["from", "with_capacity"];
 
-/// Interior-mutability / synchronization type names.
-const SYNC_TYPES: &[&str] = &[
-    "AtomicBool",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicI8",
-    "AtomicIsize",
-    "AtomicPtr",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicU8",
-    "AtomicUsize",
-    "Cell",
-    "Condvar",
-    "Mutex",
-    "RefCell",
-    "RwLock",
-    "UnsafeCell",
-];
-
-/// `.name(` methods that mutate through shared state.
-const SYNC_METHODS: &[&str] = &[
-    "borrow_mut",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_and",
-    "fetch_max",
-    "fetch_min",
-    "fetch_nand",
-    "fetch_or",
-    "fetch_sub",
-    "fetch_update",
-    "fetch_xor",
-    "lock",
-    "store",
-    "try_lock",
-];
-
 /// Upper bound on tokens scanned when skipping a `<…>` generic group.
 /// If no balanced close is found within the window, the `<` is treated
 /// as a comparison operator — keeps the parser total on weird input.
 const ANGLE_SCAN_LIMIT: usize = 512;
 
-/// Parses the item skeleton of one analyzed file. `entry_names` are the
-/// worker-pool entry points whose call arguments seed the phase-A
-/// reachability roots (typically `for_each` / `for_each_grouped`).
-pub fn parse_file(info: &FileInfo<'_>, entry_names: &[&str]) -> ParsedFile {
+/// Parses the item skeleton of one analyzed file.
+pub fn parse_file(info: &FileInfo<'_>) -> ParsedFile {
     // Work on comment-free token indices; comments never affect items.
     let code: Vec<usize> = (0..info.toks.len())
         .filter(|&i| !matches!(info.toks[i].kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
-    let mut p = Parser { info, code, entry_names, out: ParsedFile::default() };
+    let mut p = Parser { info, code, out: ParsedFile::default() };
     let n = p.code.len();
     p.items(0, n, &ImplCtx::default());
     p.out
@@ -212,7 +160,6 @@ struct Parser<'a, 'b> {
     info: &'a FileInfo<'b>,
     /// Indices into `info.toks`, comments removed.
     code: Vec<usize>,
-    entry_names: &'a [&'a str],
     out: ParsedFile,
 }
 
@@ -634,7 +581,6 @@ impl Parser<'_, '_> {
             i = self.skip_angles(i, hi);
         }
         // Signature: params, return type, where clause — up to `{`/`;`.
-        let sig_start = i;
         let mut body = None;
         let mut has_self = false;
         let mut saw_params = false;
@@ -682,21 +628,12 @@ impl Parser<'_, '_> {
             calls: Vec::new(),
             panics: Vec::new(),
             allocs: Vec::new(),
-            sync_marks: Vec::new(),
             body_idents: Vec::new(),
         };
         let Some((open, end)) = body else {
             self.out.fns.push(def);
             return i;
         };
-        // Sync *types* in the signature count (a fn taking `&Mutex<…>`
-        // is as suspect as one constructing it).
-        for j in sig_start..open {
-            let id = self.ident(j);
-            if SYNC_TYPES.contains(&id) {
-                def.sync_marks.push(self.site(j, id, false));
-            }
-        }
         self.body_facts(open + 1, end.saturating_sub(1), &mut def);
         if def.trait_name.is_some() {
             let mut idents: Vec<String> = (open + 1..end.saturating_sub(1))
@@ -714,7 +651,7 @@ impl Parser<'_, '_> {
         end
     }
 
-    /// Extracts calls / panics / allocs / sync marks from a body range.
+    /// Extracts calls / panics / allocs from a body range.
     fn body_facts(&mut self, lo: usize, hi: usize, def: &mut FnDef) {
         let mut i = lo;
         while i < hi {
@@ -737,14 +674,6 @@ impl Parser<'_, '_> {
                 }
                 i = self.skip_macro_invocation(i, hi);
                 continue;
-            }
-            if name == "static" && self.ident(i + 1) == "mut" {
-                def.sync_marks.push(self.site(i, "static mut", false));
-                i += 2;
-                continue;
-            }
-            if SYNC_TYPES.contains(&name) {
-                def.sync_marks.push(self.site(i, name, false));
             }
             // `Vec::with_capacity(…)`-style allocation.
             if ALLOC_TYPES.contains(&name)
@@ -779,30 +708,8 @@ impl Parser<'_, '_> {
                         if ALLOC_METHODS.contains(&name) {
                             def.allocs.push(self.site(i, format!(".{name}()"), true));
                         }
-                        if SYNC_METHODS.contains(&name) {
-                            def.sync_marks.push(self.site(i, format!(".{name}()"), true));
-                        }
-                    }
-                    if self.entry_names.contains(&name) && !self.is_test(i) {
-                        let close = self.skip_group(after, hi);
-                        self.phase_roots(after + 1, close.saturating_sub(1));
                     }
                 }
-            }
-            i += 1;
-        }
-    }
-
-    /// Records every call-shaped name inside a worker-pool entry-point
-    /// argument group as a phase-A root (e.g. the `phase_a` of
-    /// `|_, e| e.phase_a(now)`).
-    fn phase_roots(&mut self, lo: usize, hi: usize) {
-        let mut i = lo;
-        while i < hi {
-            let name = self.ident(i);
-            if !name.is_empty() && !KEYWORDS.contains(&name) && self.is_punct(i + 1, '(') {
-                let site = self.site(i, name, i > lo && self.is_punct(i - 1, '.'));
-                self.out.phase_roots.push(site);
             }
             i += 1;
         }

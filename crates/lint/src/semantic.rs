@@ -1,5 +1,5 @@
-//! Semantic lints over the workspace model: S1 snapshot-completeness,
-//! P1 phase-A purity, T1 transitive hot-path. Unlike the token lints
+//! Semantic lints over the workspace model: S1 snapshot-completeness
+//! and T1 transitive hot-path. Unlike the token lints
 //! these see the whole workspace at once — the call graph and the
 //! struct tables — so a violation in one file can be caused by a
 //! definition in another.
@@ -13,7 +13,6 @@ use crate::parser::Site;
 pub fn run_all(model: &WorkspaceModel, policy: &Policy) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     s1_snapshot_completeness(model, policy, &mut diags);
-    p1_phase_a_purity(model, policy, &mut diags);
     t1_transitive_hot_path(model, policy, &mut diags);
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
@@ -78,59 +77,6 @@ fn s1_snapshot_completeness(model: &WorkspaceModel, policy: &Policy, diags: &mut
                     self_ty
                 ),
             ));
-        }
-    }
-}
-
-/// P1: no function transitively reachable from a worker-pool entity
-/// step may touch shared mutable state or call a coordinator-owned
-/// staging commit. The roots are the call names inside `for_each` /
-/// `for_each_grouped` argument groups (the entity-step closures).
-fn p1_phase_a_purity(model: &WorkspaceModel, policy: &Policy, diags: &mut Vec<Diagnostic>) {
-    let mut roots: Vec<FnId> = Vec::new();
-    for (rel, pf) in &model.files {
-        for site in &pf.phase_roots {
-            roots.extend(model.resolve_name(rel, &site.name));
-        }
-    }
-    roots.sort_unstable();
-    roots.dedup();
-    if roots.is_empty() {
-        return;
-    }
-    let (reachable, parent) = model.reachable(&roots);
-    for (id, node) in model.fns.iter().enumerate() {
-        if !reachable[id] {
-            continue;
-        }
-        let path = model.witness_path(&parent, id).join(" → ");
-        for mark in &node.def.sync_marks {
-            diags.push(diag(
-                "P1",
-                "phase-a-purity",
-                &node.file,
-                mark,
-                format!(
-                    "`{}` in `{}`, reachable from a phase-A entity step ({path}); workers must \
-                     touch only their own entity's state (DESIGN.md §14)",
-                    mark.name, node.def.name
-                ),
-            ));
-        }
-        for rc in &model.calls[id] {
-            if policy.p1_forbidden_calls.iter().any(|f| f == &rc.site.name) {
-                diags.push(diag(
-                    "P1",
-                    "phase-a-purity",
-                    &node.file,
-                    &rc.site,
-                    format!(
-                        "`{}` called from phase-A-reachable `{}` ({path}); staging queues are \
-                         committed by the coordinator in phase B/C, never from a worker",
-                        rc.site.name, node.def.name
-                    ),
-                ));
-            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Unit tests for the symbol-aware passes added in PR 10: the item
 //! parser (over the fixture corpus in `fixtures/parser/`), the workspace
-//! model's name resolution, and the three semantic lints S1 / P1 / T1 —
+//! model's name resolution, and the semantic lints S1 / T1 —
 //! each with positive, negative and inline-allow cases.
 //!
 //! The semantic tests fabricate tiny multi-file "workspaces" through
@@ -11,11 +11,9 @@ use secmem_lint::parser::parse_file;
 use secmem_lint::scanner::FileInfo;
 use secmem_lint::{lint_sources, Disposition, Policy};
 
-const ENTRIES: &[&str] = &["for_each", "for_each_grouped"];
-
 fn parsed(src: &str) -> secmem_lint::ParsedFile {
     let info = FileInfo::analyze(src);
-    parse_file(&info, ENTRIES)
+    parse_file(&info)
 }
 
 /// Active diagnostics of one lint over a fabricated workspace.
@@ -148,79 +146,6 @@ impl Snapshot for Token {
     let decoy = "pub struct Token { kind: u8, text: String }\n";
     let files = [("crates/gpusim/src/tok.rs", enum_file), ("crates/telemetry/src/decoy.rs", decoy)];
     assert!(active(&files, "S1").is_empty(), "enum impls are out of S1's reach");
-}
-
-// ------------------------------------------------------------------- P1
-
-/// A coordinator that steps entities through a worker pool, plus the
-/// entity-step fns the lint must chase.
-const PHASE_DRIVER: &str = "\
-pub fn run_phase(pool: &Pool, es: &mut [Entity]) {
-    pool.for_each(es, &|e| e.phase_a(7));
-}
-";
-
-#[test]
-fn p1_flags_a_phase_a_reachable_fn_taking_a_mutex() {
-    let entity = "\
-pub struct Entity;
-impl Entity {
-    pub fn phase_a(&mut self, n: u64) { shared_tally(n); }
-}
-fn shared_tally(n: u64) {
-    let m: &Mutex<u64> = global();
-    *m.lock().unwrap() += n;
-}
-";
-    let files = [("crates/gpusim/src/driver.rs", PHASE_DRIVER), ("crates/gpusim/src/entity.rs", entity)];
-    let diags = active(&files, "P1");
-    assert!(!diags.is_empty(), "Mutex in a phase-A-reachable fn must be flagged");
-    assert!(diags.iter().any(|d| d.contains("shared_tally")), "witness names the fn: {diags:?}");
-}
-
-#[test]
-fn p1_flags_a_forbidden_staging_call() {
-    let entity = "\
-pub struct Entity;
-impl Entity {
-    pub fn phase_a(&mut self, n: u64) { self.events = take_events(n); }
-}
-";
-    let files = [("crates/gpusim/src/driver.rs", PHASE_DRIVER), ("crates/gpusim/src/entity.rs", entity)];
-    let diags = active(&files, "P1");
-    assert_eq!(diags.len(), 1, "staging drain from a worker: {diags:?}");
-    assert!(diags[0].contains("take_events"));
-}
-
-#[test]
-fn p1_ignores_sync_outside_the_phase_a_cone() {
-    let entity = "\
-pub struct Entity;
-impl Entity {
-    pub fn phase_a(&mut self, n: u64) { let _ = n; }
-}
-pub fn coordinator_only() {
-    let m: Mutex<u64> = Mutex::new(0);
-    let _ = m.lock();
-}
-";
-    let files = [("crates/gpusim/src/driver.rs", PHASE_DRIVER), ("crates/gpusim/src/entity.rs", entity)];
-    assert!(active(&files, "P1").is_empty(), "unreachable sync is the coordinator's business");
-}
-
-#[test]
-fn p1_respects_an_inline_allow() {
-    let entity = "\
-pub struct Entity;
-impl Entity {
-    pub fn phase_a(&mut self, n: u64) {
-        // lint:allow(P1): per-entity staging sink, merged by the coordinator
-        let _ = self.stage.lock();
-    }
-}
-";
-    let files = [("crates/gpusim/src/driver.rs", PHASE_DRIVER), ("crates/gpusim/src/entity.rs", entity)];
-    assert!(active(&files, "P1").is_empty());
 }
 
 // ------------------------------------------------------------------- T1

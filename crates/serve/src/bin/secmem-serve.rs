@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! secmem-serve [--addr HOST:PORT] [--sim-workers N] [--http-threads N]
-//!              [--cache-capacity N] [--sim-threads N]
+//!              [--cache-capacity N]
 //! ```
 //!
 //! Prints one `listening on <addr>` line once the socket is bound (CI
@@ -51,14 +51,10 @@ fn parse_args() -> Result<ServerConfig, ArgError> {
                     .parse()
                     .map_err(|e| ArgError::BadNumber("--cache-capacity", e))?;
             }
-            "--sim-threads" => {
-                cfg.sim_threads =
-                    value("--sim-threads")?.parse().map_err(|e| ArgError::BadNumber("--sim-threads", e))?;
-            }
             "--help" | "-h" => {
                 println!(
                     "secmem-serve [--addr HOST:PORT] [--sim-workers N] [--http-threads N] \
-                     [--cache-capacity N] [--sim-threads N]"
+                     [--cache-capacity N]"
                 );
                 std::process::exit(0);
             }

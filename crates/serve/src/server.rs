@@ -46,11 +46,8 @@ pub struct ServerConfig {
     pub http_threads: usize,
     /// Result-cache capacity in entries (0 = unbounded).
     pub cache_capacity: usize,
-    /// Worker threads *inside* each simulator (partition/SM stepping;
-    /// see `Simulator::set_threads`). Jobs are already parallel across
-    /// `sim_workers`, so raising this oversubscribes unless
-    /// `sim_workers` is lowered to match; results are byte-identical at
-    /// every value. Defaults to 1.
+    /// Ignored: the simulator steps each cycle on one thread. Kept only
+    /// so code that builds a `ServerConfig` literal still compiles.
     pub sim_threads: usize,
 }
 
@@ -124,8 +121,6 @@ struct ServerState {
     draining: AtomicBool,
     shutdown: AtomicBool,
     addr: SocketAddr,
-    /// Per-simulator stepping threads applied to every queued job.
-    sim_threads: usize,
 }
 
 impl ServerState {
@@ -167,7 +162,6 @@ impl Server {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             addr,
-            sim_threads: cfg.sim_threads.max(1),
         });
         let http_pool = WorkPool::try_new(cfg.http_threads.max(1)).map_err(ServeError::Io)?;
         let sim_pool = Arc::new(WorkPool::try_new(sim_workers).map_err(ServeError::Io)?);
@@ -320,16 +314,10 @@ fn post_sweep(
     };
     // A parsed spec expands infallibly (parse already validated), but
     // stay typed rather than unwrap.
-    let mut jobs = match spec.jobs() {
+    let jobs = match spec.jobs() {
         Ok(j) => j,
         Err(e) => return http::write_response(stream, 400, "application/json", &err_body(&e.to_string())),
     };
-    // The stepping thread count is a server knob, not spec content: it
-    // cannot change results (byte-identical at every value) and must
-    // not change job fingerprints, or the cache would stop coalescing.
-    for job in &mut jobs {
-        job.sim_threads = state.sim_threads;
-    }
 
     let id = state.next_sweep.fetch_add(1, Ordering::SeqCst);
     let entry = Arc::new(SweepEntry {

@@ -73,34 +73,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// A *staging* handle derived from this one: enabled iff `self` is,
-    /// same sampling interval, but with an unbounded event buffer.
-    ///
-    /// The parallel simulator step hands one staging handle to each
-    /// memory partition; events recorded there are drained with
-    /// [`Telemetry::take_events`] by the coordinating thread every cycle
-    /// and committed to the master handle in canonical partition order,
-    /// so the master's event stream (and its `event_capacity` bound) is
-    /// byte-identical to the serial schedule. Staging buffers are
-    /// unbounded because the capacity policy must be applied exactly
-    /// once, at the master.
-    pub fn staging(&self) -> Telemetry {
-        match &self.inner {
-            None => Telemetry::disabled(),
-            Some(inner) => Telemetry::enabled(TelemetryConfig { event_capacity: usize::MAX, ..inner.cfg }),
-        }
-    }
-
-    /// Drains all buffered events in record order (empty when disabled).
-    pub fn take_events(&self) -> Vec<TelemetryEvent> {
-        let Some(inner) = &self.inner else { return Vec::new() };
-        // A poisoned lock means a recording thread panicked mid-update;
-        // telemetry is best-effort, so degrade to "nothing buffered"
-        // instead of propagating the panic into the simulator.
-        let Ok(mut state) = inner.state.lock() else { return Vec::new() };
-        std::mem::take(&mut state.events)
-    }
-
     /// The configured sampling interval (the default interval when
     /// disabled, so callers need no special case).
     pub fn sample_interval(&self) -> u64 {
@@ -148,7 +120,6 @@ impl Telemetry {
     /// should guard on [`Telemetry::is_enabled`] first.
     pub fn record_event(&self, event: TelemetryEvent) {
         let Some(inner) = &self.inner else { return };
-        // lint:allow(P1): phase-A workers record into their own staging sink (uncontended lock); the coordinator drains the stages in partition order during phase C (DESIGN.md §14)
         let Ok(mut state) = inner.state.lock() else { return };
         if state.events.len() < inner.cfg.event_capacity {
             state.events.push(event);
@@ -255,32 +226,6 @@ mod tests {
         assert!(t.snapshot().is_none());
         assert!(!t.is_enabled());
         assert_eq!(t.sample_interval(), TelemetryConfig::default().sample_interval);
-    }
-
-    #[test]
-    fn staging_mirrors_enablement_and_drains_in_order() {
-        assert!(!Telemetry::disabled().staging().is_enabled());
-        assert!(Telemetry::disabled().take_events().is_empty());
-
-        let master = Telemetry::enabled(TelemetryConfig { event_capacity: 2, ..Default::default() });
-        let stage = master.staging();
-        assert!(stage.is_enabled());
-        assert_eq!(stage.sample_interval(), master.sample_interval());
-        // Staging buffers past the master's cap; the cap applies on commit.
-        for c in 0..4u64 {
-            stage.record_event(TelemetryEvent { cycle: c, kind: EventKind::Stall { detail: "s".into() } });
-        }
-        let drained = stage.take_events();
-        assert_eq!(drained.len(), 4, "staging is unbounded");
-        assert!(stage.take_events().is_empty(), "take_events drains");
-        for ev in drained {
-            master.record_event(ev);
-        }
-        let snap = master.snapshot().expect("enabled");
-        assert_eq!(snap.events.len(), 2, "master enforces event_capacity");
-        assert_eq!(snap.dropped_events, 2);
-        assert_eq!(snap.events[0].cycle, 0);
-        assert_eq!(snap.events[1].cycle, 1);
     }
 
     #[test]
