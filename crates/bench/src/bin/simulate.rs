@@ -45,7 +45,7 @@ use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
 use secmem_gpusim::stats::SimReport;
 use secmem_gpusim::types::TrafficClass;
-use secmem_telemetry::{chrome, Telemetry, TelemetryConfig};
+use secmem_telemetry::{chrome, json, Telemetry, TelemetryConfig};
 use secmem_workloads::{ml, suite, SyntheticKernel};
 
 struct Options {
@@ -314,7 +314,7 @@ fn main() {
     let r = &result.report;
     if let (Some(path), Some(snap)) = (&o.trace_out, &result.telemetry) {
         let text = chrome::chrome_trace(snap);
-        if let Err(e) = chrome::validate_json(&text) {
+        if let Err(e) = json::parse(&text) {
             eprintln!("internal error: emitted trace is not valid JSON: {e}");
             std::process::exit(1);
         }

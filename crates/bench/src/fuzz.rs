@@ -4,7 +4,8 @@
 //! trace files ([`secmem_gpusim::trace::Trace::from_text`]), SECMTRC
 //! binary traces ([`secmem_gpusim::trace_bin::BinaryTrace::decode`]),
 //! the linter's `lint.toml` baseline ([`secmem_lint::Baseline::parse`]),
-//! Chrome trace JSON ([`secmem_telemetry::chrome::validate_json`]),
+//! JSON such as Chrome traces and sweep specs
+//! ([`secmem_telemetry::json::parse`]),
 //! checkpoint frames ([`secmem_checkpoint::Frame::decode`]) and Rust
 //! source fed to the linter's lexer/parser pipeline
 //! ([`secmem_lint::lint_source`]). The
@@ -24,7 +25,7 @@ use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::trace::Trace;
 use secmem_gpusim::trace_bin::{self, BinaryTrace};
 use secmem_lint::Baseline;
-use secmem_telemetry::chrome;
+use secmem_telemetry::json;
 
 /// A parser under fuzz.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +36,8 @@ pub enum Corpus {
     BinTrace,
     /// The linter's `lint.toml` subset.
     LintBaseline,
-    /// Chrome `trace_event` JSON syntax validation.
-    ChromeJson,
+    /// JSON documents through the workspace's one parser.
+    Json,
     /// Binary checkpoint frames.
     Checkpoint,
     /// Rust source through the linter's lexer, scanner, item parser and
@@ -50,7 +51,7 @@ impl Corpus {
         Corpus::Trace,
         Corpus::BinTrace,
         Corpus::LintBaseline,
-        Corpus::ChromeJson,
+        Corpus::Json,
         Corpus::Checkpoint,
         Corpus::LintSource,
     ];
@@ -61,7 +62,7 @@ impl Corpus {
             Corpus::Trace => "trace",
             Corpus::BinTrace => "bin-trace",
             Corpus::LintBaseline => "lint-baseline",
-            Corpus::ChromeJson => "chrome-json",
+            Corpus::Json => "json",
             Corpus::Checkpoint => "checkpoint",
             Corpus::LintSource => "lint-source",
         }
@@ -175,7 +176,7 @@ pub fn seed_inputs(corpus: Corpus) -> Vec<Vec<u8>> {
             b"disabled = [\"hot-format\"]\n[[baseline]]\nfile = \"crates/core/src/engine.rs\"\nlint = \"long-fn\"\ncount = 2\n".to_vec(),
             b"[[baseline]]\nfile = \"a.rs\" # comment\nlint = \"x\"\ncount = 1\n".to_vec(),
         ],
-        Corpus::ChromeJson => vec![
+        Corpus::Json => vec![
             br#"{"traceEvents":[{"name":"dram","ph":"C","ts":12,"pid":1,"args":{"v":3.5}}],"displayTimeUnit":"ns"}"#.to_vec(),
             br#"[1,2.5e-3,"s",true,false,null,{"k":[{}]}]"#.to_vec(),
         ],
@@ -218,8 +219,8 @@ pub fn parse_one(corpus: Corpus, input: &[u8]) {
         Corpus::LintBaseline => {
             let _ = Baseline::parse(&String::from_utf8_lossy(input));
         }
-        Corpus::ChromeJson => {
-            let _ = chrome::validate_json(&String::from_utf8_lossy(input));
+        Corpus::Json => {
+            let _ = json::parse(&String::from_utf8_lossy(input));
         }
         Corpus::LintSource => {
             // Arbitrary (usually non-UTF-8, never valid Rust) bytes must
@@ -355,8 +356,8 @@ mod tests {
                         Baseline::parse(&String::from_utf8_lossy(input))
                             .unwrap_or_else(|e| panic!("baseline exemplar {i}: {e}"));
                     }
-                    Corpus::ChromeJson => {
-                        chrome::validate_json(&String::from_utf8_lossy(input))
+                    Corpus::Json => {
+                        json::parse(&String::from_utf8_lossy(input))
                             .unwrap_or_else(|e| panic!("json exemplar {i}: {e}"));
                     }
                     Corpus::Checkpoint => {
@@ -411,7 +412,7 @@ mod tests {
         assert!(Baseline::parse(b).is_err());
         // JSON: deep nesting is a typed rejection, not a stack overflow.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
-        assert!(chrome::validate_json(&deep).is_err());
+        assert_eq!(json::parse(&deep).expect_err("bounded").message, "nesting too deep");
     }
 
     /// Frozen SECMTRC regression fixtures: the corruption shapes the

@@ -82,6 +82,7 @@ pub fn report_to_json(report: &SimReport, cfg: &GpuConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secmem_telemetry::json::{parse, Json};
 
     fn sample() -> SimReport {
         let mut r = SimReport { cycles: 1000, thread_instructions: 32_000, ..SimReport::default() };
@@ -93,42 +94,20 @@ mod tests {
         r
     }
 
-    /// A tiny structural validator: balanced braces/quotes, no trailing
-    /// commas before closers.
-    fn check_well_formed(json: &str) {
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        let mut depth = 0i32;
-        let mut prev = ' ';
-        for c in json.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' | ']' => {
-                    assert_ne!(prev, ',', "trailing comma before closer in {json}");
-                    depth -= 1;
-                }
-                _ => {}
-            }
-            prev = c;
-        }
-        assert_eq!(depth, 0, "unbalanced braces");
-        assert_eq!(json.matches('"').count() % 2, 0, "unbalanced quotes");
-    }
-
     #[test]
     fn serializes_expected_fields() {
-        let json = report_to_json(&sample(), &GpuConfig::volta());
-        check_well_formed(&json);
-        assert!(json.contains("\"cycles\":1000"));
-        assert!(json.contains("\"ipc\":32.000000"));
-        assert!(json.contains("\"data\":{\"reads\":42"));
-        assert!(json.contains("\"mac\":{\"accesses\":0"));
-        assert!(json.contains("\"writebacks\":7"));
+        let doc = parse(&report_to_json(&sample(), &GpuConfig::volta())).expect("report is valid JSON");
+        let at = |path: &[&str]| path.iter().try_fold(&doc, |v, key| v.get(key)).and_then(Json::as_u64);
+        assert_eq!(at(&["cycles"]), Some(1000));
+        assert_eq!(at(&["ipc"]), Some(32));
+        assert_eq!(at(&["dram", "data", "reads"]), Some(42));
+        assert_eq!(at(&["engine", "mac", "accesses"]), Some(0));
+        assert_eq!(at(&["engine", "mac", "writebacks"]), Some(7));
     }
 
     #[test]
     fn default_report_serializes() {
-        let json = report_to_json(&SimReport::default(), &GpuConfig::small());
-        check_well_formed(&json);
-        assert!(json.contains("\"ipc\":0.000000"));
+        let doc = parse(&report_to_json(&SimReport::default(), &GpuConfig::small())).expect("valid JSON");
+        assert_eq!(doc.get("ipc").and_then(Json::as_u64), Some(0));
     }
 }

@@ -534,8 +534,7 @@ mod tests {
             let snap = r.telemetry.as_ref().expect("telemetry collected");
             assert!(snap.series("dram.data_bytes").is_some(), "sampled series present");
             let text = std::fs::read_to_string(trace(&r.bench)).expect("trace written");
-            chrome::validate_json(&text).expect("trace is valid JSON");
-            assert!(!text.is_empty());
+            secmem_telemetry::json::parse(&text).expect("trace is valid JSON");
         }
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].telemetry_path, Some(trace("nw")), "failure carries the path");

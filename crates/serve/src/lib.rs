@@ -7,7 +7,7 @@
 //! fingerprint. This crate keeps a simulator warm behind a hand-rolled
 //! HTTP/1.1 interface (`std::net` only — the workspace is
 //! dependency-free): sweep specs arrive as JSON, expand through
-//! [`secmem_bench::sweep`] into jobs on a work-stealing pool, and every
+//! [`secmem_bench::sweep`] into jobs on a FIFO job pool, and every
 //! job is answered through a content-addressed [`cache::ResultCache`] —
 //! so repeated or concurrent identical sweeps cost zero extra
 //! simulations and return **byte-identical** CSVs to a batch
@@ -32,10 +32,13 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod queue;
 pub mod server;
 pub mod spec;
+
+/// The JSON parser and escaper, re-exported from `secmem-telemetry` so
+/// `secmem_serve::json` paths keep working.
+pub use secmem_telemetry::json;
 
 pub use cache::{CacheRole, CacheStats, ResultCache};
 pub use queue::WorkPool;

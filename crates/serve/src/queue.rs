@@ -1,9 +1,8 @@
-//! A bounded work-stealing thread pool. Each worker owns a deque:
-//! submissions land round-robin across the deques, an owner pops its
-//! own front (FIFO), and an idle worker steals from the *back* of the
-//! longest sibling deque — the classic split that keeps an owner's
-//! queue warm while still balancing bursts (one sweep's 28 jobs spread
-//! across all workers instead of serializing behind one).
+//! A fixed-size thread pool over one FIFO queue. Every idle worker
+//! takes the oldest queued task, so one sweep's 28 jobs spread across
+//! all workers instead of serializing behind one. Jobs run for
+//! milliseconds to seconds, so the single mutex-guarded queue is never
+//! the bottleneck.
 //!
 //! Panic containment: a panicking task is caught (the pool's threads
 //! must survive arbitrary job code), counted, and the pool moves on —
@@ -20,11 +19,11 @@ use std::thread::JoinHandle;
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    /// One deque per worker, indexed by worker id.
-    queues: Vec<VecDeque<Task>>,
+    /// Submitted tasks, oldest first.
+    queue: VecDeque<Task>,
     /// Queued + currently-running task count.
     pending: usize,
-    /// No new submissions; workers exit once the queues empty.
+    /// No new submissions; workers exit once the queue empties.
     shutdown: bool,
 }
 
@@ -38,11 +37,10 @@ struct Shared {
     panicked: AtomicU64,
 }
 
-/// A fixed-size work-stealing thread pool for `FnOnce` tasks.
+/// A fixed-size FIFO thread pool for `FnOnce` tasks.
 pub struct WorkPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    next: AtomicU64,
 }
 
 impl WorkPool {
@@ -65,11 +63,7 @@ impl WorkPool {
     pub fn try_new(workers: usize) -> Result<Self, std::io::Error> {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                pending: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(PoolState { queue: VecDeque::new(), pending: 0, shutdown: false }),
             work: Condvar::new(),
             idle: Condvar::new(),
             panicked: AtomicU64::new(0),
@@ -79,10 +73,10 @@ impl WorkPool {
             let shared = shared.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("secmem-pool-{id}"))
-                .spawn(move || worker_loop(&shared, id))?;
+                .spawn(move || worker_loop(&shared))?;
             handles.push(handle);
         }
-        Ok(Self { shared, handles, next: AtomicU64::new(0) })
+        Ok(Self { shared, handles })
     }
 
     /// Queues a task; returns `false` (dropping the task) after
@@ -92,9 +86,7 @@ impl WorkPool {
         if state.shutdown {
             return false;
         }
-        let n = state.queues.len() as u64;
-        let slot = (self.next.fetch_add(1, Ordering::Relaxed) % n) as usize;
-        state.queues[slot].push_back(Box::new(task));
+        state.queue.push_back(Box::new(task));
         state.pending += 1;
         drop(state);
         self.shared.work.notify_one();
@@ -120,7 +112,7 @@ impl WorkPool {
     }
 
     /// Begins shutdown without joining: new submissions are rejected and
-    /// workers exit once the queues empty. For shared (`Arc`) pools that
+    /// workers exit once the queue empties. For shared (`Arc`) pools that
     /// cannot be consumed by [`WorkPool::shutdown`]; pair with
     /// [`WorkPool::drain`] to wait for queued work first.
     pub fn stop(&self) {
@@ -145,25 +137,12 @@ impl WorkPool {
     }
 }
 
-/// Takes the next task for worker `id`: own queue front first (FIFO for
-/// the owner), then steal from the back of the longest sibling queue.
-fn take_task(state: &mut PoolState, id: usize) -> Option<Task> {
-    if let Some(task) = state.queues[id].pop_front() {
-        return Some(task);
-    }
-    let victim = (0..state.queues.len())
-        .filter(|&v| v != id)
-        .max_by_key(|&v| state.queues[v].len())
-        .filter(|&v| !state.queues[v].is_empty())?;
-    state.queues[victim].pop_back()
-}
-
-fn worker_loop(shared: &Shared, id: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
         let task = {
             let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(task) = take_task(&mut state, id) {
+                if let Some(task) = state.queue.pop_front() {
                     break Some(task);
                 }
                 if state.shutdown {
@@ -210,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_bursts() {
-        // One worker's queue gets a slow task plus followers; with 4
-        // workers the followers must be stolen to finish promptly.
+    fn idle_workers_drain_a_burst_behind_slow_tasks() {
+        // A burst interleaving slow and fast tasks: every task runs
+        // exactly once and drain waits for the slow ones.
         let pool = WorkPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..16 {

@@ -1,6 +1,6 @@
 //! The sweep server: accepts HTTP connections on a bounded thread pool,
-//! expands submitted sweep specs into jobs on the work-stealing
-//! simulation pool, and answers repeated specs from the
+//! expands submitted sweep specs into jobs on the FIFO simulation
+//! pool, and answers repeated specs from the
 //! content-addressed result cache.
 //!
 //! Request flow:
@@ -9,7 +9,7 @@
 //! client ──HTTP──▶ http pool ──POST /sweeps──▶ SweepSpec::jobs()
 //!                                   │ one task per job
 //!                                   ▼
-//!                        work-stealing sim pool
+//!                            FIFO sim pool
 //!                                   │ cache.get_or_compute(job_fingerprint)
 //!                                   ▼
 //!                  ResultCache ──miss──▶ run_job_isolated + WarmCache

@@ -24,19 +24,13 @@
 //! [`GpuConfig::validate`]: secmem_gpusim::config::GpuConfig::validate
 
 use secmem_bench::sweep::{scheme_by_label, GpuPreset, SweepError, SweepSpec, ALL_SCHEMES};
-use secmem_telemetry::chrome;
+use secmem_telemetry::json::{self, Json};
 use secmem_workloads::suite::DEFAULT_SEED;
-
-use crate::json::{self, Json};
 
 /// A sweep-spec parse/validation failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
-    /// The body failed the telemetry crate's JSON validator.
-    Syntax(chrome::JsonSyntaxError),
-    /// The body failed this crate's JSON parser (the validators are
-    /// cross-checked by the fuzz harness, so seeing this variant means
-    /// the two grammars disagree — a bug worth a fixture).
+    /// The body is not a JSON document (or repeats a key).
     Json(json::JsonError),
     /// The top-level value is not an object.
     NotAnObject,
@@ -60,7 +54,6 @@ pub enum SpecError {
 impl core::fmt::Display for SpecError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            SpecError::Syntax(e) => write!(f, "invalid json at byte {}: {}", e.offset, e.message),
             SpecError::Json(e) => write!(f, "{e}"),
             SpecError::NotAnObject => write!(f, "sweep spec must be a json object"),
             SpecError::UnknownKey(k) => write!(f, "unknown sweep-spec key '{k}'"),
@@ -87,21 +80,18 @@ fn string_array(value: &Json, field: &'static str) -> Result<Vec<String>, SpecEr
 }
 
 fn u64_field(value: &Json, field: &'static str) -> Result<u64, SpecError> {
-    value.as_u64().ok_or(SpecError::BadField { field, expected: "a non-negative integer" })
+    value.as_u64().ok_or(SpecError::BadField { field, expected: "a non-negative integer below 2^53" })
 }
 
 /// Parses and validates a sweep-spec body.
 ///
-/// The text is first checked by the telemetry crate's JSON validator
-/// (the machinery that already guards Chrome trace output), then built
-/// into a [`SweepSpec`] by this crate's parser and semantically
-/// validated by [`SweepSpec::validate`].
+/// The text is parsed by [`json::parse`], built into a [`SweepSpec`] and
+/// semantically validated by [`SweepSpec::validate`].
 ///
 /// # Errors
 ///
 /// Every [`SpecError`] variant.
 pub fn parse_sweep_spec(text: &str) -> Result<SweepSpec, SpecError> {
-    chrome::validate_json(text).map_err(SpecError::Syntax)?;
     let value = json::parse(text).map_err(SpecError::Json)?;
     let Json::Obj(fields) = &value else {
         return Err(SpecError::NotAnObject);
@@ -154,7 +144,9 @@ pub fn parse_sweep_spec(text: &str) -> Result<SweepSpec, SpecError> {
 }
 
 /// Renders a spec back to its wire form (all fields explicit, so a
-/// render→parse round trip is the identity).
+/// render→parse round trip is the identity for every spec whose integer
+/// fields are at most 2^53 − 1, the largest a JSON number carries
+/// exactly; larger ones render but fail to parse back).
 pub fn render_sweep_spec(spec: &SweepSpec) -> String {
     let benches: Vec<String> = spec.benches.iter().map(|b| format!("\"{}\"", json::escape(b))).collect();
     let schemes: Vec<String> = spec.schemes.iter().map(|s| format!("\"{}\"", s.label())).collect();
@@ -210,7 +202,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_specs_with_typed_errors() {
-        assert!(matches!(parse_sweep_spec("not json"), Err(SpecError::Syntax(_))));
+        assert!(matches!(parse_sweep_spec("not json"), Err(SpecError::Json(_))));
         assert!(matches!(parse_sweep_spec("[1,2]"), Err(SpecError::NotAnObject)));
         assert!(matches!(
             parse_sweep_spec(r#"{"benches":["nw"],"cycels":5}"#),
@@ -227,6 +219,16 @@ mod tests {
         assert!(matches!(
             parse_sweep_spec(r#"{"benches":["nw"],"cycles":-5}"#),
             Err(SpecError::BadField { field: "cycles", .. })
+        ));
+        // 2^53 + 1 parses to the same f64 as 2^53: accepting it would run
+        // (and cache) seed 2^53 in its place.
+        assert!(matches!(
+            parse_sweep_spec(r#"{"benches":["nw"],"seed":9007199254740993}"#),
+            Err(SpecError::BadField { field: "seed", .. })
+        ));
+        assert!(matches!(
+            parse_sweep_spec(r#"{"benches":["nw"],"seed":1,"seed":2}"#),
+            Err(SpecError::Json(e)) if e.message == "duplicate object key"
         ));
         assert!(matches!(
             parse_sweep_spec(r#"{"benches":[]}"#),

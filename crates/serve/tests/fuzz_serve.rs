@@ -5,11 +5,7 @@
 //! `(exemplar index, seed, iteration)` alone.
 //!
 //! Contract under fuzz: arbitrary bytes produce a typed error or a
-//! valid parse — never a panic. For the JSON spec parser there is one
-//! extra invariant: whatever this crate's parser *accepts* must also
-//! pass the telemetry crate's `validate_json` (the serve grammar is
-//! strictly no-looser — it adds a tighter depth bound and surrogate
-//! pairing on top).
+//! valid parse — never a panic.
 //!
 //! Crashing inputs get frozen as files in `tests/fixtures/` and are
 //! replayed by `frozen_fixtures_stay_typed` forever after.
@@ -19,9 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use secmem_bench::fuzz::Mutator;
 use secmem_bench::sweep::SweepSpec;
 use secmem_serve::http;
-use secmem_serve::json;
 use secmem_serve::spec::{parse_sweep_spec, render_sweep_spec};
-use secmem_telemetry::chrome;
 
 const ITERATIONS: u64 = 25_000;
 
@@ -60,19 +54,12 @@ fn parse_http(input: &[u8]) {
     let _ = http::read_response(&mut &input[..]);
 }
 
-/// Runs `input` through the spec pipeline; checks the grammar-subset
-/// invariant when the serve parser accepts.
+/// Runs `input` through the spec pipeline; must return, never panic.
 fn parse_spec(input: &[u8]) {
     let Ok(text) = core::str::from_utf8(input) else {
         // Non-UTF-8 bodies are rejected before parsing in the server.
         return;
     };
-    if json::parse(text).is_ok() {
-        assert!(
-            chrome::validate_json(text).is_ok(),
-            "serve json accepted what chrome::validate_json rejects: {text:?}"
-        );
-    }
     let _ = parse_sweep_spec(text);
 }
 
@@ -120,7 +107,8 @@ fn exemplars_parse_cleanly() {
 }
 
 /// Replays every frozen fixture file (inputs that once crashed or
-/// exercised tricky paths); each must stay a non-panicking parse.
+/// exercised tricky paths): HTTP inputs must stay non-panicking parses,
+/// and every spec input must stay a typed rejection.
 #[test]
 fn frozen_fixtures_stay_typed() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -133,11 +121,12 @@ fn frozen_fixtures_stay_typed() {
     for path in entries {
         let input = std::fs::read(&path).expect("fixture readable");
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let result = if name.starts_with("http_") {
-            catch_unwind(AssertUnwindSafe(|| parse_http(&input)))
+        if name.starts_with("http_") {
+            let result = catch_unwind(AssertUnwindSafe(|| parse_http(&input)));
+            assert!(result.is_ok(), "fixture {name} caused a panic");
         } else {
-            catch_unwind(AssertUnwindSafe(|| parse_spec(&input)))
-        };
-        assert!(result.is_ok(), "fixture {name} caused a panic");
+            let text = core::str::from_utf8(&input).expect("spec fixtures are UTF-8");
+            assert!(parse_sweep_spec(text).is_err(), "spec fixture {name} must stay a typed rejection");
+        }
     }
 }

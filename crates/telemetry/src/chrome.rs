@@ -10,10 +10,11 @@
 //! is what matters.
 //!
 //! The workspace has no JSON dependency by design, so emission is
-//! hand-rolled and [`validate_json`] provides a minimal recursive-descent
-//! checker the CLI and CI use to prove the emitted trace parses.
+//! hand-rolled; the CLI, examples and tests prove the emitted trace
+//! parses with [`crate::json::parse`].
 
 use crate::event::EventKind;
+use crate::json;
 use crate::sink::TelemetrySnapshot;
 
 /// Renders the snapshot as Chrome `trace_event` JSON.
@@ -24,8 +25,8 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
     for (name, series) in &snap.series {
         for (cycle, value) in &series.points {
             events.push(format!(
-                r#"{{"name":{},"ph":"C","ts":{},"pid":0,"tid":0,"args":{{"value":{}}}}}"#,
-                json_string(name),
+                r#"{{"name":"{}","ph":"C","ts":{},"pid":0,"tid":0,"args":{{"value":{}}}}}"#,
+                json::escape(name),
                 cycle,
                 json_number(*value)
             ));
@@ -35,17 +36,21 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
         let ts = event.cycle;
         match &event.kind {
             EventKind::PhaseBegin { name } => {
-                events
-                    .push(format!(r#"{{"name":{},"ph":"B","ts":{ts},"pid":0,"tid":0}}"#, json_string(name)));
+                events.push(format!(
+                    r#"{{"name":"{}","ph":"B","ts":{ts},"pid":0,"tid":0}}"#,
+                    json::escape(name)
+                ));
             }
             EventKind::PhaseEnd { name } => {
-                events
-                    .push(format!(r#"{{"name":{},"ph":"E","ts":{ts},"pid":0,"tid":0}}"#, json_string(name)));
+                events.push(format!(
+                    r#"{{"name":"{}","ph":"E","ts":{ts},"pid":0,"tid":0}}"#,
+                    json::escape(name)
+                ));
             }
             EventKind::Stall { detail } => {
                 events.push(format!(
-                    r#"{{"name":"stall","ph":"i","ts":{ts},"pid":0,"tid":0,"s":"g","args":{{"detail":{}}}}}"#,
-                    json_string(detail)
+                    r#"{{"name":"stall","ph":"i","ts":{ts},"pid":0,"tid":0,"s":"g","args":{{"detail":"{}"}}}}"#,
+                    json::escape(detail)
                 ));
             }
             EventKind::Fault { partition, class, kind, detected } => {
@@ -54,22 +59,22 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
                     Some(d) => d.to_string(),
                 };
                 events.push(format!(
-                    r#"{{"name":"fault","ph":"i","ts":{ts},"pid":0,"tid":0,"s":"g","args":{{"partition":{partition},"class":{},"kind":{},"detected":{detected}}}}}"#,
-                    json_string(class),
-                    json_string(kind)
+                    r#"{{"name":"fault","ph":"i","ts":{ts},"pid":0,"tid":0,"s":"g","args":{{"partition":{partition},"class":"{}","kind":"{}","detected":{detected}}}}}"#,
+                    json::escape(class),
+                    json::escape(kind)
                 ));
             }
             EventKind::ThrashBegin { partition, class } => {
                 events.push(format!(
-                    r#"{{"name":{},"ph":"B","ts":{ts},"pid":0,"tid":{}}}"#,
-                    json_string(&format!("thrash:{class}")),
+                    r#"{{"name":"thrash:{}","ph":"B","ts":{ts},"pid":0,"tid":{}}}"#,
+                    json::escape(class),
                     partition + 1
                 ));
             }
             EventKind::ThrashEnd { partition, class } => {
                 events.push(format!(
-                    r#"{{"name":{},"ph":"E","ts":{ts},"pid":0,"tid":{}}}"#,
-                    json_string(&format!("thrash:{class}")),
+                    r#"{{"name":"thrash:{}","ph":"E","ts":{ts},"pid":0,"tid":{}}}"#,
+                    json::escape(class),
                     partition + 1
                 ));
             }
@@ -78,25 +83,6 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     out.push_str(&events.join(","));
     out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
-}
-
-/// Escapes and quotes a string for JSON.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -110,210 +96,11 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// A JSON syntax error found by [`validate_json`]: what went wrong and
-/// the byte offset of the first offending position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JsonSyntaxError {
-    /// Byte offset into the validated string.
-    pub offset: usize,
-    /// What the validator expected or found.
-    pub message: &'static str,
-}
-
-impl JsonSyntaxError {
-    fn at(offset: usize, message: &'static str) -> Self {
-        Self { offset, message }
-    }
-}
-
-impl core::fmt::Display for JsonSyntaxError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "json syntax error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonSyntaxError {}
-
-/// Maximum container nesting [`validate_json`] accepts. The validator
-/// is recursive descent, so unbounded nesting would turn attacker-
-/// supplied input (`[[[[…`) into a stack overflow — an abort, not a
-/// typed error. Real traces nest 3–4 levels deep.
-const MAX_JSON_DEPTH: u32 = 256;
-
-/// Minimal JSON well-formedness check (recursive descent over the full
-/// grammar). Returns `Err` with a byte offset and message on the first
-/// syntax error. This is a validator, not a parser — it builds nothing.
-/// Containers nested deeper than [`MAX_JSON_DEPTH`] levels are rejected
-/// with a typed error to keep the recursion stack-safe on arbitrary
-/// input.
-pub fn validate_json(input: &str) -> Result<(), JsonSyntaxError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, MAX_JSON_DEPTH)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(JsonSyntaxError::at(pos, "trailing data after top-level value"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize, depth: u32) -> Result<(), JsonSyntaxError> {
-    match b.get(*pos) {
-        Some(b'{' | b'[') if depth == 0 => Err(JsonSyntaxError::at(*pos, "nesting too deep")),
-        Some(b'{') => object(b, pos, depth - 1),
-        Some(b'[') => array(b, pos, depth - 1),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(_) => Err(JsonSyntaxError::at(*pos, "unexpected byte starting a value")),
-        None => Err(JsonSyntaxError::at(b.len(), "unexpected end of input")),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), JsonSyntaxError> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(JsonSyntaxError::at(*pos, "bad literal"))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize, depth: u32) -> Result<(), JsonSyntaxError> {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(JsonSyntaxError::at(*pos, "expected object key"));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(JsonSyntaxError::at(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos, depth)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(JsonSyntaxError::at(*pos, "expected ',' or '}'")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize, depth: u32) -> Result<(), JsonSyntaxError> {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos, depth)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(JsonSyntaxError::at(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), JsonSyntaxError> {
-    *pos += 1; // consume opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(JsonSyntaxError::at(*pos, "bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(JsonSyntaxError::at(*pos, "bad escape")),
-                }
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err(JsonSyntaxError::at(b.len(), "unterminated string"))
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), JsonSyntaxError> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(JsonSyntaxError::at(start, "expected digits"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(JsonSyntaxError::at(*pos, "expected fraction digits"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(JsonSyntaxError::at(*pos, "expected exponent digits"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::TelemetryEvent;
+    use crate::json::{parse, Json};
     use crate::sink::{Telemetry, TelemetryConfig};
 
     fn sample_snapshot() -> TelemetrySnapshot {
@@ -344,7 +131,7 @@ mod tests {
     #[test]
     fn trace_is_valid_json_and_nonempty() {
         let trace = chrome_trace(&sample_snapshot());
-        validate_json(&trace).expect("emitted trace must parse");
+        parse(&trace).expect("emitted trace must parse");
         assert!(trace.contains(r#""traceEvents""#));
         assert!(trace.contains(r#""ph":"C""#), "counter events present");
         assert!(trace.contains(r#""ph":"B""#), "span begin present");
@@ -356,19 +143,21 @@ mod tests {
     fn empty_snapshot_still_valid() {
         let t = Telemetry::enabled(TelemetryConfig::default());
         let trace = chrome_trace(&t.snapshot().expect("enabled"));
-        validate_json(&trace).expect("empty trace parses");
+        parse(&trace).expect("empty trace parses");
     }
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\n"), r#""a\"b\\c\n""#);
         let t = Telemetry::enabled(TelemetryConfig::default());
         t.record_event(TelemetryEvent {
             cycle: 1,
             kind: EventKind::Stall { detail: "line1\nline2 \"quoted\"".into() },
         });
         let trace = chrome_trace(&t.snapshot().expect("enabled"));
-        validate_json(&trace).expect("escaped trace parses");
+        let doc = parse(&trace).expect("escaped trace parses");
+        let stall = &doc.get("traceEvents").and_then(Json::as_arr).expect("events")[0];
+        let detail = stall.get("args").and_then(|a| a.get("detail")).and_then(Json::as_str);
+        assert_eq!(detail, Some("line1\nline2 \"quoted\""));
     }
 
     #[test]
@@ -376,34 +165,5 @@ mod tests {
         assert_eq!(json_number(f64::NAN), "0");
         assert_eq!(json_number(f64::INFINITY), "0");
         assert_eq!(json_number(1.5), "1.5");
-    }
-
-    #[test]
-    fn validator_accepts_json_grammar() {
-        for ok in ["null", "true", "[1,2.5,-3e4,\"s\"]", r#"{"a":{"b":[]},"c":"é"}"#, "  [ ]  "] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-    }
-
-    #[test]
-    fn validator_rejects_malformed() {
-        for bad in ["", "{", "[1,]", "{\"a\"}", "01x", "\"unterminated", "{} extra", "[1 2]"] {
-            assert!(validate_json(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn validator_bounds_nesting_depth() {
-        // Found by the parser fuzzer: unbounded recursion let
-        // `[[[[…` overflow the stack instead of returning an error.
-        let deep_ok = "[".repeat(200) + &"]".repeat(200);
-        validate_json(&deep_ok).expect("200 levels is within the bound");
-        for monster in [
-            "[".repeat(100_000) + &"]".repeat(100_000),
-            (r#"{"a":"#.repeat(100_000)) + "1" + &"}".repeat(100_000),
-        ] {
-            let err = validate_json(&monster).expect_err("bounded");
-            assert_eq!(err.message, "nesting too deep");
-        }
     }
 }

@@ -20,6 +20,8 @@
 //!    a bounded buffer.
 //! 3. **Exporters** — Chrome `trace_event` JSON ([`chrome`]), per-metric
 //!    CSV time series ([`csvout`]) and terminal sparklines ([`spark`]).
+//!    The emitted JSON is checked by [`json`], the workspace's one JSON
+//!    parser, which `secmem-serve` also reads sweep specs with.
 //!
 //! The crate is deliberately generic — metrics are string-named, events
 //! carry plain data — so every layer of the stack (`gpusim`, `core`,
@@ -50,6 +52,7 @@
 pub mod chrome;
 pub mod csvout;
 pub mod event;
+pub mod json;
 pub mod series;
 pub mod sink;
 pub mod spark;

@@ -18,7 +18,7 @@ use gpu_secure_memory::gpusim::config::GpuConfig;
 use gpu_secure_memory::gpusim::sim::Simulator;
 use gpu_secure_memory::gpusim::stats::SimReport;
 use gpu_secure_memory::gpusim::types::TrafficClass;
-use gpu_secure_memory::telemetry::{chrome, spark, Telemetry, TelemetryConfig, TelemetrySnapshot};
+use gpu_secure_memory::telemetry::{chrome, json, spark, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use gpu_secure_memory::workloads::suite;
 
 struct Args {
@@ -160,12 +160,9 @@ fn main() {
 
     if let Some(path) = &args.trace_out {
         let trace = chrome::chrome_trace(&secure_snap);
-        match chrome::validate_json(&trace) {
-            Ok(()) => {}
-            Err(e) => {
-                eprintln!("[FAIL] emitted Chrome trace is not valid JSON: {e}");
-                failed = true;
-            }
+        if let Err(e) = json::parse(&trace) {
+            eprintln!("[FAIL] emitted Chrome trace is not valid JSON: {e}");
+            failed = true;
         }
         if let Err(e) = std::fs::write(path, &trace) {
             eprintln!("[FAIL] cannot write {}: {e}", path.display());

@@ -8,6 +8,7 @@ use gpu_secure_memory::gpusim::config::GpuConfig;
 use gpu_secure_memory::gpusim::sim::Simulator;
 use gpu_secure_memory::gpusim::stats::SimReport;
 use gpu_secure_memory::gpusim::types::TrafficClass;
+use gpu_secure_memory::telemetry::json::{self, Json};
 use gpu_secure_memory::telemetry::{chrome, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use gpu_secure_memory::workloads::suite;
 
@@ -75,10 +76,15 @@ fn disabled_telemetry_changes_nothing() {
 fn chrome_trace_is_valid_and_nonempty() {
     let (_, snap) = run_with_telemetry(128);
     let trace = chrome::chrome_trace(&snap);
-    chrome::validate_json(&trace).expect("emitted trace parses as JSON");
-    assert!(trace.contains("\"traceEvents\""));
-    assert!(trace.contains("dram.data_bytes"), "counter events present");
-    assert!(trace.contains("\"ph\":\"C\""), "ph=C counter records present");
+    let doc = json::parse(&trace).expect("emitted trace parses as JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
+    // One counter event per sampled point, one record per snapshot event.
+    let points: usize = snap.series.values().map(|s| s.points.len()).sum();
+    assert!(points > 0, "counter events present");
+    assert_eq!(events.len(), points + snap.events.len());
+    let counters = events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).count();
+    assert_eq!(counters, points, "every ph=C record is a sampled point");
+    assert!(events.iter().any(|e| e.get("name").and_then(Json::as_str) == Some("dram.data_bytes")));
 }
 
 #[test]
