@@ -13,9 +13,10 @@
 //! workload is recorded once, written in both on-disk formats (text v1
 //! and the SECMTRC binary container), and each file is loaded through
 //! `TraceKernel::from_file` repeatedly to measure file size, ingest
-//! wall time and the resident-byte estimate of the loaded kernel. A
-//! short replay of each format must produce identical report
-//! fingerprints — the binary exits non-zero if the formats diverge.
+//! wall time and the resident bytes of the loaded kernel (equal for
+//! both formats: text is encoded to SECMTRC at load). A short replay of
+//! each format must produce identical report fingerprints — the binary
+//! exits non-zero if the formats diverge.
 //!
 //! ```text
 //! cargo run -p secmem-bench --release --bin perf              # full matrix

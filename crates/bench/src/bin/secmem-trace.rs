@@ -12,11 +12,13 @@
 //! schemes: baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt
 //! ```
 //!
-//! Input format is detected by sniffing the SECMTRC magic; output
-//! format is chosen by extension (`.smtrc` → binary, anything else →
-//! text). `run` replays through the full simulator and prints the same
-//! report JSON as `simulate --json`, so CI can diff the two ingestion
-//! paths byte-for-byte.
+//! Every command reads its input through `gpusim::trace::load`, which
+//! sniffs the SECMTRC magic and encodes text input to SECMTRC, so
+//! `stats`, `verify` and `run` see the same validated container for
+//! either format. Output format is chosen by extension (`.smtrc` →
+//! binary, anything else → text). `run` replays through the full
+//! simulator and prints the same report JSON as `simulate --json`, so
+//! CI can diff the two ingestion paths byte-for-byte.
 
 use std::path::{Path, PathBuf};
 
@@ -27,7 +29,7 @@ use secmem_gpusim::backend::PassthroughBackend;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::kernel::Kernel;
 use secmem_gpusim::sim::Simulator;
-use secmem_gpusim::trace::{Trace, TraceKernel};
+use secmem_gpusim::trace::{self, Trace, TraceKernel};
 use secmem_gpusim::trace_bin::{self, BinaryTrace};
 use secmem_workloads::{ml, suite, SyntheticKernel};
 
@@ -60,17 +62,10 @@ fn scheme_of(name: &str) -> Option<Option<SecurityScheme>> {
     })
 }
 
-/// Loads a trace file in either format, fully validated, plus a label
-/// for what was found on disk.
-fn load_trace(path: &Path) -> Result<(Trace, &'static str), String> {
+/// Loads and fully validates a trace file in either format.
+fn load_trace(path: &Path) -> Result<BinaryTrace, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    if BinaryTrace::sniff(&bytes) {
-        let bin = BinaryTrace::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        return Ok((bin.to_trace(), "binary"));
-    }
-    let text = String::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
-    let trace = Trace::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((trace, "text"))
+    trace::load(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Writes a trace in the format the output extension asks for.
@@ -119,12 +114,11 @@ fn cmd_record(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
 fn cmd_convert(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let input = PathBuf::from(need(args, "convert")?);
     let output = PathBuf::from(need(args, "convert OUT")?);
-    let (trace, from) = load_trace(&input)?;
-    let to = write_trace(&trace, &output)?;
+    let to = write_trace(&load_trace(&input)?.to_trace(), &output)?;
     let in_bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
     let out_bytes = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
     println!(
-        "{} ({from}, {in_bytes} bytes) -> {} ({to}, {out_bytes} bytes, {:.1}% of input)",
+        "{} ({in_bytes} bytes) -> {} ({to}, {out_bytes} bytes, {:.1}% of input)",
         input.display(),
         output.display(),
         pct(out_bytes, in_bytes),
@@ -141,46 +135,24 @@ fn pct(num: u64, den: u64) -> f64 {
 
 fn cmd_stats(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let path = PathBuf::from(need(args, "stats")?);
-    let bytes = std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    if BinaryTrace::sniff(&bytes) {
-        let bin = BinaryTrace::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("format          binary (SECMTRC v1)");
-        println!("file bytes      {}", bytes.len());
-        println!("streams         {}", bin.warp_count());
-        println!("instructions    {}", bin.total_insts());
-        println!("resident bytes  {} (streamed replay)", bin.resident_bytes());
-        let decoded = bin.to_trace().decoded_bytes_estimate();
-        println!("decoded bytes   {decoded} (if fully materialized)");
-        let per_stream: Vec<_> = bin.streams().collect();
-        if let (Some(min), Some(max)) =
-            (per_stream.iter().map(|s| s.insts).min(), per_stream.iter().map(|s| s.insts).max())
-        {
-            println!("insts/stream    {min}..{max}");
-        }
-    } else {
-        let text = String::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
-        let trace = Trace::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("format          text (v1)");
-        println!("file bytes      {}", text.len());
-        println!("streams         {}", trace.warp_count());
-        println!("instructions    {}", trace.total_insts());
-        println!("decoded bytes   {} (always materialized)", trace.decoded_bytes_estimate());
-        println!("binary bytes    {} (after convert)", trace_bin::encode(&trace).len());
+    let bin = load_trace(&path)?;
+    println!("file bytes      {}", std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
+    println!("streams         {}", bin.warp_count());
+    println!("instructions    {}", bin.total_insts());
+    println!("resident bytes  {} (streamed replay)", bin.resident_bytes());
+    let insts = || bin.streams().map(|s| s.insts);
+    if let (Some(min), Some(max)) = (insts().min(), insts().max()) {
+        println!("insts/stream    {min}..{max}");
     }
     Ok(())
 }
 
 fn cmd_verify(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let path = PathBuf::from(need(args, "verify")?);
-    let (trace, format) = load_trace(&path)?;
-    // Both loaders validate everything up front (checksums, bounds,
+    let bin = load_trace(&path)?;
+    // Loading validates everything up front (parse, checksums, bounds,
     // full record walk), so reaching this point is the whole check.
-    println!(
-        "{}: ok ({format}, {} streams, {} instructions)",
-        path.display(),
-        trace.warp_count(),
-        trace.total_insts()
-    );
+    println!("{}: ok ({} streams, {} instructions)", path.display(), bin.warp_count(), bin.total_insts());
     Ok(())
 }
 
@@ -201,9 +173,8 @@ fn cmd_run(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     }
     let backend = scheme_of(&scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
     let kernel = TraceKernel::from_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let streamed = if kernel.is_streamed() { "streamed" } else { "decoded" };
     eprintln!(
-        "replaying {} ({streamed}, {} resident bytes) under {scheme} for {cycles} cycles",
+        "replaying {} ({} resident bytes) under {scheme} for {cycles} cycles",
         path.display(),
         kernel.resident_bytes()
     );

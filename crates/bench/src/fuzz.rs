@@ -1,8 +1,9 @@
 //! Seeded mutation fuzzing for the workspace's hand-written parsers.
 //!
 //! The repository accepts six kinds of untrusted byte streams: text
-//! trace files ([`secmem_gpusim::trace::Trace::from_text`]), SECMTRC
-//! binary traces ([`secmem_gpusim::trace_bin::BinaryTrace::decode`]),
+//! trace files (through [`secmem_gpusim::trace::load`], the front end
+//! replay uses: parse, encode to SECMTRC, decode), SECMTRC binary
+//! traces ([`secmem_gpusim::trace_bin::BinaryTrace::decode`]),
 //! the linter's `lint.toml` baseline ([`secmem_lint::Baseline::parse`]),
 //! JSON such as Chrome traces and sweep specs
 //! ([`secmem_telemetry::json::parse`]),
@@ -22,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use secmem_checkpoint::Frame;
 use secmem_gpusim::rng::Rng64;
-use secmem_gpusim::trace::Trace;
+use secmem_gpusim::trace::{self, Trace, TraceLoadError};
 use secmem_gpusim::trace_bin::{self, BinaryTrace};
 use secmem_lint::Baseline;
 use secmem_telemetry::json;
@@ -207,7 +208,14 @@ pub fn seed_inputs(corpus: Corpus) -> Vec<Vec<u8>> {
 pub fn parse_one(corpus: Corpus, input: &[u8]) {
     match corpus {
         Corpus::Trace => {
-            let _ = Trace::from_text(&String::from_utf8_lossy(input));
+            // Lossy UTF-8 keeps mutated inputs reaching the line parser.
+            // Text that parses is encoded and re-decoded; a `Binary`
+            // error would mean the encoder wrote bytes its own decoder
+            // rejects.
+            let text = String::from_utf8_lossy(input);
+            if let Err(TraceLoadError::Binary(e)) = trace::load(text.as_bytes()) {
+                assert!(text.as_bytes().starts_with(&trace_bin::BIN_MAGIC), "encoder output rejected: {e}");
+            }
         }
         Corpus::BinTrace => {
             if let Ok(bin) = BinaryTrace::decode(input) {

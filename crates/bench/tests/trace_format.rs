@@ -155,15 +155,8 @@ fn report_fingerprints_are_identical_across_ingestion_formats() {
 
         let from_text = TraceKernel::from_file(&text_path).expect("text ingests");
         let from_bin = TraceKernel::from_file(&bin_path).expect("binary ingests");
-        assert!(!from_text.is_streamed(), "text ingestion materializes");
-        assert!(from_bin.is_streamed(), "binary ingestion streams");
-        assert!(
-            from_bin.resident_bytes() < from_text.resident_bytes() / 2,
-            "streamed replay must hold less than the decoded form \
-             ({} vs {} bytes)",
-            from_bin.resident_bytes(),
-            from_text.resident_bytes()
-        );
+        // Text is encoded at load time, so both replay the same buffer.
+        assert_eq!(from_text.resident_bytes(), from_bin.resident_bytes());
 
         for scheme in [None, Some(SecurityScheme::CtrMacBmt)] {
             let a = replay_fp(&gpu, &from_text, scheme, 4_000);

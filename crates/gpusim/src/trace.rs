@@ -6,6 +6,11 @@
 //! the secure-memory models, or to archive the exact workload behind a
 //! result.
 //!
+//! Text is a load-time front end to the `SECMTRC` container
+//! ([`crate::trace_bin`]): [`load`] parses a text file and encodes it,
+//! so both formats replay through the same streaming cursor and save
+//! the same checkpoint state.
+//!
 //! # Format (`gpu-secure-memory trace v1`)
 //!
 //! ```text
@@ -20,8 +25,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use crate::kernel::{Kernel, StateError, WarpProgram};
+use crate::kernel::{Kernel, WarpProgram};
+use crate::trace_bin::{self, BinaryTrace};
 use crate::types::{Access, Addr, Inst, SectorMask};
 
 /// Magic first line of a trace file.
@@ -67,7 +74,7 @@ pub enum TraceLoadError {
     Parse(ParseTraceError),
     /// The file carries the `SECMTRC` magic but is not a valid binary
     /// trace.
-    Binary(crate::trace_bin::BinTraceError),
+    Binary(trace_bin::BinTraceError),
 }
 
 impl core::fmt::Display for TraceLoadError {
@@ -102,8 +109,8 @@ impl From<ParseTraceError> for TraceLoadError {
     }
 }
 
-impl From<crate::trace_bin::BinTraceError> for TraceLoadError {
-    fn from(e: crate::trace_bin::BinTraceError) -> Self {
+impl From<trace_bin::BinTraceError> for TraceLoadError {
+    fn from(e: trace_bin::BinTraceError) -> Self {
         TraceLoadError::Binary(e)
     }
 }
@@ -193,32 +200,41 @@ fn parse_inst_with_buf<'a>(
     let Some((&op, rest)) = buf.split_first() else {
         return Err(ParseTraceError { line, message: "empty line".into() });
     };
+    // Tokens the serializer would not write back are rejected, not
+    // dropped, so a text -> SECMTRC -> text round trip cannot lose them.
+    let trailing = |extra: &[&str]| match extra {
+        [] => Ok(()),
+        _ => Err(ParseTraceError {
+            line,
+            message: format!("trailing tokens after '{op}': '{}'", extra.join(" ")),
+        }),
+    };
     let stall = |rest: &[&str]| -> Result<u32, ParseTraceError> {
-        rest.first()
+        let stall = rest
+            .first()
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseTraceError { line, message: "ALU needs a stall count".into() })
+            .ok_or_else(|| ParseTraceError { line, message: "ALU needs a stall count".into() })?;
+        trailing(&rest[1..])?;
+        Ok(stall)
     };
     match op {
         "A" => Ok(Inst::Alu { stall: stall(rest)?, wait_mem: false }),
         "U" => Ok(Inst::Alu { stall: stall(rest)?, wait_mem: true }),
         "L" => {
-            let dep = rest
-                .first()
-                .and_then(|s| s.parse::<u8>().ok())
-                .ok_or_else(|| ParseTraceError { line, message: "load needs a dependent flag".into() })?;
-            Ok(Inst::Load { accesses: parse_accesses(&rest[1..], line)?, dependent: dep != 0 })
+            let dependent = match rest.first() {
+                Some(&"0") => false,
+                Some(&"1") => true,
+                _ => {
+                    return Err(ParseTraceError {
+                        line,
+                        message: "load dependent flag must be 0 or 1".into(),
+                    })
+                }
+            };
+            Ok(Inst::Load { accesses: parse_accesses(&rest[1..], line)?, dependent })
         }
         "S" => Ok(Inst::Store { accesses: parse_accesses(rest, line)? }),
-        "X" => {
-            if rest.is_empty() {
-                Ok(Inst::Exit)
-            } else {
-                Err(ParseTraceError {
-                    line,
-                    message: format!("trailing tokens after 'X': '{}'", rest.join(" ")),
-                })
-            }
-        }
+        "X" => trailing(rest).map(|()| Inst::Exit),
         other => Err(ParseTraceError { line, message: format!("unknown opcode '{other}'") }),
     }
 }
@@ -283,23 +299,6 @@ impl Trace {
         self.streams.values().map(|v| v.len() as u64).sum()
     }
 
-    /// Estimated bytes the decoded streams keep resident: the `Inst`
-    /// slots plus the access vectors loads and stores hang off them.
-    /// The perf harness compares this against
-    /// [`crate::trace_bin::BinaryTrace::resident_bytes`].
-    pub fn decoded_bytes_estimate(&self) -> usize {
-        let mut bytes = 0;
-        for insts in self.streams.values() {
-            bytes += insts.capacity() * core::mem::size_of::<Inst>();
-            for inst in insts {
-                if let Inst::Load { accesses, .. } | Inst::Store { accesses } = inst {
-                    bytes += accesses.capacity() * core::mem::size_of::<Access>();
-                }
-            }
-        }
-        bytes
-    }
-
     /// Streams the v1 text serialization into `sink` (warps in
     /// ascending `(sm, warp)` order) without materializing the whole
     /// document: one per-instruction line buffer is reused across the
@@ -360,8 +359,8 @@ impl Trace {
                 let mut it = rest.split_whitespace();
                 let sm = it.next().and_then(|s| s.parse().ok());
                 let warp = it.next().and_then(|s| s.parse().ok());
-                match (sm, warp) {
-                    (Some(sm), Some(warp)) => {
+                match (sm, warp, it.next()) {
+                    (Some(sm), Some(warp), None) => {
                         if sm > MAX_TRACE_SM || warp > MAX_TRACE_WARP {
                             return Err(ParseTraceError {
                                 line: line_no,
@@ -407,141 +406,82 @@ impl Trace {
     }
 }
 
-/// Where a [`TraceKernel`]'s instructions come from: decoded text
-/// streams, or a `SECMTRC` container replayed through streaming
-/// cursors.
-#[derive(Debug, Clone)]
-enum TraceSource {
-    /// Fully-decoded streams (in-memory recording or text ingestion).
-    Decoded(std::sync::Arc<Trace>),
-    /// Shared binary backing buffer; warps decode on the fly.
-    Binary(std::sync::Arc<crate::trace_bin::BinaryTrace>),
+/// Loads trace bytes in either on-disk format: bytes starting with the
+/// `SECMTRC` magic decode as a binary container; anything else parses
+/// as v1 text and is encoded to `SECMTRC` on the spot. This is the one
+/// place that picks a decoder, and every [`BinaryTrace`] it returns has
+/// passed [`BinaryTrace::decode`]'s full validation.
+///
+/// # Errors
+///
+/// [`TraceLoadError::Binary`] for a malformed container,
+/// [`TraceLoadError::Parse`] for text that is not UTF-8 (line 1) or not
+/// a valid v1 trace.
+pub fn load(bytes: &[u8]) -> Result<BinaryTrace, TraceLoadError> {
+    if BinaryTrace::sniff(bytes) {
+        return Ok(BinaryTrace::decode(bytes)?);
+    }
+    let text = core::str::from_utf8(bytes)
+        .map_err(|e| ParseTraceError { line: 1, message: format!("trace is not UTF-8: {e}") })?;
+    Ok(BinaryTrace::decode(&trace_bin::encode(&Trace::from_text(text)?))?)
 }
 
-/// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its
-/// stream once and exits; unrecorded warps exit immediately.
+/// Replays a [`BinaryTrace`] as a [`Kernel`]: each recorded warp runs
+/// its stream once and exits; unrecorded warps exit immediately.
 ///
-/// Binary (`SECMTRC`) traces replay through streaming cursors that
-/// share one immutable backing buffer — see [`crate::trace_bin`] — so
-/// ingesting a paper-scale trace never materializes the decoded
-/// instruction vectors. Both sources checkpoint the same single-word
-/// warp state, so frames are interchangeable across formats.
+/// Every warp replays through a streaming cursor over one shared,
+/// immutable backing buffer (see [`crate::trace_bin`]), whichever
+/// format the trace was ingested from, so a paper-scale trace never
+/// materializes its decoded instruction vectors.
 #[derive(Debug, Clone)]
 pub struct TraceKernel {
-    source: TraceSource,
+    trace: Arc<BinaryTrace>,
     name: String,
 }
 
 impl TraceKernel {
-    /// Wraps a decoded trace for replay.
-    pub fn new(trace: Trace, name: impl Into<String>) -> Self {
-        Self { source: TraceSource::Decoded(std::sync::Arc::new(trace)), name: name.into() }
-    }
-
     /// Wraps a validated binary trace for streaming replay.
-    pub fn from_binary(trace: crate::trace_bin::BinaryTrace, name: impl Into<String>) -> Self {
-        Self { source: TraceSource::Binary(std::sync::Arc::new(trace)), name: name.into() }
+    pub fn from_binary(trace: BinaryTrace, name: impl Into<String>) -> Self {
+        Self { trace: Arc::new(trace), name: name.into() }
     }
 
-    /// Loads a trace file, sniffing the format: files starting with the
-    /// `SECMTRC` magic decode as binary containers (and replay
-    /// streamed), anything else parses as the v1 text format.
+    /// Loads a trace file in either format through [`load`].
     ///
     /// # Errors
     ///
-    /// [`TraceLoadError::Io`] if the file cannot be read,
-    /// [`TraceLoadError::Parse`] / [`TraceLoadError::Binary`] if its
-    /// contents are malformed for the sniffed format.
+    /// [`TraceLoadError::Io`] if the file cannot be read, otherwise any
+    /// error from [`load`].
     pub fn from_file(path: &std::path::Path) -> Result<Self, TraceLoadError> {
-        let bytes = std::fs::read(path)?;
-        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace").to_string();
-        if crate::trace_bin::BinaryTrace::sniff(&bytes) {
-            let bin = crate::trace_bin::BinaryTrace::decode(&bytes)?;
-            return Ok(Self::from_binary(bin, name));
-        }
-        let text = core::str::from_utf8(&bytes).map_err(|e| {
-            TraceLoadError::Parse(ParseTraceError { line: 1, message: format!("trace is not UTF-8: {e}") })
-        })?;
-        let trace = Trace::from_text(text)?;
-        Ok(Self::new(trace, name))
+        let trace = load(&std::fs::read(path)?)?;
+        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
+        Ok(Self::from_binary(trace, name))
     }
 
-    /// True when this kernel replays a binary container through
-    /// streaming cursors (false for decoded text streams).
+    /// Always `true`: text traces are encoded at load time, so every
+    /// ingestion path replays streamed. Kept because the benchmark
+    /// harness checks it before timing a replay.
     pub fn is_streamed(&self) -> bool {
-        matches!(self.source, TraceSource::Binary(_))
+        true
     }
 
-    /// Bytes the trace source keeps resident for replay: the decoded
-    /// stream estimate for text ingestion, the shared backing buffer
-    /// (plus index) for binary.
+    /// Bytes the trace keeps resident for replay: the shared backing
+    /// buffer plus its index.
     pub fn resident_bytes(&self) -> usize {
-        match &self.source {
-            TraceSource::Decoded(t) => t.decoded_bytes_estimate(),
-            TraceSource::Binary(b) => b.resident_bytes(),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Replay {
-    insts: Vec<Inst>,
-    pos: usize,
-}
-
-impl WarpProgram for Replay {
-    fn next_inst(&mut self) -> Inst {
-        let inst = self.insts.get(self.pos).cloned().unwrap_or(Inst::Exit);
-        self.pos += 1;
-        inst
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.pos as u64);
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), StateError> {
-        crate::kernel::expect_state_len(state, 1, "trace replay")?;
-        // One past the end is legal (the implicit Exit was consumed);
-        // anything further means the state belongs to a different trace.
-        let pos =
-            usize::try_from(state[0]).map_err(|_| StateError::new("trace replay", "position overflow"))?;
-        if pos > self.insts.len() + 1 {
-            return Err(StateError::new(
-                "trace replay",
-                format!("position {pos} beyond stream of {} instructions", self.insts.len()),
-            ));
-        }
-        self.pos = pos;
-        Ok(())
+        self.trace.resident_bytes()
     }
 }
 
 impl Kernel for TraceKernel {
     fn active_sms(&self, available: u32) -> u32 {
-        match &self.source {
-            TraceSource::Decoded(t) => t.streams.keys().map(|k| k.0 + 1).max().unwrap_or(1).min(available),
-            TraceSource::Binary(b) => b.active_sms(available),
-        }
+        self.trace.active_sms(available)
     }
 
     fn warps_per_sm(&self, sm: u32) -> u32 {
-        match &self.source {
-            TraceSource::Decoded(t) => {
-                t.streams.keys().filter(|k| k.0 == sm).map(|k| k.1 + 1).max().unwrap_or(1)
-            }
-            TraceSource::Binary(b) => b.warps_per_sm(sm),
-        }
+        self.trace.warps_per_sm(sm)
     }
 
     fn spawn(&self, sm: u32, warp: u32) -> Box<dyn WarpProgram + Send> {
-        match &self.source {
-            TraceSource::Decoded(t) => {
-                let insts = t.stream(sm, warp).map(<[Inst]>::to_vec).unwrap_or_default();
-                Box::new(Replay { insts, pos: 0 })
-            }
-            TraceSource::Binary(b) => Box::new(b.cursor(sm, warp)),
-        }
+        Box::new(self.trace.cursor(sm, warp))
     }
 
     fn name(&self) -> &str {
@@ -625,27 +565,10 @@ mod tests {
 
     #[test]
     fn truncated_records_rejected() {
-        for bad in ["A", "U", "L", "L 0", "S", "L 1 80"] {
+        for bad in ["A", "U", "L", "L 0", "S", "L 1 80", "L 7 80:f", "L 01 80:f"] {
             let text = format!("{TRACE_HEADER}\nwarp 0 0\n{bad}\n");
             assert!(Trace::from_text(&text).is_err(), "'{bad}' should not parse");
         }
-    }
-
-    #[test]
-    fn replay_state_roundtrip() {
-        let mut trace = Trace::new();
-        trace.insert(0, 0, sample_insts());
-        let k = TraceKernel::new(trace, "t");
-        let mut p = k.spawn(0, 0);
-        let _ = p.next_inst();
-        let _ = p.next_inst();
-        let mut state = Vec::new();
-        p.save_state(&mut state);
-        let mut q = k.spawn(0, 0);
-        q.restore_state(&state).expect("restores");
-        assert_eq!(q.next_inst(), sample_insts()[2]);
-        assert!(q.restore_state(&[99]).is_err(), "position beyond stream");
-        assert!(q.restore_state(&[0, 0]).is_err(), "wrong word count");
     }
 
     #[test]
@@ -666,6 +589,11 @@ mod tests {
         assert_eq!(err.line, 3);
         assert!(err.message.contains("trailing"), "message: {}", err.message);
         assert!(parse_inst("X junk", 1).is_err());
+        for bad in ["warp 0 0 extra", "A 1 junk", "U 2 3"] {
+            let text = format!("{TRACE_HEADER}\nwarp 1 0\n{bad}\nX\n");
+            let err = Trace::from_text(&text).expect_err("trailing tokens");
+            assert_eq!(err.line, 3, "'{bad}': {}", err.message);
+        }
         // A trailing comment is stripped before parsing and stays legal.
         let commented = format!("{TRACE_HEADER}\nwarp 0 0\nX # done\n");
         assert!(Trace::from_text(&commented).is_ok());
@@ -707,24 +635,13 @@ mod tests {
     fn recorded_trace_replays_equivalently() {
         let kernel = StreamKernel { alu_per_mem: 2, bytes_per_warp: 1 << 16, warps: 4 };
         let trace = Trace::record(&kernel, 4, 200);
-        let replay = TraceKernel::new(trace, "stream-replay");
+        let bin = BinaryTrace::decode(&trace_bin::encode(&trace)).expect("decodes");
+        let replay = TraceKernel::from_binary(bin, "stream-replay");
         let cfg = GpuConfig::small();
         let mut sim = Simulator::new(cfg, &replay, |_, g| PassthroughBackend::from_config(g));
         let report = sim.run(50_000);
         // 4 SMs x 4 warps x 200 instructions, all retired.
         assert_eq!(report.warp_instructions, 4 * 4 * 200);
-    }
-
-    #[test]
-    fn trace_kernel_reports_shape() {
-        let mut trace = Trace::new();
-        trace.insert(0, 0, vec![Inst::Exit]);
-        trace.insert(2, 5, vec![Inst::Exit]);
-        let k = TraceKernel::new(trace, "t");
-        assert_eq!(k.active_sms(8), 3);
-        assert_eq!(k.warps_per_sm(2), 6);
-        assert_eq!(k.warps_per_sm(0), 1);
-        assert_eq!(k.name(), "t");
     }
 
     #[test]
@@ -739,5 +656,20 @@ mod tests {
         assert_eq!(k.name(), "sample");
         assert_eq!(k.warps_per_sm(0), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_errors_are_typed() {
+        let missing = std::env::temp_dir().join("secmem_trace_no_such_dir").join("absent.trace");
+        assert!(matches!(TraceKernel::from_file(&missing), Err(TraceLoadError::Io(_))));
+        let bad_op = format!("{TRACE_HEADER}\nwarp 0 0\nZ 1\n");
+        assert!(matches!(
+            load(bad_op.as_bytes()),
+            Err(TraceLoadError::Parse(ParseTraceError { line: 3, .. }))
+        ));
+        assert!(matches!(load(b"\xff\xfe"), Err(TraceLoadError::Parse(ParseTraceError { line: 1, .. }))));
+        let mut garbage = trace_bin::BIN_MAGIC.to_vec();
+        garbage.extend_from_slice(b"garbage");
+        assert!(matches!(load(&garbage), Err(TraceLoadError::Binary(_))));
     }
 }

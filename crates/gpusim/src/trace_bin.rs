@@ -2,12 +2,14 @@
 //! replay.
 //!
 //! The text format ([`crate::trace`]) is the archival/interchange form;
-//! this module is the paper-scale form: the same streams, delta/varint
+//! this module is the one replay form: the same streams, delta/varint
 //! coded, checksummed, and replayed through chunked cursors over one
 //! shared immutable backing buffer instead of fully-decoded
-//! `Vec<Inst>` streams. A loaded [`BinaryTrace`] holds exactly the
-//! file's data section plus a small index; per-warp decode state is a
-//! bounded look-ahead of [`CHUNK_INSTS`] instructions.
+//! `Vec<Inst>` streams. [`crate::trace::load`] encodes text input to
+//! this container, so every replay goes through `BinCursor`. A loaded
+//! [`BinaryTrace`] holds exactly the file's data section plus a small
+//! index; per-warp decode state is a bounded look-ahead of
+//! [`CHUNK_INSTS`] instructions.
 //!
 //! # Wire format (version 1)
 //!
@@ -389,7 +391,7 @@ pub struct BinaryTrace {
 
 impl BinaryTrace {
     /// True when `bytes` starts with the `SECMTRC` magic — the sniff
-    /// [`crate::trace::TraceKernel::from_file`] uses to pick a decoder.
+    /// [`crate::trace::load`] uses to pick a decoder.
     pub fn sniff(bytes: &[u8]) -> bool {
         bytes.len() >= BIN_MAGIC.len() && bytes[..BIN_MAGIC.len()] == BIN_MAGIC
     }
@@ -490,17 +492,6 @@ impl BinaryTrace {
         Ok(Self { data: Arc::from(data_body), index })
     }
 
-    /// Reads and decodes a `SECMTRC` file.
-    ///
-    /// # Errors
-    ///
-    /// [`BinTraceError::Io`] on filesystem failure, any decode error
-    /// from [`BinaryTrace::decode`] otherwise.
-    pub fn from_file(path: &Path) -> Result<Self, BinTraceError> {
-        let bytes = std::fs::read(path).map_err(|e| BinTraceError::Io(format!("{}: {e}", path.display())))?;
-        Self::decode(&bytes)
-    }
-
     /// Number of recorded warp streams.
     pub fn warp_count(&self) -> usize {
         self.index.len()
@@ -523,8 +514,8 @@ impl BinaryTrace {
         self.data.len() + self.index.len() * core::mem::size_of::<StreamEntry>()
     }
 
-    /// Highest recorded SM index + 1, capped at `available` (the same
-    /// shape the text [`crate::trace::TraceKernel`] reports).
+    /// Highest recorded SM index + 1, capped at `available` (the shape
+    /// [`crate::trace::TraceKernel`] reports).
     pub fn active_sms(&self, available: u32) -> u32 {
         self.index.iter().map(|e| e.sm + 1).max().unwrap_or(1).min(available)
     }
@@ -589,9 +580,10 @@ fn checked_section<'a>(r: &mut Reader<'a>, section: &'static str) -> Result<&'a 
 
 /// Streaming replay over one stream of a [`BinaryTrace`]: decodes
 /// [`CHUNK_INSTS`] instructions ahead out of the shared backing buffer
-/// and hands them out one at a time. `save_state` is the same single
-/// `[pos]` word the text replay writes, so checkpoint frames are
-/// byte-identical whichever format the trace was ingested from.
+/// and hands them out one at a time. `save_state` is the single `[pos]`
+/// word, and text traces replay through this same cursor, so checkpoint
+/// frames are byte-identical whichever format the trace was ingested
+/// from.
 #[derive(Debug)]
 pub(crate) struct BinCursor {
     data: Arc<[u8]>,
@@ -697,7 +689,7 @@ impl WarpProgram for BinCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Kernel, StreamKernel};
+    use crate::kernel::StreamKernel;
     use crate::types::FULL_SECTOR_MASK;
 
     fn sample_trace() -> Trace {
@@ -783,14 +775,9 @@ mod tests {
         let _ = cursor.next_inst();
         let mut state = Vec::new();
         cursor.save_state(&mut state);
-        // Same wire state as the text replay: one position word.
-        let text_kernel = crate::trace::TraceKernel::new(trace.clone(), "t");
-        let mut text_prog = text_kernel.spawn(0, 0);
-        let _ = text_prog.next_inst();
-        let _ = text_prog.next_inst();
-        let mut text_state = Vec::new();
-        text_prog.save_state(&mut text_state);
-        assert_eq!(state, text_state);
+        // One position word. Text-ingested replays run this same cursor,
+        // so frames are interchangeable across formats.
+        assert_eq!(state, [2]);
 
         let mut fresh = bin.cursor(0, 0);
         fresh.restore_state(&state).expect("restores");
@@ -877,7 +864,7 @@ mod tests {
         let path = dir.join("t.smtrc");
         let trace = sample_trace();
         write_file(&trace, &path).expect("writes");
-        let bin = BinaryTrace::from_file(&path).expect("loads");
+        let bin = BinaryTrace::decode(&std::fs::read(&path).expect("reads")).expect("decodes");
         assert_eq!(bin.to_trace(), trace);
         assert!(!path.with_extension("smtrc.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -890,6 +877,8 @@ mod tests {
         let bytes = encode(&trace);
         let bin = BinaryTrace::decode(&bytes).expect("decodes");
         assert!(bin.resident_bytes() < bytes.len() + 1024);
-        assert!(bin.resident_bytes() < trace.decoded_bytes_estimate());
+        // Well under the decoded instruction slots alone, before counting
+        // the access lists hanging off loads and stores.
+        assert!(bin.resident_bytes() * 4 < trace.total_insts() as usize * core::mem::size_of::<Inst>());
     }
 }

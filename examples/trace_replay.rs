@@ -2,8 +2,10 @@
 //! stream, write it in both on-disk formats — the portable v1 text
 //! format and the compact SECMTRC binary container — replay each
 //! through the simulator, and confirm the replays are cycle-identical.
-//! The same path lets you feed externally captured GPU traces through
-//! the secure-memory models.
+//! Text is encoded to SECMTRC at load time, so both files replay
+//! streamed and hold the same resident bytes. The same path lets you
+//! feed externally captured GPU traces through the secure-memory
+//! models.
 //!
 //! ```text
 //! cargo run --release --example trace_replay [benchmark] [out.trace]
@@ -20,13 +22,11 @@ use gpu_secure_memory::workloads::suite;
 const CYCLES: u64 = 15_000;
 const INSTS_PER_WARP: usize = 2_000;
 
-fn replay(path: &std::path::Path, gpu: &GpuConfig) -> (SimReport, bool, usize) {
+fn replay(path: &std::path::Path, gpu: &GpuConfig) -> (SimReport, usize) {
     let kernel = TraceKernel::from_file(path).expect("trace loads");
-    let streamed = kernel.is_streamed();
-    let resident = kernel.resident_bytes();
     let mut sim =
         Simulator::new(gpu.clone(), &kernel, |_, g| SecureBackend::new(SecureMemConfig::secure_mem(), g));
-    (sim.run(CYCLES), streamed, resident)
+    (sim.run(CYCLES), kernel.resident_bytes())
 }
 
 fn main() {
@@ -55,11 +55,12 @@ fn main() {
         bin_bytes as f64 * 100.0 / text_bytes.max(1) as f64
     );
 
-    // 2. Replay both files under the secure memory engine. The binary
-    //    path streams: it never materializes the decoded instructions.
-    let (from_text, text_streamed, text_resident) = replay(std::path::Path::new(&text_out), &gpu);
-    let (from_bin, bin_streamed, bin_resident) = replay(std::path::Path::new(&bin_out), &gpu);
-    assert!(!text_streamed && bin_streamed);
+    // 2. Replay both files under the secure memory engine. Both stream
+    //    from one SECMTRC buffer: neither materializes the decoded
+    //    instructions.
+    let (from_text, text_resident) = replay(std::path::Path::new(&text_out), &gpu);
+    let (from_bin, bin_resident) = replay(std::path::Path::new(&bin_out), &gpu);
+    assert_eq!(text_resident, bin_resident);
     println!(
         "replay (text):   {} instructions, ipc {:.1}, {} DRAM requests, {text_resident} bytes resident",
         from_text.warp_instructions,
