@@ -68,6 +68,7 @@ enum MdWaiter {
 }
 
 /// A deferred metadata operation (retried when MSHRs/queues were full).
+/// A `Walk` stalled at `nodes[0]`.
 #[derive(Debug, Clone)]
 enum RetryOp {
     Access { class: TrafficClass, line: Addr, waiter: MdWaiter },
@@ -243,6 +244,15 @@ pub struct SecureBackend {
     ready_responses: VecDeque<BackendReq>,
     pending_dram: VecDeque<DramRequest<DramToken>>,
     retries: VecDeque<RetryOp>,
+    /// How many retries at the back of the queue stalled in metadata fill
+    /// epoch `stall_epoch`. Every op is queued in the current epoch, so
+    /// the dated ops form a suffix of the queue; while the epoch is
+    /// unchanged they are known stalls (see `drain_retries`). Not
+    /// checkpointed: a restored queue starts undated.
+    known_stalls: usize,
+    stall_epoch: u64,
+    /// Reused buffer for the waiters a metadata fill releases.
+    fill_waiters: Vec<MdWaiter>,
     profilers: Option<Box<[ReuseProfiler; 3]>>,
     /// Minor-counter write counts per protected local line (overflow model).
     minor_writes: FastHashMap<Addr, u8>,
@@ -324,6 +334,9 @@ impl SecureBackend {
             ready_responses: VecDeque::new(),
             pending_dram: VecDeque::new(),
             retries: VecDeque::new(),
+            known_stalls: 0,
+            stall_epoch: 0,
+            fill_waiters: Vec::new(),
             profilers: cfg.profile_reuse.then(Default::default),
             minor_writes: FastHashMap::default(),
             counter_overflows: 0,
@@ -503,7 +516,7 @@ impl SecureBackend {
                 true
             }
             MdOutcome::Stall => {
-                self.retries.push_back(RetryOp::Access { class, line, waiter });
+                self.queue_retry(RetryOp::Access { class, line, waiter });
                 false
             }
         }
@@ -576,7 +589,6 @@ impl SecureBackend {
                 self.mdcache.mark_dirty(TrafficClass::Tree, line);
             }
         }
-        let _ = filled;
     }
 
     /// Starts the (speculative) integrity-verification walk for a
@@ -613,7 +625,7 @@ impl SecureBackend {
                     // Retry from the stalled node on, reusing the path
                     // buffer (the stall path must not allocate afresh).
                     nodes.drain(..at);
-                    self.retries.push_back(RetryOp::Walk { nodes });
+                    self.queue_retry(RetryOp::Walk { nodes });
                     return;
                 }
             }
@@ -666,20 +678,19 @@ impl SecureBackend {
         }
     }
 
-    /// Handles dirty metadata evictions: writeback + lazy parent update.
-    fn handle_evictions(&mut self, evictions: Vec<secmem_gpusim::cache::Eviction>) {
-        for ev in evictions {
-            if ev.dirty.is_empty() {
-                continue;
-            }
-            let class = self.layout.class_of(ev.line_addr);
-            self.queue_dram(LINE_SIZE, ev.line_addr, true, class, DramToken::MetaWrite);
-            if let Some(parent) = self.layout.lazy_update_parent(ev.line_addr) {
-                if !self.mdcache.mark_dirty(TrafficClass::Tree, parent) {
-                    self.profile(TrafficClass::Tree, parent);
-                    // Parent absent: fetch it, then mark dirty on arrival.
-                    let _ = self.md_access(TrafficClass::Tree, parent, MdWaiter::ParentDirty);
-                }
+    /// Handles a dirty metadata eviction: writeback + lazy parent update.
+    fn handle_eviction(&mut self, eviction: Option<secmem_gpusim::cache::Eviction>) {
+        let Some(ev) = eviction else { return };
+        if ev.dirty.is_empty() {
+            return;
+        }
+        let class = self.layout.class_of(ev.line_addr);
+        self.queue_dram(LINE_SIZE, ev.line_addr, true, class, DramToken::MetaWrite);
+        if let Some(parent) = self.layout.lazy_update_parent(ev.line_addr) {
+            if !self.mdcache.mark_dirty(TrafficClass::Tree, parent) {
+                self.profile(TrafficClass::Tree, parent);
+                // Parent absent: fetch it, then mark dirty on arrival.
+                let _ = self.md_access(TrafficClass::Tree, parent, MdWaiter::ParentDirty);
             }
         }
     }
@@ -701,21 +712,62 @@ impl SecureBackend {
                 }
             }
             DramToken::MetaRead { class, line } => {
-                let (waiters, evictions) = self.mdcache.fill(class, line);
-                for w in waiters {
+                // Waiter callbacks never fill, so the buffer is free to lend.
+                let mut waiters = std::mem::take(&mut self.fill_waiters);
+                let eviction = self.mdcache.fill(class, line, &mut waiters);
+                for w in waiters.drain(..) {
                     self.on_md_available(class, line, w, true);
                 }
-                self.handle_evictions(evictions);
+                self.fill_waiters = waiters;
+                self.handle_eviction(eviction);
             }
             DramToken::DataWrite | DramToken::MetaWrite => {}
         }
     }
 
+    /// Forgets the dated retries once a fill has moved the epoch on.
+    fn sync_stall_epoch(&mut self) {
+        let epoch = self.mdcache.fill_epoch();
+        if epoch != self.stall_epoch {
+            self.stall_epoch = epoch;
+            self.known_stalls = 0;
+        }
+    }
+
+    /// Queues a stalled op, dated with the current fill epoch.
+    fn queue_retry(&mut self, op: RetryOp) {
+        self.sync_stall_epoch();
+        self.known_stalls += 1;
+        self.retries.push_back(op);
+    }
+
+    /// Retries the stalled ops in queue order, stopping at the first
+    /// access that stalls again. An op with no fill since it stalled is a
+    /// known stall: it replays the stalled attempt's side effects
+    /// (profiler access, cache and MSHR stall statistics, requeue) without
+    /// probing the cache or the MSHR file.
     fn drain_retries(&mut self) {
+        self.sync_stall_epoch();
         let mut budget = self.retries.len();
         while budget > 0 {
             budget -= 1;
+            // Dated ops are a suffix: the front one is dated iff all are.
+            debug_assert!(self.known_stalls <= self.retries.len());
+            let known_stall = self.known_stalls == self.retries.len();
             let Some(op) = self.retries.pop_front() else { break };
+            if known_stall {
+                let (class, line, is_access) = match &op {
+                    RetryOp::Access { class, line, .. } => (*class, *line, true),
+                    RetryOp::Walk { nodes } => (TrafficClass::Tree, nodes[0], false),
+                };
+                self.profile(class, line);
+                self.mdcache.replay_stall(class);
+                self.retries.push_back(op);
+                if is_access {
+                    break;
+                }
+                continue;
+            }
             match op {
                 RetryOp::Access { class, line, waiter } => {
                     if !self.md_access(class, line, waiter) {
@@ -1052,6 +1104,7 @@ impl MemoryBackend for SecureBackend {
         self.ready_responses = VecDeque::load(r)?;
         self.pending_dram = VecDeque::load(r)?;
         self.retries = VecDeque::load(r)?;
+        self.known_stalls = 0;
         let stored_profilers = r.get_bool()?;
         match (self.profilers.as_deref_mut(), stored_profilers) {
             (Some(profs), true) => {
@@ -1549,6 +1602,69 @@ mod checkpoint_tests {
     fn snapshot_roundtrip_without_mshrs() {
         // The private-waiter (no-MSHR) path serializes per-line waiter lists.
         roundtrip(SecurityScheme::CtrMacBmt, |cfg| cfg.mdcache_mshrs = 0);
+    }
+
+    fn state_bytes(b: &SecureBackend) -> Vec<u8> {
+        let mut w = Writer::new();
+        b.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn resume(b: &SecureBackend) -> SecureBackend {
+        let payload = state_bytes(b);
+        let mut resumed = SecureBackend::new(b.cfg.clone(), &GpuConfig::small());
+        let mut r = Reader::new(&payload);
+        resumed.restore_state(&mut r).expect("restore succeeds");
+        r.expect_end().expect("payload fully consumed");
+        resumed
+    }
+
+    /// True when the next drain starts on a known stall (absent a fill).
+    fn has_known_stall(b: &SecureBackend) -> bool {
+        b.known_stalls > 0 && b.known_stalls == b.retries.len() && b.stall_epoch == b.mdcache.fill_epoch()
+    }
+
+    /// One-entry, one-target metadata MSHR files keep the retry queue full
+    /// of known stalls, which replay their side effects without probing.
+    /// Two runs must end byte-identical to the uninterrupted one: one
+    /// resumed once while retries are known stalls, and one resumed every
+    /// cycle, so that every retry re-probes (restored retries are undated).
+    #[test]
+    fn known_stall_retries_resume_byte_identically() {
+        let mut cfg = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
+        cfg.mdcache_mshrs = 1;
+        cfg.mdcache_mshr_merge = 1;
+        cfg.profile_reuse = true;
+        let mut straight = SecureBackend::new(cfg, &GpuConfig::small());
+        let mut log = Vec::new();
+        let mut cut = 0;
+        while !has_known_stall(&straight) {
+            drive(&mut straight, cut, cut + 1, &mut log);
+            cut += 1;
+            assert!(cut < 2_000, "tiny MSHR files must stall");
+        }
+        let mut resumed = resume(&straight);
+        assert!(!has_known_stall(&resumed), "restored retries start undated");
+        let mut reprobed = resume(&straight);
+        let (mut log_resumed, mut log_reprobed) = (log.clone(), log.clone());
+
+        const END: Cycle = 3_000;
+        let mut known_stall_cycles = 0;
+        for now in cut..END {
+            known_stall_cycles += u32::from(has_known_stall(&straight));
+            drive(&mut straight, now, now + 1, &mut log);
+        }
+        drive(&mut resumed, cut, END, &mut log_resumed);
+        for now in cut..END {
+            reprobed = resume(&reprobed);
+            drive(&mut reprobed, now, now + 1, &mut log_reprobed);
+        }
+        assert!(known_stall_cycles > 100, "only {known_stall_cycles} cycles with known stalls");
+        assert_eq!(log, log_resumed, "response stream after one resume");
+        assert_eq!(log, log_reprobed, "response stream when every retry re-probes");
+        let end_state = state_bytes(&straight);
+        assert!(end_state == state_bytes(&resumed), "state after one resume diverged");
+        assert!(end_state == state_bytes(&reprobed), "state when every retry re-probes diverged");
     }
 
     #[test]

@@ -34,6 +34,14 @@ enum Store {
     Perfect,
 }
 
+/// The cache of a `Store::Real` that holds `class` lines.
+fn cache_index(kind: MetadataCacheKind, caches: &[SectoredCache], class: TrafficClass) -> usize {
+    match (kind, caches.len()) {
+        (MetadataCacheKind::Separate, 3) => meta_index(class),
+        _ => 0,
+    }
+}
+
 /// The per-partition metadata caches.
 ///
 /// `T` is the waiter token type (the secure engine uses transaction
@@ -48,6 +56,9 @@ pub struct MetadataCaches<T> {
     /// Waiter lists for the no-MSHR mode: one DRAM fetch per waiter.
     private_waiters: FastHashMap<Addr, Vec<T>>,
     stats: [MetadataTypeStats; 3],
+    /// Fills so far (see [`MetadataCaches::fill_epoch`]). Not
+    /// checkpointed: it only dates stalls, and restored stalls are undated.
+    fill_epoch: u64,
 }
 
 impl<T> MetadataCaches<T> {
@@ -106,6 +117,7 @@ impl<T> MetadataCaches<T> {
             mshr_enabled,
             private_waiters: FastHashMap::default(),
             stats: Default::default(),
+            fill_epoch: 0,
         }
     }
 
@@ -150,10 +162,7 @@ impl<T> MetadataCaches<T> {
                 }
             }
             Store::Real(caches) => {
-                let ci = match (self.kind, caches.len()) {
-                    (MetadataCacheKind::Separate, 3) => meta_index(class),
-                    _ => 0,
-                };
+                let ci = cache_index(self.kind, caches, class);
                 use secmem_gpusim::cache::Probe;
                 match caches[ci].probe(line, FULL_SECTOR_MASK) {
                     Probe::Hit => {
@@ -197,56 +206,64 @@ impl<T> MetadataCaches<T> {
         }
     }
 
-    /// Completes a metadata fetch: installs the line and returns the
-    /// waiters to notify plus any (dirty) evictions for lazy update and
-    /// writeback. With MSHRs all merged waiters return at once; without,
-    /// each fill returns one waiter (one fetch per waiter).
-    pub fn fill(&mut self, class: TrafficClass, line: Addr) -> (Vec<T>, Vec<Eviction>) {
-        let mut evictions = Vec::new();
-        match &mut self.store {
-            Store::Perfect => {}
+    /// Completes a metadata fetch: installs the line, appends the waiters
+    /// to notify to `waiters` (the caller's buffer is not cleared) and
+    /// returns the eviction the install caused, if any, for lazy update
+    /// and writeback. With MSHRs all merged waiters return at once;
+    /// without, each fill returns one waiter (one fetch per waiter).
+    pub fn fill(&mut self, class: TrafficClass, line: Addr, waiters: &mut Vec<T>) -> Option<Eviction> {
+        self.fill_epoch += 1;
+        let eviction = match &mut self.store {
+            Store::Perfect => None,
             Store::Infinite(present) => {
                 present.insert(line);
+                None
             }
             Store::Real(caches) => {
-                let ci = match (self.kind, caches.len()) {
-                    (MetadataCacheKind::Separate, 3) => meta_index(class),
-                    _ => 0,
-                };
-                if let Some(ev) = caches[ci].fill(line, FULL_SECTOR_MASK, Default::default()) {
-                    let s = &mut self.stats[meta_index(class)];
-                    if !ev.dirty.is_empty() {
-                        s.writebacks += 1;
-                    }
-                    evictions.push(ev);
+                let ci = cache_index(self.kind, caches, class);
+                let ev = caches[ci].fill(line, FULL_SECTOR_MASK, Default::default());
+                if ev.as_ref().is_some_and(|ev| !ev.dirty.is_empty()) {
+                    self.stats[meta_index(class)].writebacks += 1;
                 }
-            }
-        }
-        let waiters = if self.mshr_enabled || !matches!(self.store, Store::Real(_)) {
-            let mi = self.mshr_index(class);
-            self.mshrs[mi].complete(line).map(|(_, w)| w).unwrap_or_default()
-        } else {
-            match self.private_waiters.get_mut(&line) {
-                Some(list) if list.len() == 1 => {
-                    // Single waiter (the common case without MSHRs, since
-                    // each waiter issues its own fetch): hand back the
-                    // list itself, reusing its allocation.
-                    self.private_waiters.remove(&line).unwrap_or_default()
-                }
-                // Not vec![w]: the vec! macro is an allocation-macro
-                // site under H2/T1, while const Vec::new + a single
-                // push keeps the charge on the growth, not the ctor.
-                #[allow(clippy::vec_init_then_push)]
-                Some(list) if !list.is_empty() => {
-                    let w = list.remove(0);
-                    let mut one = Vec::new();
-                    one.push(w);
-                    one
-                }
-                _ => Vec::new(),
+                ev
             }
         };
-        (waiters, evictions)
+        if self.mshr_enabled || !matches!(self.store, Store::Real(_)) {
+            let mi = self.mshr_index(class);
+            let _ = self.mshrs[mi].note_fill(line, FULL_SECTOR_MASK, waiters);
+        } else if let Some(list) = self.private_waiters.get_mut(&line) {
+            if !list.is_empty() {
+                waiters.push(list.remove(0));
+            }
+            if list.is_empty() {
+                self.private_waiters.remove(&line);
+            }
+        }
+        eviction
+    }
+
+    /// Number of fills so far. Only a fill installs a line or frees an
+    /// MSHR entry, so an access that returned [`MdOutcome::Stall`] stalls
+    /// again for as long as the epoch is unchanged: replay it with
+    /// [`MetadataCaches::replay_stall`] instead of probing.
+    pub(crate) fn fill_epoch(&self) -> u64 {
+        self.fill_epoch
+    }
+
+    /// Accounts a repeat of an access known to stall (no fill since it
+    /// last returned [`MdOutcome::Stall`]) with exactly the side effects
+    /// of [`MetadataCaches::access`] stalling — cache tick and miss, MSHR
+    /// stall — without the cache probe or MSHR lookup.
+    pub(crate) fn replay_stall(&mut self, class: TrafficClass) {
+        let s = &mut self.stats[meta_index(class)];
+        s.cache.misses += 1;
+        s.mshr.stalls += 1;
+        if let Store::Real(caches) = &mut self.store {
+            let ci = cache_index(self.kind, caches, class);
+            caches[ci].note_miss();
+        }
+        let mi = self.mshr_index(class);
+        self.mshrs[mi].note_stall();
     }
 
     /// Marks a resident line dirty (counter increment / MAC update / tree
@@ -257,10 +274,7 @@ impl<T> MetadataCaches<T> {
             Store::Perfect => true,
             Store::Infinite(present) => present.contains(&line),
             Store::Real(caches) => {
-                let ci = match (self.kind, caches.len()) {
-                    (MetadataCacheKind::Separate, 3) => meta_index(class),
-                    _ => 0,
-                };
+                let ci = cache_index(self.kind, caches, class);
                 caches[ci].mark_dirty(line, FULL_SECTOR_MASK)
             }
         }
@@ -272,10 +286,7 @@ impl<T> MetadataCaches<T> {
             Store::Perfect => true,
             Store::Infinite(present) => present.contains(&line),
             Store::Real(caches) => {
-                let ci = match (self.kind, caches.len()) {
-                    (MetadataCacheKind::Separate, 3) => meta_index(class),
-                    _ => 0,
-                };
+                let ci = cache_index(self.kind, caches, class);
                 !matches!(caches[ci].peek(line, FULL_SECTOR_MASK), secmem_gpusim::cache::Probe::Miss)
             }
         }
@@ -284,11 +295,6 @@ impl<T> MetadataCaches<T> {
     /// Per-class statistics `[counter, mac, tree]`.
     pub fn stats(&self) -> [MetadataTypeStats; 3] {
         self.stats
-    }
-
-    /// Record an external writeback of a dirty evicted line (statistics).
-    pub fn note_writeback(&mut self, class: TrafficClass) {
-        let _ = class;
     }
 
     /// Resets statistics (contents and in-flight state preserved).
@@ -419,6 +425,13 @@ mod tests {
         SecureMemConfig::secure_mem()
     }
 
+    /// Fills `line`, returning the released waiters and the eviction.
+    fn fill(md: &mut MetadataCaches<u32>, class: TrafficClass, line: Addr) -> (Vec<u32>, Option<Eviction>) {
+        let mut waiters = Vec::new();
+        let ev = md.fill(class, line, &mut waiters);
+        (waiters, ev)
+    }
+
     const CTR: TrafficClass = TrafficClass::Counter;
     const MAC: TrafficClass = TrafficClass::Mac;
 
@@ -426,9 +439,9 @@ mod tests {
     fn miss_fill_hit_cycle() {
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&cfg());
         assert_eq!(md.access(CTR, 0x1000, 1), MdOutcome::FetchNeeded);
-        let (waiters, ev) = md.fill(CTR, 0x1000);
+        let (waiters, ev) = fill(&mut md, CTR, 0x1000);
         assert_eq!(waiters, vec![1]);
-        assert!(ev.is_empty());
+        assert!(ev.is_none());
         assert_eq!(md.access(CTR, 0x1000, 2), MdOutcome::Hit);
         let s = md.stats()[0];
         assert_eq!(s.cache.hits, 1);
@@ -441,7 +454,7 @@ mod tests {
         assert_eq!(md.access(MAC, 0x2000, 1), MdOutcome::FetchNeeded);
         assert_eq!(md.access(MAC, 0x2000, 2), MdOutcome::Merged);
         assert_eq!(md.access(MAC, 0x2000, 3), MdOutcome::Merged);
-        let (waiters, _) = md.fill(MAC, 0x2000);
+        let (waiters, _) = fill(&mut md, MAC, 0x2000);
         assert_eq!(waiters, vec![1, 2, 3]);
         let s = md.stats()[1];
         assert_eq!(s.mshr.primary, 1);
@@ -455,14 +468,45 @@ mod tests {
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&c);
         assert_eq!(md.access(CTR, 0x0, 1), MdOutcome::FetchNeeded);
         assert_eq!(md.access(CTR, 0x0, 2), MdOutcome::FetchNeeded, "no merging without MSHRs");
-        let (w1, _) = md.fill(CTR, 0x0);
+        let (w1, _) = fill(&mut md, CTR, 0x0);
         assert_eq!(w1, vec![1]);
-        let (w2, _) = md.fill(CTR, 0x0);
+        let (w2, _) = fill(&mut md, CTR, 0x0);
         assert_eq!(w2, vec![2]);
         let s = md.stats()[0];
         assert_eq!(s.mshr.primary, 1);
         assert_eq!(s.mshr.secondary, 1);
         assert!(md.is_quiet());
+    }
+
+    fn state_bytes(md: &MetadataCaches<u32>) -> Vec<u8> {
+        let mut w = Writer::new();
+        md.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn replayed_stall_matches_a_probed_stall() {
+        let unified = |c: &mut SecureMemConfig| c.cache_kind = MetadataCacheKind::Unified;
+        let infinite = |c: &mut SecureMemConfig| c.idealization = MdcIdealization::Infinite;
+        let tweaks: [&dyn Fn(&mut SecureMemConfig); 3] = [&|_| {}, &unified, &infinite];
+        for tweak in tweaks {
+            let mut c = cfg();
+            c.mdcache_mshrs = 1;
+            c.mdcache_mshr_merge = 1;
+            tweak(&mut c);
+            let build = || {
+                let mut md: MetadataCaches<u32> = MetadataCaches::new(&c);
+                assert_eq!(md.access(MAC, 0x0, 1), MdOutcome::FetchNeeded);
+                // A merge (full entry) or a new line (full file) stalls.
+                assert_eq!(md.access(MAC, 0x0, 2), MdOutcome::Stall);
+                md
+            };
+            let (mut probed, mut replayed) = (build(), build());
+            assert_eq!(probed.access(MAC, 0x0, 2), MdOutcome::Stall);
+            replayed.replay_stall(MAC);
+            assert_eq!(probed.stats(), replayed.stats());
+            assert!(state_bytes(&probed) == state_bytes(&replayed), "cache/MSHR state diverged");
+        }
     }
 
     #[test]
@@ -484,8 +528,8 @@ mod tests {
         // Touch far more lines than a 2 KB cache could hold.
         for i in 0..500u64 {
             assert_eq!(md.access(CTR, i * 128, i as u32), MdOutcome::FetchNeeded);
-            let (_, ev) = md.fill(CTR, i * 128);
-            assert!(ev.is_empty(), "infinite cache never evicts");
+            let (_, ev) = fill(&mut md, CTR, i * 128);
+            assert!(ev.is_none(), "infinite cache never evicts");
         }
         for i in 0..500u64 {
             assert_eq!(md.access(CTR, i * 128, 0), MdOutcome::Hit);
@@ -501,15 +545,15 @@ mod tests {
         c.mdcache_assoc = 2;
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&c);
         assert_eq!(md.access(CTR, 0x0, 1), MdOutcome::FetchNeeded);
-        md.fill(CTR, 0x0);
+        fill(&mut md, CTR, 0x0);
         assert!(md.mark_dirty(CTR, 0x0));
         md.access(CTR, 0x80, 2);
-        md.fill(CTR, 0x80);
+        fill(&mut md, CTR, 0x80);
         md.access(CTR, 0x100, 3);
-        let (_, ev) = md.fill(CTR, 0x100);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].line_addr, 0x0);
-        assert!(!ev[0].dirty.is_empty(), "dirty line evicted");
+        let (_, ev) = fill(&mut md, CTR, 0x100);
+        let ev = ev.expect("a third line evicts");
+        assert_eq!(ev.line_addr, 0x0);
+        assert!(!ev.dirty.is_empty(), "dirty line evicted");
         assert_eq!(md.stats()[0].writebacks, 1);
     }
 
@@ -521,14 +565,13 @@ mod tests {
         c.mdcache_assoc = 2;
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&c);
         md.access(CTR, 0x0, 1);
-        md.fill(CTR, 0x0);
+        fill(&mut md, CTR, 0x0);
         md.access(MAC, 0x8000, 2);
-        md.fill(MAC, 0x8000);
+        fill(&mut md, MAC, 0x8000);
         // A tree fill now evicts the counter line: contention across types.
         md.access(TrafficClass::Tree, 0x10_000, 3);
-        let (_, ev) = md.fill(TrafficClass::Tree, 0x10_000);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].line_addr, 0x0);
+        let (_, ev) = fill(&mut md, TrafficClass::Tree, 0x10_000);
+        assert_eq!(ev.map(|e| e.line_addr), Some(0x0));
         assert_eq!(md.access(CTR, 0x0, 4), MdOutcome::FetchNeeded, "counter was evicted by MAC/tree stream");
     }
 
@@ -546,7 +589,7 @@ mod tests {
         let _ = md.contains(CTR, 0x0);
         assert_eq!(md.stats()[0].cache.accesses(), before);
         md.access(CTR, 0x0, 1);
-        md.fill(CTR, 0x0);
+        fill(&mut md, CTR, 0x0);
         assert!(md.contains(CTR, 0x0));
     }
 }

@@ -107,7 +107,8 @@ fn mdcache_waiter_conservation() {
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&cfg);
         let mut pending_fetches = Vec::new();
         let mut waiting = 0u64;
-        let mut returned = 0u64;
+        // fill appends, so the buffer collects every returned waiter.
+        let mut returned = Vec::new();
         let n = 1 + rng.gen_range(100) as usize;
         for i in 0..n {
             let addr = 1 << 30 | (rng.gen_range(8) * 128); // arbitrary metadata region
@@ -123,16 +124,14 @@ fn mdcache_waiter_conservation() {
             // Complete fetches lazily every few accesses.
             if i % 3 == 2 {
                 for addr in pending_fetches.drain(..) {
-                    let (waiters, _) = md.fill(TrafficClass::Mac, addr);
-                    returned += waiters.len() as u64;
+                    md.fill(TrafficClass::Mac, addr, &mut returned);
                 }
             }
         }
         for addr in pending_fetches {
-            let (waiters, _) = md.fill(TrafficClass::Mac, addr);
-            returned += waiters.len() as u64;
+            md.fill(TrafficClass::Mac, addr, &mut returned);
         }
-        assert_eq!(returned, waiting, "mshrs={mshrs}");
+        assert_eq!(returned.len() as u64, waiting, "mshrs={mshrs}");
         assert!(md.is_quiet());
     }
 }
@@ -151,7 +150,7 @@ fn mdcache_stats_consistent() {
                 fetches.push(line * 128);
             }
             for addr in fetches.drain(..) {
-                md.fill(TrafficClass::Counter, addr);
+                md.fill(TrafficClass::Counter, addr, &mut Vec::new());
             }
         }
         let s = md.stats()[0];

@@ -260,6 +260,14 @@ impl SectoredCache {
         result
     }
 
+    /// Accounts a probe the caller knows would miss (the line is absent
+    /// and nothing has been filled since it last missed) without
+    /// searching the set: the same tick and miss count as [`Self::probe`].
+    pub fn note_miss(&mut self) {
+        self.tick += 1;
+        self.stats.misses += 1;
+    }
+
     /// Probes without updating LRU or statistics.
     pub fn peek(&self, line_addr: Addr, sectors: SectorMask) -> Probe {
         let set = self.set_index(line_addr);

@@ -7,16 +7,25 @@
 //! dominant class of metadata-cache misses (up to >90%), which makes
 //! MSHRs essential for metadata caches.
 //!
-//! The file is a flat slot array sized from the configured capacity (48
-//! for an L2 bank, 64 for an L1): hardware MSHR files are tiny, so a
-//! linear scan over a contiguous array beats a heap-allocated hash map on
-//! every axis the simulator's hot loop cares about — no hashing, no
-//! rehash allocation, and per-slot target vectors that keep their
-//! capacity across reuse. Fill progress is tracked in the entry itself
-//! (`filled` mask) instead of a side table, see [`MshrFile::note_fill`].
+//! Lookups go through a line → slot hash index, not a scan of the slot
+//! array. A 48- or 64-entry file looks tiny, but the metadata-cache files
+//! sit full for most of a secure run and are probed on every retry, so a
+//! linear scan paid for every key on every miss; and the idealized
+//! (`Perfect`/`Infinite`) metadata stores size their single file at 2^20
+//! entries. Slots are materialized lazily in index order and freed slots
+//! are handed out lowest-index first, so the slot layout (and with it the
+//! checkpoint bytes) is the one a first-free scan over a fully built array
+//! would give, while an unused 2^20-entry file costs nothing. Per-slot
+//! target vectors keep their capacity across reuse, and fill progress is
+//! tracked in the entry itself (`filled` mask), see
+//! [`MshrFile::note_fill`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
+use crate::hash::FastHashMap;
 use crate::types::{Addr, SectorMask};
 
 /// Outcome of presenting a miss to the MSHR file.
@@ -74,16 +83,29 @@ impl MshrStats {
     }
 }
 
-/// Key-array sentinel for a free slot. Line addresses are line-aligned,
-/// so `Addr::MAX` can never collide with a real key.
+/// Key sentinel for a free slot. Line addresses are line-aligned, so
+/// `Addr::MAX` can never collide with a real key.
 const FREE: Addr = Addr::MAX;
 
 #[derive(Debug)]
 struct Slot<T> {
+    /// The line this slot tracks, or [`FREE`].
+    key: Addr,
     requested: SectorMask,
     filled: SectorMask,
     /// Kept allocated across slot reuse (cleared, not dropped).
     targets: Vec<T>,
+}
+
+impl<T> Slot<T> {
+    /// A never-used slot: what every slot beyond the materialized prefix
+    /// of the file holds.
+    const PRISTINE: Self =
+        Slot { key: FREE, requested: SectorMask::EMPTY, filled: SectorMask::EMPTY, targets: Vec::new() };
+
+    fn is_pristine(&self) -> bool {
+        self.key == FREE && self.requested.is_empty() && self.filled.is_empty() && self.targets.is_empty()
+    }
 }
 
 /// An MSHR file with bounded entries and bounded merges per entry.
@@ -91,29 +113,34 @@ struct Slot<T> {
 /// `T` is the caller's target token (e.g. a warp reference or transaction
 /// id), returned when the fill completes.
 ///
-/// Line keys live in a dense parallel array (`keys`) so the hot-path
-/// lookup scans a few contiguous cache lines of `u64`s instead of
-/// striding over the fat slot structs.
+/// Slots are materialized lazily, lowest index first: `slots` holds the
+/// prefix of the file that has ever been allocated, and every slot at
+/// `slots.len()..capacity` is pristine and free. Freed slots below
+/// `slots.len()` wait in `free`, so allocation always takes the lowest
+/// free slot index — the same layout a first-free scan of a fully built
+/// array would produce.
 #[derive(Debug)]
 pub struct MshrFile<T> {
-    keys: Vec<Addr>,
     slots: Vec<Slot<T>>,
-    live: usize,
+    /// Line → slot of every live entry.
+    index: FastHashMap<Addr, usize>,
+    /// Free slot indices below `slots.len()`, lowest on top.
+    free: BinaryHeap<Reverse<usize>>,
+    capacity: usize,
     max_merge: usize,
     stats: MshrStats,
 }
 
 impl<T> MshrFile<T> {
     /// Creates a file with `capacity` entries, each merging at most
-    /// `max_merge` targets (including the primary one).
+    /// `max_merge` targets (including the primary one). Allocates
+    /// nothing: slots are materialized on first use.
     pub fn new(capacity: usize, max_merge: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| Slot { requested: SectorMask::EMPTY, filled: SectorMask::EMPTY, targets: Vec::new() })
-            .collect();
         Self {
-            keys: vec![FREE; capacity],
-            slots,
-            live: 0,
+            slots: Vec::new(),
+            index: FastHashMap::default(),
+            free: BinaryHeap::new(),
+            capacity,
             max_merge: max_merge.max(1),
             stats: MshrStats::default(),
         }
@@ -121,10 +148,30 @@ impl<T> MshrFile<T> {
 
     #[inline]
     fn find(&self, line_addr: Addr) -> Option<usize> {
-        if self.live == 0 {
+        if self.index.is_empty() {
             return None;
         }
-        self.keys.iter().position(|&k| k == line_addr)
+        self.index.get(&line_addr).copied()
+    }
+
+    /// The lowest free slot, materializing the next one when every
+    /// materialized slot is live. `None` when the file is full.
+    fn take_free_slot(&mut self) -> Option<usize> {
+        if let Some(Reverse(i)) = self.free.pop() {
+            return Some(i);
+        }
+        if self.slots.len() < self.capacity {
+            self.slots.push(Slot::PRISTINE);
+            return Some(self.slots.len() - 1);
+        }
+        None
+    }
+
+    /// Frees slot `i`, which tracks `line_addr`.
+    fn release(&mut self, i: usize, line_addr: Addr) {
+        self.slots[i].key = FREE;
+        self.index.remove(&line_addr);
+        self.free.push(Reverse(i));
     }
 
     /// Presents a missing access. See [`MshrOutcome`].
@@ -144,25 +191,27 @@ impl<T> MshrFile<T> {
                 slot.requested = slot.requested.union(missing);
                 MshrOutcome::MergedNewSectors(missing)
             }
-        } else if self.live < self.slots.len() {
-            let Some(i) = self.keys.iter().position(|&k| k == FREE) else {
-                debug_assert!(false, "live < capacity implies a FREE key slot");
-                self.stats.stalls += 1;
-                return MshrOutcome::Full(target);
-            };
-            self.keys[i] = line_addr;
+        } else if let Some(i) = self.take_free_slot() {
+            self.index.insert(line_addr, i);
             let slot = &mut self.slots[i];
+            slot.key = line_addr;
             slot.requested = sectors;
             slot.filled = SectorMask::EMPTY;
             slot.targets.clear();
             slot.targets.push(target);
-            self.live += 1;
             self.stats.primary += 1;
             MshrOutcome::Allocated
         } else {
             self.stats.stalls += 1;
             MshrOutcome::Full(target)
         }
+    }
+
+    /// Accounts an access the caller knows would return
+    /// [`MshrOutcome::Full`] (nothing has been filled or completed since it
+    /// last did) without looking the line up: the same stall count.
+    pub fn note_stall(&mut self) {
+        self.stats.stalls += 1;
     }
 
     /// True if the line has an in-flight entry.
@@ -185,7 +234,8 @@ impl<T> MshrFile<T> {
     /// partial progress in the entry itself. When the entry's entire
     /// requested mask has arrived, the entry is freed and its targets are
     /// drained into `targets_out` (appended; the caller's buffer is not
-    /// cleared). See [`FillOutcome`].
+    /// cleared, and the slot keeps its target capacity). See
+    /// [`FillOutcome`].
     pub fn note_fill(
         &mut self,
         line_addr: Addr,
@@ -197,9 +247,8 @@ impl<T> MshrFile<T> {
         slot.filled = slot.filled.union(sectors);
         if slot.filled.contains(slot.requested) {
             let requested = slot.requested;
-            self.keys[i] = FREE;
             targets_out.append(&mut slot.targets);
-            self.live -= 1;
+            self.release(i, line_addr);
             FillOutcome::Complete(requested)
         } else {
             FillOutcome::Partial
@@ -211,25 +260,24 @@ impl<T> MshrFile<T> {
     /// had no entry (e.g. a prefetch or a zero-capacity file).
     pub fn complete(&mut self, line_addr: Addr) -> Option<(SectorMask, Vec<T>)> {
         let i = self.find(line_addr)?;
-        self.keys[i] = FREE;
+        self.release(i, line_addr);
         let slot = &mut self.slots[i];
-        self.live -= 1;
         Some((slot.requested, std::mem::take(&mut slot.targets)))
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.live
+        self.index.len()
     }
 
     /// True if no entries are live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.index.is_empty()
     }
 
     /// True if no new entry can be allocated.
     pub fn is_full(&self) -> bool {
-        self.live >= self.slots.len()
+        self.index.len() >= self.capacity
     }
 
     /// Accumulated statistics.
@@ -245,46 +293,71 @@ impl<T> MshrFile<T> {
 
 impl<T: Snapshot> MshrFile<T> {
     /// Serializes the file **slot-by-slot, index-preserving**: allocation
-    /// scans the key array for the first free position, so the exact slot
-    /// layout (not just the set of live entries) determines future
-    /// allocation order and must survive a checkpoint byte-for-byte.
+    /// takes the lowest free slot, so the exact slot layout (not just the
+    /// set of live entries) determines future allocation order and must
+    /// survive a checkpoint byte-for-byte. All `capacity` slots are
+    /// written; the ones never materialized are written pristine.
     pub fn save_state(&self, w: &mut Writer) {
-        w.put_usize(self.keys.len());
-        for (key, slot) in self.keys.iter().zip(&self.slots) {
-            w.put_u64(*key);
+        fn put<T: Snapshot>(w: &mut Writer, slot: &Slot<T>) {
+            w.put_u64(slot.key);
             slot.requested.save(w);
             slot.filled.save(w);
             slot.targets.save(w);
+        }
+        w.put_usize(self.capacity);
+        for slot in &self.slots {
+            put(w, slot);
+        }
+        let pristine = Slot::<T>::PRISTINE;
+        for _ in self.slots.len()..self.capacity {
+            put(w, &pristine);
         }
         self.stats.save(w);
     }
 
     /// Restores state saved by [`MshrFile::save_state`] into a file
-    /// rebuilt with identical capacity.
+    /// rebuilt with identical capacity. Only the prefix up to the last
+    /// non-pristine slot is materialized.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Malformed`] on a capacity mismatch; any decode
-    /// error otherwise.
+    /// [`CheckpointError::Malformed`] on a capacity mismatch or a line
+    /// tracked by two slots; any decode error otherwise.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
         let capacity = r.get_usize()?;
-        if capacity != self.keys.len() {
+        if capacity != self.capacity {
             return Err(CheckpointError::Malformed(format!(
                 "MSHR capacity mismatch: checkpoint has {capacity} slots, file has {}",
-                self.keys.len()
+                self.capacity
             )));
         }
-        let mut live = 0;
-        for (key, slot) in self.keys.iter_mut().zip(&mut self.slots) {
-            *key = r.get_u64()?;
-            slot.requested = SectorMask::load(r)?;
-            slot.filled = SectorMask::load(r)?;
-            slot.targets = Vec::load(r)?;
-            if *key != FREE {
-                live += 1;
+        self.slots.clear();
+        self.index.clear();
+        self.free.clear();
+        for i in 0..capacity {
+            let slot = Slot {
+                key: r.get_u64()?,
+                requested: SectorMask::load(r)?,
+                filled: SectorMask::load(r)?,
+                targets: Vec::load(r)?,
+            };
+            if slot.is_pristine() {
+                continue;
             }
+            while self.slots.len() < i {
+                self.free.push(Reverse(self.slots.len()));
+                self.slots.push(Slot::PRISTINE);
+            }
+            if slot.key == FREE {
+                self.free.push(Reverse(i));
+            } else if self.index.insert(slot.key, i).is_some() {
+                return Err(CheckpointError::Malformed(format!(
+                    "MSHR line {:#x} is tracked by two slots",
+                    slot.key
+                )));
+            }
+            self.slots.push(slot);
         }
-        self.live = live;
         self.stats = MshrStats::load(r)?;
         Ok(())
     }
@@ -393,6 +466,227 @@ mod tests {
         assert_eq!(m.access(0x100, SectorMask(0b0011), 2), MshrOutcome::Allocated);
         assert_eq!(m.note_fill(0x100, SectorMask::single(0), &mut out), FillOutcome::Partial);
         assert!(out.is_empty());
+    }
+
+    /// The linear-scan MSHR file the indexed one replaced: a fully built
+    /// slot array searched key by key, kept as the behavioural oracle.
+    mod reference {
+        use super::super::{FillOutcome, MshrOutcome, MshrStats, FREE};
+        use crate::types::{Addr, SectorMask};
+        use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
+
+        struct Slot {
+            requested: SectorMask,
+            filled: SectorMask,
+            targets: Vec<u32>,
+        }
+
+        pub struct LinearMshrFile {
+            keys: Vec<Addr>,
+            slots: Vec<Slot>,
+            live: usize,
+            max_merge: usize,
+            stats: MshrStats,
+        }
+
+        impl LinearMshrFile {
+            pub fn new(capacity: usize, max_merge: usize) -> Self {
+                let slots = (0..capacity)
+                    .map(|_| Slot {
+                        requested: SectorMask::EMPTY,
+                        filled: SectorMask::EMPTY,
+                        targets: Vec::new(),
+                    })
+                    .collect();
+                Self {
+                    keys: vec![FREE; capacity],
+                    slots,
+                    live: 0,
+                    max_merge: max_merge.max(1),
+                    stats: MshrStats::default(),
+                }
+            }
+
+            fn find(&self, line_addr: Addr) -> Option<usize> {
+                self.keys.iter().position(|&k| k == line_addr)
+            }
+
+            pub fn access(&mut self, line_addr: Addr, sectors: SectorMask, target: u32) -> MshrOutcome<u32> {
+                if let Some(i) = self.find(line_addr) {
+                    let slot = &mut self.slots[i];
+                    if slot.targets.len() >= self.max_merge {
+                        self.stats.stalls += 1;
+                        return MshrOutcome::Full(target);
+                    }
+                    slot.targets.push(target);
+                    self.stats.secondary += 1;
+                    let missing = sectors.minus(slot.requested);
+                    if missing.is_empty() {
+                        MshrOutcome::Merged
+                    } else {
+                        slot.requested = slot.requested.union(missing);
+                        MshrOutcome::MergedNewSectors(missing)
+                    }
+                } else if let Some(i) = self.keys.iter().position(|&k| k == FREE) {
+                    self.keys[i] = line_addr;
+                    let slot = &mut self.slots[i];
+                    slot.requested = sectors;
+                    slot.filled = SectorMask::EMPTY;
+                    slot.targets.clear();
+                    slot.targets.push(target);
+                    self.live += 1;
+                    self.stats.primary += 1;
+                    MshrOutcome::Allocated
+                } else {
+                    self.stats.stalls += 1;
+                    MshrOutcome::Full(target)
+                }
+            }
+
+            pub fn note_fill(
+                &mut self,
+                line_addr: Addr,
+                sectors: SectorMask,
+                out: &mut Vec<u32>,
+            ) -> FillOutcome {
+                let Some(i) = self.find(line_addr) else { return FillOutcome::Untracked };
+                let slot = &mut self.slots[i];
+                slot.filled = slot.filled.union(sectors);
+                if slot.filled.contains(slot.requested) {
+                    self.keys[i] = FREE;
+                    out.append(&mut slot.targets);
+                    self.live -= 1;
+                    FillOutcome::Complete(slot.requested)
+                } else {
+                    FillOutcome::Partial
+                }
+            }
+
+            pub fn complete(&mut self, line_addr: Addr) -> Option<(SectorMask, Vec<u32>)> {
+                let i = self.find(line_addr)?;
+                self.keys[i] = FREE;
+                self.live -= 1;
+                let slot = &mut self.slots[i];
+                Some((slot.requested, std::mem::take(&mut slot.targets)))
+            }
+
+            pub fn len(&self) -> usize {
+                self.live
+            }
+
+            pub fn stats(&self) -> MshrStats {
+                self.stats
+            }
+
+            pub fn save_state(&self, w: &mut Writer) {
+                w.put_usize(self.keys.len());
+                for (key, slot) in self.keys.iter().zip(&self.slots) {
+                    w.put_u64(*key);
+                    slot.requested.save(w);
+                    slot.filled.save(w);
+                    slot.targets.save(w);
+                }
+                self.stats.save(w);
+            }
+
+            pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+                assert_eq!(r.get_usize()?, self.keys.len());
+                self.live = 0;
+                for (key, slot) in self.keys.iter_mut().zip(&mut self.slots) {
+                    *key = r.get_u64()?;
+                    slot.requested = SectorMask::load(r)?;
+                    slot.filled = SectorMask::load(r)?;
+                    slot.targets = Vec::load(r)?;
+                    self.live += usize::from(*key != FREE);
+                }
+                self.stats = MshrStats::load(r)?;
+                Ok(())
+            }
+        }
+    }
+
+    fn state_bytes<T: Snapshot>(m: &MshrFile<T>) -> Vec<u8> {
+        let mut w = Writer::new();
+        m.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Drives the indexed file and the linear-scan reference with the same
+    /// seeded op sequence and demands identical outcomes, drained targets
+    /// and checkpoint bytes after every op.
+    #[test]
+    fn indexed_file_matches_the_linear_scan_reference() {
+        use crate::rng::Rng64;
+        use reference::LinearMshrFile;
+        // (capacity, distinct lines, ops, merge limits): the 2^20 file is
+        // the idealized metadata store's; it never fills, and every save
+        // writes 2^20 slots, so it gets one short run.
+        let cases: [(usize, u64, usize, &[usize]); 4] = [
+            (1, 3, 3000, &[1, 3, 8]),
+            (48, 64, 3000, &[1, 3, 8]),
+            (64, 96, 3000, &[1, 3, 8]),
+            (1 << 20, 48, 60, &[3]),
+        ];
+        for (case, &(capacity, lines, ops, merges)) in cases.iter().enumerate() {
+            for &max_merge in merges {
+                let seed = 0x5EED_0000 + (case as u64) * 16 + max_merge as u64;
+                let mut rng = Rng64::new(seed);
+                let mut fast: MshrFile<u32> = MshrFile::new(capacity, max_merge);
+                let mut slow = LinearMshrFile::new(capacity, max_merge);
+                let (mut out_fast, mut out_slow) = (Vec::new(), Vec::new());
+                for op in 0..ops {
+                    let ctx = format!("capacity {capacity} merge {max_merge} seed {seed:#x} op {op}");
+                    let line = rng.gen_range(lines) * 128;
+                    let sectors = SectorMask(rng.gen_range(16) as u8);
+                    match rng.gen_range(20) {
+                        0..=10 => {
+                            let t = op as u32;
+                            assert_eq!(fast.access(line, sectors, t), slow.access(line, sectors, t), "{ctx}");
+                        }
+                        11..=16 => {
+                            let got = fast.note_fill(line, sectors, &mut out_fast);
+                            assert_eq!(got, slow.note_fill(line, sectors, &mut out_slow), "{ctx}");
+                            assert_eq!(out_fast, out_slow, "{ctx}");
+                        }
+                        17..=18 => assert_eq!(fast.complete(line), slow.complete(line), "{ctx}"),
+                        _ => {
+                            let bytes = state_bytes(&fast);
+                            fast = MshrFile::new(capacity, max_merge);
+                            slow = LinearMshrFile::new(capacity, max_merge);
+                            fast.restore_state(&mut Reader::new(&bytes)).expect("restore indexed");
+                            slow.restore_state(&mut Reader::new(&bytes)).expect("restore reference");
+                        }
+                    }
+                    assert_eq!(fast.len(), slow.len(), "{ctx}");
+                    assert_eq!(fast.is_full(), slow.len() >= capacity, "{ctx}");
+                    assert_eq!(fast.stats(), slow.stats(), "{ctx}");
+                    let mut w = Writer::new();
+                    slow.save_state(&mut w);
+                    assert!(state_bytes(&fast) == w.into_bytes(), "checkpoint bytes diverged: {ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_file_allocates_nothing_until_used() {
+        let mut m: MshrFile<u32> = MshrFile::new(1 << 20, 4);
+        assert_eq!(m.slots.capacity(), 0);
+        assert_eq!(m.access(0x80, FULL_SECTOR_MASK, 1), MshrOutcome::Allocated);
+        assert_eq!(m.slots.len(), 1, "one slot materialized per live entry");
+    }
+
+    #[test]
+    fn restore_rejects_a_line_tracked_twice() {
+        let mut m: MshrFile<u32> = MshrFile::new(2, 4);
+        let _ = m.access(0x80, FULL_SECTOR_MASK, 1);
+        let _ = m.access(0x100, FULL_SECTOR_MASK, 2);
+        let mut bytes = state_bytes(&m);
+        // Make slot 1 claim slot 0's line.
+        let slot1_key = bytes.windows(8).rposition(|w| w == 0x100u64.to_le_bytes()).expect("slot 1 key");
+        bytes[slot1_key..slot1_key + 8].copy_from_slice(&0x80u64.to_le_bytes());
+        let mut fresh: MshrFile<u32> = MshrFile::new(2, 4);
+        assert!(matches!(fresh.restore_state(&mut Reader::new(&bytes)), Err(CheckpointError::Malformed(_))));
     }
 
     #[test]
