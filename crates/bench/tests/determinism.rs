@@ -12,10 +12,11 @@ use secmem_bench::json::report_to_json;
 use secmem_bench::sweep::{report_fingerprint, SweepSpec};
 use secmem_bench::{run_job, BackendChoice, Job};
 use secmem_core::{SecureMemConfig, SecurityScheme};
-use secmem_gpusim::config::GpuConfig;
+use secmem_gpusim::config::{GpuConfig, SchedulerPolicy};
 use secmem_gpusim::kernel::Kernel;
+use secmem_telemetry::json::{self, Json};
 use secmem_telemetry::TelemetryConfig;
-use secmem_workloads::suite;
+use secmem_workloads::{suite, SyntheticKernel};
 
 const ALL_SCHEMES: [SecurityScheme; 7] = [
     SecurityScheme::Baseline,
@@ -133,6 +134,77 @@ fn pinned_matrix_matches_the_committed_fingerprints() {
             report_fingerprint(&report),
             expected,
             "{bench}/{scheme}: report diverges from the committed fingerprint\n{report:?}"
+        );
+    }
+}
+
+/// `BENCH_simperf.json` is the oracle the out-of-tree benchmark checks
+/// its cells against; [`PINNED_60K`] is the one tier-1 checks. The two
+/// copies must agree cell for cell, in the same order.
+#[test]
+fn committed_simperf_file_carries_the_pinned_fingerprints() {
+    let doc = json::parse(include_str!("../../../BENCH_simperf.json")).expect("BENCH_simperf.json parses");
+    assert_eq!(doc.get("cycles_per_run").and_then(Json::as_u64), Some(60_000));
+    let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
+    let committed: Vec<(&str, &str, u64)> = runs
+        .iter()
+        .map(|r| {
+            let field = |k: &str| r.get(k).and_then(Json::as_str).expect("string field");
+            let fp = u64::from_str_radix(field("report_fp"), 16).expect("hex report_fp");
+            (field("bench"), field("scheme"), fp)
+        })
+        .collect();
+    assert_eq!(committed, PINNED_60K);
+}
+
+fn pinned_job(kernel: SyntheticKernel, gpu: GpuConfig, scheme: SecurityScheme) -> Job {
+    Job { cycles: 60_000, kernel, gpu, label: scheme.label().to_string(), ..job_for(scheme, 0, false) }
+}
+
+/// 60 000-cycle fingerprints of the loose-round-robin scheduler (the
+/// `ablation-scheduler` path); every cell of [`PINNED_60K`] uses GTO.
+const PINNED_LRR_60K: [(&str, SecurityScheme, u64); 4] = [
+    ("b+tree", SecurityScheme::Baseline, 0xf8a7_b304_5a2c_cf74),
+    ("b+tree", SecurityScheme::CtrMacBmt, 0xa143_3892_cdbd_71b7),
+    ("fdtd2d", SecurityScheme::Baseline, 0xe4a9_b0ae_702e_e9c1),
+    ("fdtd2d", SecurityScheme::CtrMacBmt, 0x861c_5dca_d720_4695),
+];
+
+#[test]
+fn lrr_scheduler_matches_the_committed_fingerprints() {
+    let gpu = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..GpuConfig::small() };
+    for &(bench, scheme, expected) in &PINNED_LRR_60K {
+        let kernel = suite::by_name(bench).expect("suite workload");
+        let report = run_job(&pinned_job(kernel, gpu.clone(), scheme)).report;
+        assert_eq!(
+            report_fingerprint(&report),
+            expected,
+            "{bench}/{} (LRR): report diverges from the committed fingerprint\n{report:?}",
+            scheme.label()
+        );
+    }
+}
+
+/// 60 000-cycle fingerprints of `b+tree` with 96 resident warps per SM
+/// (`max_warps_per_sm` raised to match), under both schedulers: the
+/// suite never exceeds 64 warps per SM, so only these cells run an SM
+/// whose per-warp bookkeeping spans more than one 64-bit word.
+const PINNED_WIDE_60K: [(SchedulerPolicy, u64); 2] =
+    [(SchedulerPolicy::Gto, 0xd19e_630d_23d6_c80d), (SchedulerPolicy::Lrr, 0xb5e3_5b6d_ec15_db0b)];
+
+#[test]
+fn wide_sm_matches_the_committed_fingerprints() {
+    let mut spec = suite::by_name("b+tree").expect("suite workload").spec().clone();
+    spec.warps_per_sm = 96;
+    for &(scheduler, expected) in &PINNED_WIDE_60K {
+        let gpu = GpuConfig { scheduler, max_warps_per_sm: 96, ..GpuConfig::small() };
+        let kernel = SyntheticKernel::new(spec.clone(), suite::DEFAULT_SEED);
+        let report = run_job(&pinned_job(kernel, gpu, SecurityScheme::Baseline)).report;
+        assert_eq!(report.warps, 96 * u64::from(GpuConfig::small().num_sms), "every SM holds 96 warps");
+        assert_eq!(
+            report_fingerprint(&report),
+            expected,
+            "b+tree x96/{scheduler:?}: report diverges from the committed fingerprint\n{report:?}"
         );
     }
 }
