@@ -250,6 +250,7 @@ impl Default for Policy {
                 "step",
                 "advance_idle",
                 "issue",
+                "pick_warp",
                 "issuable",
                 "access",
                 "complete",
