@@ -160,6 +160,10 @@ pub fn seed_inputs(corpus: Corpus) -> Vec<Vec<u8>> {
         Corpus::Trace => vec![
             b"# gpu-secure-memory trace v1\nwarp 0 0\nA 3\nL 1 100:f 180:3\nS 200:1\nX\n".to_vec(),
             b"# gpu-secure-memory trace v1\nwarp 1 2\nU 7\nL 0 1000:f\nX\nwarp 1 3\nX\n".to_vec(),
+            // Zeros, multi-digit indices and the top line address: the
+            // mutator turns these into the leading-zero, signed and
+            // unaligned spellings the parser must reject.
+            b"# gpu-secure-memory trace v1\nwarp 0 10\nA 0\nL 0 0:1 ffffffffffffff80:8\nS 80:f\nX\n".to_vec(),
         ],
         Corpus::BinTrace => {
             // The text exemplars re-encoded as SECMTRC, so mutation
@@ -411,11 +415,16 @@ mod tests {
         // Trace: u32 overflow in the warp directive.
         let t = "# gpu-secure-memory trace v1\nwarp 99999999999999999999 0\nX\n";
         assert!(Trace::from_text(t).is_err());
-        // Trace: address at the top of the u64 range (line-align math
-        // must not overflow).
-        let t = "# gpu-secure-memory trace v1\nwarp 0 0\nL 1 ffffffffffffffff:f\nX\n";
-        let _ = Trace::from_text(t); // accepted or typed error, never a panic
-                                     // Baseline: count too large for usize.
+        // Trace: numbers in a spelling the serializer never writes, and
+        // an address that is not line aligned (the top of the u64 range
+        // included), are typed errors at their line, not normalized.
+        for bad in ["A +1", "A 01", "L 1 ffffffffffffffff:f", "S 1a81:3", "L 0 080:f"] {
+            let t = format!("# gpu-secure-memory trace v1\nwarp 0 0\n{bad}\nX\n");
+            assert_eq!(Trace::from_text(&t).expect_err(bad).line, 3, "{bad}");
+        }
+        let t = "# gpu-secure-memory trace v1\nwarp 0 07\nX\n";
+        assert_eq!(Trace::from_text(t).expect_err("leading zero").line, 2);
+        // Baseline: count too large for usize.
         let b = "[[baseline]]\nfile = \"a\"\nlint = \"x\"\ncount = 99999999999999999999\n";
         assert!(Baseline::parse(b).is_err());
         // JSON: deep nesting is a typed rejection, not a stack overflow.
