@@ -4,10 +4,12 @@
 //! Runs a pinned workload × scheme matrix (fixed [`DEFAULT_SEED`], fixed
 //! GPU config, fixed cycle budgets) single-threaded, so numbers are
 //! comparable run-to-run and PR-to-PR, and writes `BENCH_simperf.json`.
-//! Each run also carries an FNV-1a fingerprint of the full `SimReport`
-//! debug rendering: two builds that claim to simulate the same thing must
-//! produce identical fingerprints, which is how the determinism invariant
-//! of the ISSUE 3 performance overhaul is checked across code changes.
+//! Each run records the simulated work behind its wall time (warp
+//! instructions and L2 sector accesses) and an FNV-1a fingerprint of the
+//! full `SimReport` debug rendering: two builds that claim to simulate
+//! the same thing must produce identical fingerprints, which is how the
+//! determinism invariant of the ISSUE 3 performance overhaul is checked
+//! across code changes.
 //!
 //! A second section benchmarks trace ingestion: a pinned
 //! workload is recorded once, written in both on-disk formats (text v1
@@ -71,6 +73,10 @@ struct RunRow {
     wall_ms: f64,
     cycles_per_sec: f64,
     report_fp: u64,
+    /// Simulated work behind the wall time: warp instructions issued and
+    /// L2 sector accesses. Host time follows these more than cycles.
+    warp_insts: u64,
+    l2_accesses: u64,
 }
 
 /// One trace-ingestion measurement: a format's on-disk footprint, how
@@ -234,6 +240,8 @@ fn main() {
                 wall_ms,
                 cycles_per_sec,
                 report_fp,
+                warp_insts: result.report.warp_instructions,
+                l2_accesses: result.report.l2.accesses(),
             });
         }
     }
@@ -283,8 +291,8 @@ fn to_json(
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}, \"report_fp\": \"{:016x}\"}}",
-            r.bench, r.scheme, r.sim_cycles, r.wall_ms, r.cycles_per_sec, r.report_fp
+            "    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}, \"report_fp\": \"{:016x}\", \"warp_insts\": {}, \"l2_accesses\": {}}}",
+            r.bench, r.scheme, r.sim_cycles, r.wall_ms, r.cycles_per_sec, r.report_fp, r.warp_insts, r.l2_accesses
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
