@@ -30,9 +30,9 @@ fn job(bench: &str, backend: BackendChoice) -> Job {
 }
 
 fn bench(name: &str, j: &Job) {
-    run_job(j); // warm-up
+    run_job(j, None); // warm-up
     let total = time_iters(ITERS, || {
-        black_box(run_job(black_box(j)));
+        black_box(run_job(black_box(j), None));
     });
     let elapsed = total.as_secs_f64() / ITERS as f64;
     let kcps = CYCLES as f64 / elapsed / 1e3;

@@ -221,7 +221,7 @@ fn main() {
                 telemetry_out: None,
             };
             let watch = Stopwatch::start();
-            let result = run_job(&job);
+            let result = run_job(&job, None);
             let wall = watch.elapsed();
             let wall_ms = wall.as_secs_f64() * 1e3;
             let sim_cycles = result.report.cycles;

@@ -20,12 +20,17 @@
 //!
 //! `--small` swaps in the scaled-down 8-SM / 4-partition GPU (for smoke
 //! tests); results are then *not* comparable to the paper.
+//!
+//! Every experiment runs on one [`Runner`], so a job an earlier
+//! experiment already ran (the baselines, `secureMem`) is answered from
+//! its result cache instead of being simulated again. An experiment
+//! with a failed job prints no table, and `reproduce` exits 1.
 
 use secmem_bench::timing::Stopwatch;
 use std::path::PathBuf;
 
-use secmem_bench::experiments::{self, Baselines, ExpOpts};
-use secmem_bench::table::ExpTable;
+use secmem_bench::experiments::{self, ExpOpts, ExpResult};
+use secmem_bench::Runner;
 use secmem_gpusim::config::GpuConfig;
 use secmem_telemetry::TelemetryConfig;
 
@@ -138,59 +143,44 @@ const EXTENSIONS: [&str; 6] = [
     "ml-suite",
 ];
 
-fn needs_baselines(exp: &str) -> bool {
-    matches!(
-        exp,
-        "table4"
-            | "fig3"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "fig12"
-            | "fig14"
-            | "fig15"
-            | "fig16"
-            | "fig17"
-            | "ablation-replacement"
-            | "ablation-verification"
-            | "selective-encryption"
-    )
-}
+/// An experiment: every one takes the same options and job runner.
+type Experiment = fn(&ExpOpts, &Runner) -> ExpResult;
 
-fn run_experiment(exp: &str, opts: &ExpOpts, baselines: Option<&Baselines>) -> Result<ExpTable, String> {
-    let b = || baselines.expect("baselines precomputed");
-    Ok(match exp {
-        "table1" => experiments::table1(opts),
-        "table2" => experiments::table2(opts),
-        "table3" => experiments::table3(opts),
-        "table4" => experiments::table4(opts, b()),
-        "fig3" => experiments::fig3(opts, b()),
-        "fig4" => experiments::fig4(opts),
-        "fig5" => experiments::fig5(opts),
-        "fig6" => experiments::fig6(opts, b()),
-        "fig7" => experiments::fig7(opts, b()),
-        "fig8" => experiments::fig8(opts, b()),
-        "fig9" => experiments::fig9(opts),
-        "fig10" => experiments::fig10_11(opts, 0),
-        "fig11" => experiments::fig10_11(opts, 1),
-        "fig12" => experiments::fig12(opts, b()),
-        "table6" => experiments::table6(opts),
-        "table7" => experiments::table7(opts),
-        "area-displacement" => experiments::area_displacement(opts),
-        "fig13" => experiments::fig13(opts),
-        "fig14" => experiments::fig14(opts, b()),
-        "fig15" => experiments::fig15(opts, b()),
-        "fig16" => experiments::fig16(opts, b()),
-        "fig17" => experiments::fig17(opts, b()),
-        "ablation-replacement" => experiments::ablation_replacement(opts, b()),
-        "ablation-verification" => experiments::ablation_verification(opts, b()),
-        "ablation-scheduler" => experiments::ablation_scheduler(opts),
-        "ablation-dram" => experiments::ablation_dram(opts),
-        "selective-encryption" => experiments::selective_encryption(opts, b()),
-        "ml-suite" => experiments::ml_suite(opts),
-        "matrix" => experiments::matrix(opts),
-        other => return Err(format!("unknown experiment: {other}")),
-    })
+fn experiment(name: &str) -> Option<Experiment> {
+    use experiments::*;
+    let exp: Experiment = match name {
+        "table1" => table1,
+        "table2" => table2,
+        "table3" => table3,
+        "table4" => table4,
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig6" => fig6,
+        "fig7" => fig7,
+        "fig8" => fig8,
+        "fig9" => fig9,
+        "fig10" => fig10,
+        "fig11" => fig11,
+        "fig12" => fig12,
+        "table6" => table6,
+        "table7" => table7,
+        "area-displacement" => area_displacement,
+        "fig13" => fig13,
+        "fig14" => fig14,
+        "fig15" => fig15,
+        "fig16" => fig16,
+        "fig17" => fig17,
+        "ablation-replacement" => ablation_replacement,
+        "ablation-verification" => ablation_verification,
+        "ablation-scheduler" => ablation_scheduler,
+        "ablation-dram" => ablation_dram,
+        "selective-encryption" => selective_encryption,
+        "ml-suite" => ml_suite,
+        "matrix" => matrix,
+        _ => return None,
+    };
+    Some(exp)
 }
 
 /// Applies `--resume`: experiments whose CSV already exists *and passes
@@ -297,20 +287,16 @@ fn main() {
         }
     }
 
-    let baselines = if todo.iter().any(|e| needs_baselines(e)) {
-        eprintln!("[reproduce] computing baselines ({} cycles/run)...", args.opts.cycles);
-        let t = Stopwatch::start();
-        let b = Baselines::compute(&args.opts);
-        eprintln!("[reproduce] baselines done in {:.1}s", t.elapsed_secs());
-        Some(b)
-    } else {
-        None
-    };
-
+    let runner = Runner::new(args.opts.threads, 0);
     let mut failed = false;
     for exp in &todo {
         let t = Stopwatch::start();
-        match run_experiment(exp, &args.opts, baselines.as_ref()) {
+        let Some(run) = experiment(exp) else {
+            eprintln!("[reproduce] {exp}: unknown experiment");
+            failed = true;
+            continue;
+        };
+        match run(&args.opts, &runner) {
             Ok(table) => {
                 println!("{}", table.render());
                 eprintln!("[reproduce] {exp} done in {:.1}s", t.elapsed_secs());
@@ -335,6 +321,13 @@ fn main() {
             }
         }
     }
+    let stats = runner.stats();
+    eprintln!(
+        "[reproduce] runner: {} jobs, {} simulations, {} memo hits",
+        stats.hits + stats.misses,
+        stats.misses,
+        stats.hits
+    );
     if failed {
         std::process::exit(1);
     }

@@ -309,7 +309,7 @@ fn main() {
             }
         }
     } else {
-        run_job(&job)
+        run_job(&job, None)
     };
     let r = &result.report;
     if let (Some(path), Some(snap)) = (&o.trace_out, &result.telemetry) {

@@ -12,19 +12,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod experiments;
 pub mod fuzz;
 pub mod json;
 pub mod plot;
+pub mod queue;
 pub mod runner;
 pub mod sweep;
 pub mod table;
 pub mod timing;
 
-pub use experiments::{Baselines, ExpOpts};
+pub use cache::{CacheRole, CacheStats, ResultCache};
+pub use experiments::{ExpOpts, JobsFailed};
+pub use queue::WorkPool;
 pub use runner::{
-    run_job, run_job_cached, run_job_isolated, run_jobs, run_jobs_with_failures, BackendChoice, Job,
-    JobFailure, RunResult, WarmCache,
+    run_job, run_job_isolated, BackendChoice, Job, JobFailure, JobOutcome, RunResult, Runner, WarmCache,
 };
 pub use sweep::{job_fingerprint, report_fingerprint, GpuPreset, SweepError, SweepSpec};
 pub use table::ExpTable;

@@ -1,9 +1,12 @@
-//! Simulation runner: executes (benchmark, configuration) pairs, in
-//! parallel across OS threads, and returns the reports.
+//! The job runner: [`run_job`] turns one [`Job`] into a [`RunResult`],
+//! and a [`Runner`] answers batches and streams of jobs on one worker
+//! pool through one fingerprint-keyed result cache. `reproduce`,
+//! [`crate::SweepSpec::run`] and the `secmem-serve` sweep server all run
+//! their jobs through a [`Runner`].
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use secmem_checkpoint::{fnv1a, Frame};
 use secmem_core::{SecureBackend, SecureMemConfig};
@@ -14,6 +17,10 @@ use secmem_gpusim::sim::Simulator;
 use secmem_gpusim::stats::SimReport;
 use secmem_telemetry::{chrome, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use secmem_workloads::SyntheticKernel;
+
+use crate::cache::{CacheRole, CacheStats, ResultCache};
+use crate::queue::WorkPool;
+use crate::sweep::job_fingerprint;
 
 /// Which memory backend to install.
 #[derive(Debug, Clone)]
@@ -42,7 +49,7 @@ pub struct RunResult {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
-/// One job for the parallel runner.
+/// One simulation: a benchmark under a GPU and backend configuration.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Benchmark to run.
@@ -64,45 +71,48 @@ pub struct Job {
     pub telemetry_out: Option<PathBuf>,
 }
 
-/// Runs a single job.
-pub fn run_job(job: &Job) -> RunResult {
+/// Runs one job on the calling thread. This is the only place a
+/// [`Job`] becomes a [`Simulator`].
+///
+/// With a `warm` cache, a job with warmup forks its warmup from a
+/// snapshot when another job with an identical (kernel, GPU, backend,
+/// warmup) prefix has already warmed a simulator. Jobs with telemetry
+/// always warm from scratch: sample-window boundaries shift across a
+/// restore, so only an unforked run keeps their traces identical.
+pub fn run_job(job: &Job, warm: Option<&WarmCache>) -> RunResult {
     use secmem_gpusim::kernel::Kernel;
-    let bench = job.kernel.name().to_string();
-    let telemetry = match &job.telemetry {
-        Some(cfg) => Telemetry::enabled(cfg.clone()),
-        None => Telemetry::disabled(),
-    };
-    match &job.backend {
+    let (report, reuse, telemetry) = match &job.backend {
         BackendChoice::Baseline => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_telemetry(telemetry);
-            let report = if job.warmup > 0 {
-                sim.run_with_warmup(job.warmup, job.cycles)
-            } else {
-                sim.run(job.cycles)
-            };
-            let telemetry = sim.telemetry_snapshot();
-            RunResult { bench, label: job.label.clone(), report, reuse: None, telemetry }
+            let report = measure(&mut sim, job, warm);
+            (report, None, sim.telemetry_snapshot())
         }
         BackendChoice::Secure(cfg) => {
-            let cfg = cfg.clone();
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_telemetry(telemetry);
-            let report = if job.warmup > 0 {
-                sim.run_with_warmup(job.warmup, job.cycles)
-            } else {
-                sim.run(job.cycles)
-            };
+            let report = measure(&mut sim, job, warm);
             let reuse = sim
                 .partition(0)
                 .backend()
                 .reuse_profilers()
                 .map(|p| [p[0].histogram(), p[1].histogram(), p[2].histogram()]);
-            let telemetry = sim.telemetry_snapshot();
-            RunResult { bench, label: job.label.clone(), report, reuse, telemetry }
+            (report, reuse, sim.telemetry_snapshot())
         }
+    };
+    RunResult { bench: job.kernel.name().to_string(), label: job.label.clone(), report, reuse, telemetry }
+}
+
+/// Runs `job`'s warmup and measured window on a freshly built `sim`.
+fn measure<B: MemoryBackend>(sim: &mut Simulator<B>, job: &Job, warm: Option<&WarmCache>) -> SimReport {
+    if let Some(cfg) = &job.telemetry {
+        sim.set_telemetry(Telemetry::enabled(cfg.clone()));
+    }
+    match warm {
+        // `run_with_warmup(0, ..)` would still emit a warmup phase event.
+        _ if job.warmup == 0 => sim.run(job.cycles),
+        Some(cache) if job.telemetry.is_none() => warmed_report(sim, job, cache),
+        _ => sim.run_with_warmup(job.warmup, job.cycles),
     }
 }
 
@@ -182,42 +192,6 @@ fn warmed_report<B: MemoryBackend>(sim: &mut Simulator<B>, job: &Job, cache: &Wa
     report
 }
 
-/// Runs a single job, forking its warmup from `cache` when another job
-/// with an identical (kernel, GPU, backend, warmup) prefix has already
-/// warmed a simulator.
-///
-/// Falls back to [`run_job`] for jobs without warmup (nothing to
-/// share) or with telemetry enabled (sample-window boundaries shift
-/// across a restore, so telemetry runs always warm from scratch to
-/// keep their traces identical to unforked runs).
-pub fn run_job_cached(job: &Job, cache: &WarmCache) -> RunResult {
-    use secmem_gpusim::kernel::Kernel;
-    if job.warmup == 0 || job.telemetry.is_some() {
-        return run_job(job);
-    }
-    let bench = job.kernel.name().to_string();
-    match &job.backend {
-        BackendChoice::Baseline => {
-            let mut sim =
-                Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            let report = warmed_report(&mut sim, job, cache);
-            RunResult { bench, label: job.label.clone(), report, reuse: None, telemetry: None }
-        }
-        BackendChoice::Secure(cfg) => {
-            let cfg = cfg.clone();
-            let mut sim =
-                Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            let report = warmed_report(&mut sim, job, cache);
-            let reuse = sim
-                .partition(0)
-                .backend()
-                .reuse_profilers()
-                .map(|p| [p[0].histogram(), p[1].histogram(), p[2].histogram()]);
-            RunResult { bench, label: job.label.clone(), report, reuse, telemetry: None }
-        }
-    }
-}
-
 /// A job that panicked (twice — each job gets one retry before it is
 /// declared failed).
 #[derive(Debug, Clone)]
@@ -257,18 +231,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// and a second panic becomes a [`JobFailure`] instead of tearing down
 /// the whole sweep.
 ///
-/// This is the job-execution core shared by the batch sweep runner
-/// ([`run_jobs_with_failures`]) and the `secmem-serve` sweep server:
-/// both schedule jobs however they like and funnel each one through
-/// here, so panic isolation, the retry policy and warm-checkpoint
-/// forking behave identically whether a spec runs as a batch or is
-/// submitted over HTTP.
+/// Every job a [`Runner`] simulates goes through here, so panic
+/// isolation, the retry policy and warm-checkpoint forking behave
+/// identically whether a job comes from `reproduce`, a batch sweep or
+/// the `secmem-serve` sweep server.
 pub fn run_job_isolated(job: &Job, cache: &WarmCache) -> Result<RunResult, JobFailure> {
     use secmem_gpusim::kernel::Kernel;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut last = None;
     for _attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| run_job_cached(job, cache))) {
+        match catch_unwind(AssertUnwindSafe(|| run_job(job, Some(cache)))) {
             Ok(result) => return Ok(result),
             Err(payload) => last = Some(panic_message(payload.as_ref())),
         }
@@ -281,82 +253,147 @@ pub fn run_job_isolated(job: &Job, cache: &WarmCache) -> Result<RunResult, JobFa
     })
 }
 
-/// Runs all jobs, using up to `threads` worker threads (0 = all cores).
+/// The answer to one job: its result, or why it has none.
+pub type JobOutcome = Result<Arc<RunResult>, JobFailure>;
+
+/// The one job runner: a FIFO [`WorkPool`] of simulation workers, a
+/// single-flight [`ResultCache`] keyed by [`job_fingerprint`], and the
+/// [`WarmCache`] its simulations fork warmups from.
 ///
-/// Successful results come back in job order; jobs whose simulation
-/// panicked (even after one retry) are reported separately so a single
-/// bad configuration cannot take down an entire sweep.
-pub fn run_jobs_with_failures(jobs: Vec<Job>, threads: usize) -> (Vec<RunResult>, Vec<JobFailure>) {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        threads
-    };
-    let n = jobs.len();
-    // Never spawn more workers than there are jobs: each extra thread
-    // would only take the scheduler lock, observe the queue drained,
-    // and exit — pure startup cost on small sweeps.
-    let threads = threads.min(n);
-    let mut slots: Vec<Option<Result<RunResult, JobFailure>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let next = Mutex::new(0usize);
-    let slots = Mutex::new(slots);
-    // Jobs sharing a (kernel, GPU, backend, warmup) prefix fork their
-    // warmup from one snapshot instead of re-simulating it.
-    let cache = WarmCache::new();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = {
-                    let mut guard = next.lock().expect("scheduler lock");
-                    if *guard >= n {
-                        return;
-                    }
-                    let i = *guard;
-                    *guard += 1;
-                    i
-                };
-                let outcome = run_job_isolated(&jobs[index], &cache);
-                slots.lock().expect("results lock")[index] = Some(outcome);
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for (index, slot) in slots.into_inner().expect("all workers joined").into_iter().enumerate() {
-        match slot.expect("every job was attempted") {
-            Ok(r) => {
-                // Trace files are written here, after the scoped join:
-                // only this thread touches the filesystem, so jobs with
-                // overlapping output paths cannot interleave writes.
-                if let (Some(path), Some(snap)) = (&jobs[index].telemetry_out, &r.telemetry) {
-                    if let Err(err) = std::fs::write(path, chrome::chrome_trace(snap)) {
-                        eprintln!("[runner] failed to write trace {}: {err}", path.display());
-                    }
-                }
-                results.push(r);
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    (results, failures)
+/// A job whose fingerprint the runner has already simulated is answered
+/// from the cache, relabelled with the requesting job's label; since a
+/// fingerprint covers everything that shapes a result, the answer is
+/// byte-identical to a fresh run. The cache lives exactly as long as the
+/// runner — one `reproduce` process, one [`crate::SweepSpec::run`] call,
+/// one `secmem-serve` server — so separate runners never share results.
+pub struct Runner {
+    pool: WorkPool,
+    memo: Arc<Memo>,
 }
 
-/// Runs all jobs, using up to `threads` worker threads (0 = all cores).
-/// Results come back in job order.
-///
-/// Panicking jobs are dropped from the result set after a failure
-/// summary is printed to stderr; callers that need the failure list
-/// programmatically should use [`run_jobs_with_failures`].
-pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Vec<RunResult> {
-    let (results, failures) = run_jobs_with_failures(jobs, threads);
-    if !failures.is_empty() {
-        eprintln!("[runner] {} job(s) failed after retry:", failures.len());
-        for f in &failures {
-            eprintln!("[runner]   {f}");
-        }
+/// What the pool's tasks share: the result cache and the warm snapshots.
+struct Memo {
+    results: ResultCache<RunResult>,
+    warm: WarmCache,
+}
+
+impl Memo {
+    /// Answers `job` from the cache, simulating it on a miss.
+    fn answer(&self, job: &Job) -> (JobOutcome, CacheRole) {
+        let mut failure = None;
+        let (result, role) = self.results.get_or_compute(job_fingerprint(job), || {
+            run_job_isolated(job, &self.warm).map_err(|f| failure = Some(f)).ok()
+        });
+        let outcome = match result {
+            Some(r) if r.label == job.label => Ok(r),
+            Some(r) => Ok(Arc::new(RunResult { label: job.label.clone(), ..(*r).clone() })),
+            // The cache returns no value only to the caller whose own
+            // computation failed, and that computation set `failure`.
+            None => Err(failure.expect("a failed lookup ran its own computation")),
+        };
+        (outcome, role)
     }
-    results
+}
+
+impl Runner {
+    /// Spawns a runner with `workers` simulation threads (0 = available
+    /// parallelism) and a result cache of `capacity` entries (0 =
+    /// unbounded).
+    ///
+    /// # Panics
+    ///
+    /// If the OS refuses to spawn a thread; [`Runner::try_new`] is the
+    /// fallible form.
+    pub fn new(workers: usize, capacity: usize) -> Self {
+        Self::try_new(workers, capacity).expect("spawning runner worker threads")
+    }
+
+    /// Fallible constructor; see [`Runner::new`].
+    ///
+    /// # Errors
+    ///
+    /// The OS error if a worker thread cannot be spawned.
+    pub fn try_new(workers: usize, capacity: usize) -> Result<Self, std::io::Error> {
+        let workers =
+            if workers == 0 { std::thread::available_parallelism().map_or(4, |n| n.get()) } else { workers };
+        Ok(Self {
+            pool: WorkPool::try_new(workers)?,
+            memo: Arc::new(Memo { results: ResultCache::new(capacity), warm: WarmCache::new() }),
+        })
+    }
+
+    /// Queues `job` on the pool; `done` runs on the worker once the job
+    /// is answered.
+    pub fn submit<F>(&self, job: Job, done: F)
+    where
+        F: FnOnce(JobOutcome, CacheRole) + Send + 'static,
+    {
+        let memo = self.memo.clone();
+        let queued = self.pool.submit(move || {
+            let (outcome, role) = memo.answer(&job);
+            done(outcome, role);
+        });
+        // The pool refuses work only while it is being dropped, which
+        // cannot overlap this borrow of `self`.
+        debug_assert!(queued, "a live runner accepts every job");
+    }
+
+    /// Runs a batch of jobs on the pool and returns the successful
+    /// results in job order; jobs whose simulation panicked (even after
+    /// one retry) are reported separately, so a single bad configuration
+    /// cannot take down the rest of the batch.
+    ///
+    /// Telemetry traces are written here, on the calling thread, once
+    /// every job has answered: only one thread touches the filesystem,
+    /// so jobs with overlapping output paths cannot interleave writes.
+    pub fn run_batch(&self, jobs: Vec<Job>) -> (Vec<RunResult>, Vec<JobFailure>) {
+        let outputs: Vec<Option<PathBuf>> = jobs.iter().map(|j| j.telemetry_out.clone()).collect();
+        let (tx, rx) = mpsc::channel();
+        for (index, job) in jobs.into_iter().enumerate() {
+            let tx = tx.clone();
+            self.submit(job, move |outcome, _| {
+                let _ = tx.send((index, outcome));
+            });
+        }
+        drop(tx);
+        let mut slots: Vec<Option<JobOutcome>> = vec![None; outputs.len()];
+        for (index, outcome) in rx {
+            slots[index] = Some(outcome);
+        }
+        let mut results = Vec::with_capacity(slots.len());
+        let mut failures = Vec::new();
+        for (slot, out) in slots.into_iter().zip(&outputs) {
+            match slot.expect("every queued job answers") {
+                Ok(r) => {
+                    if let (Some(path), Some(snap)) = (out, &r.telemetry) {
+                        if let Err(err) = std::fs::write(path, chrome::chrome_trace(snap)) {
+                            eprintln!("[runner] failed to write trace {}: {err}", path.display());
+                        }
+                    }
+                    results.push(Arc::unwrap_or_clone(r));
+                }
+                Err(f) => failures.push(f),
+            }
+        }
+        (results, failures)
+    }
+
+    /// The result cache's counters. Every answered job is one hit or one
+    /// miss (a job that waited on an identical one in flight counts as a
+    /// hit, and also as `coalesced`), and every miss is one simulation.
+    pub fn stats(&self) -> CacheStats {
+        self.memo.results.stats()
+    }
+
+    /// Queued plus running jobs.
+    pub fn pending(&self) -> usize {
+        self.pool.pending()
+    }
+
+    /// Blocks until every queued job has been answered.
+    pub fn drain(&self) {
+        self.pool.drain();
+    }
 }
 
 #[cfg(test)]
@@ -381,7 +418,7 @@ mod tests {
             telemetry: None,
             telemetry_out: None,
         };
-        let r = run_job(&job);
+        let r = run_job(&job, None);
         assert!(r.report.thread_instructions > 0);
         assert!(r.reuse.is_none());
     }
@@ -401,7 +438,7 @@ mod tests {
             telemetry: None,
             telemetry_out: None,
         };
-        let r = run_job(&job);
+        let r = run_job(&job, None);
         assert!(r.report.thread_instructions > 0);
         let reuse = r.reuse.expect("profiling enabled");
         assert!(reuse[0].iter().sum::<u64>() > 0, "counter accesses profiled");
@@ -422,7 +459,7 @@ mod tests {
                 telemetry_out: None,
             })
             .collect();
-        let results = run_jobs(jobs, 3);
+        let (results, _) = Runner::new(3, 0).run_batch(jobs);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].bench, "fdtd2d");
         assert_eq!(results[1].bench, "kmeans");
@@ -448,7 +485,7 @@ mod tests {
             job("kmeans", bad_gpu, "broken"),
             job("nw", tiny_gpu(), "ok-2"),
         ];
-        let (results, failures) = run_jobs_with_failures(jobs, 2);
+        let (results, failures) = Runner::new(2, 0).run_batch(jobs);
         assert_eq!(results.len(), 2, "healthy jobs still complete");
         assert_eq!(results[0].bench, "fdtd2d");
         assert_eq!(results[1].bench, "nw");
@@ -475,14 +512,14 @@ mod tests {
             telemetry: None,
             telemetry_out: None,
         };
-        let cold = run_job(&mk("cold"));
+        let cold = run_job(&mk("cold"), None);
         let cache = WarmCache::new();
-        let miss = run_job_cached(&mk("miss"), &cache);
+        let miss = run_job(&mk("miss"), Some(&cache));
         assert_eq!(cache.len(), 1, "miss populates the cache");
-        let hit = run_job_cached(&mk("hit"), &cache);
+        let hit = run_job(&mk("hit"), Some(&cache));
         assert_eq!(cache.len(), 1, "hit adds nothing");
         let fp = |r: &RunResult| format!("{:?}", r.report);
-        assert_eq!(fp(&cold), fp(&miss), "cache-miss path matches run_job");
+        assert_eq!(fp(&cold), fp(&miss), "cache-miss path matches an unforked run");
         assert_eq!(fp(&cold), fp(&hit), "forked warmup matches cold warmup");
     }
 
@@ -500,12 +537,12 @@ mod tests {
             telemetry_out: None,
         };
         let cache = WarmCache::new();
-        let _ = run_job_cached(&mk(BackendChoice::Baseline, 500), &cache);
-        let _ = run_job_cached(&mk(BackendChoice::Secure(SecureMemConfig::secure_mem()), 500), &cache);
-        let _ = run_job_cached(&mk(BackendChoice::Baseline, 700), &cache);
+        let _ = run_job(&mk(BackendChoice::Baseline, 500), Some(&cache));
+        let _ = run_job(&mk(BackendChoice::Secure(SecureMemConfig::secure_mem()), 500), Some(&cache));
+        let _ = run_job(&mk(BackendChoice::Baseline, 700), Some(&cache));
         assert_eq!(cache.len(), 3, "backend and warmup both key the cache");
         // No warmup: nothing to share, the cache is bypassed.
-        let _ = run_job_cached(&mk(BackendChoice::Baseline, 0), &cache);
+        let _ = run_job(&mk(BackendChoice::Baseline, 0), Some(&cache));
         assert_eq!(cache.len(), 3);
     }
 
@@ -527,8 +564,7 @@ mod tests {
         let mut bad_gpu = tiny_gpu();
         bad_gpu.issue_width = 0;
         let jobs = vec![job("fdtd2d", tiny_gpu()), job("kmeans", tiny_gpu()), job("nw", bad_gpu)];
-        // More threads than jobs: exercises the worker-count clamp.
-        let (results, failures) = run_jobs_with_failures(jobs, 8);
+        let (results, failures) = Runner::new(8, 0).run_batch(jobs);
         assert_eq!(results.len(), 2);
         for r in &results {
             let snap = r.telemetry.as_ref().expect("telemetry collected");

@@ -4,12 +4,12 @@
 //!
 //! The point of sharing this module is byte-identity: a sweep executed
 //! as a batch and the same sweep submitted to the server go through the
-//! same [`SweepSpec::jobs`] expansion, the same panic-isolated runner
-//! ([`crate::runner::run_job_isolated`]) and the same
+//! same [`SweepSpec::jobs`] expansion, the same job runner
+//! ([`crate::runner::Runner`]) and the same
 //! [`SweepSpec::results_table`] rendering, so the CSVs they produce are
 //! comparable with `cmp`, not just "equivalent".
 //!
-//! [`job_fingerprint`] derives the content address the server's result
+//! [`job_fingerprint`] derives the content address the runner's result
 //! cache is keyed by: everything that shapes a simulation's outcome
 //! (workload + seed, GPU configuration, backend configuration, cycle
 //! budget, warmup, telemetry options) and nothing that does not (the
@@ -23,7 +23,7 @@ use secmem_gpusim::stats::SimReport;
 use secmem_telemetry::TelemetryConfig;
 use secmem_workloads::suite;
 
-use crate::runner::{run_jobs_with_failures, BackendChoice, Job, JobFailure, RunResult};
+use crate::runner::{BackendChoice, Job, JobFailure, RunResult, Runner};
 use crate::table::ExpTable;
 
 /// The GPU configurations a sweep spec can name. Specs travel over the
@@ -255,7 +255,9 @@ impl SweepSpec {
         self.benches.len() * self.schemes.len()
     }
 
-    /// Runs the whole sweep as a batch on the shared parallel runner.
+    /// Runs the whole sweep as one batch on a fresh [`Runner`] with
+    /// `threads` workers (0 = all cores), so nothing is memoized across
+    /// calls.
     ///
     /// # Errors
     ///
@@ -263,7 +265,8 @@ impl SweepSpec {
     /// come back in the second tuple slot instead of erroring the
     /// sweep.
     pub fn run(&self, threads: usize) -> Result<(Vec<RunResult>, Vec<JobFailure>), SweepError> {
-        Ok(run_jobs_with_failures(self.jobs()?, threads))
+        let jobs = self.jobs()?;
+        Ok(Runner::new(threads, 0).run_batch(jobs))
     }
 
     /// The canonical result rendering: one row per (benchmark, scheme)
@@ -448,7 +451,7 @@ mod tests {
         let spec = tiny_spec();
         let jobs = spec.jobs().expect("valid spec");
         // Run only the first job; the rest render as FAILED rows.
-        let results = vec![run_job(&jobs[0])];
+        let results = vec![run_job(&jobs[0], None)];
         let table = spec.results_table(&results);
         assert_eq!(table.rows.len(), 4, "one row per (bench, scheme) regardless of results");
         assert_eq!(table.rows[0][0], "nw");

@@ -49,8 +49,8 @@ fn job_for(scheme: SecurityScheme, warmup: u64, telemetry: bool) -> Job {
 fn reports_are_byte_identical_across_runs_for_all_schemes() {
     let gpu = GpuConfig::small();
     for scheme in ALL_SCHEMES {
-        let a = run_job(&job_for(scheme, 0, false));
-        let b = run_job(&job_for(scheme, 0, false));
+        let a = run_job(&job_for(scheme, 0, false), None);
+        let b = run_job(&job_for(scheme, 0, false), None);
         assert!(a.report.cycles > 0, "{scheme:?}: run must simulate");
         assert_eq!(
             report_to_json(&a.report, &gpu),
@@ -71,8 +71,8 @@ fn reports_are_byte_identical_with_warmup_and_telemetry() {
     // Both must stay deterministic too (enabled telemetry must not
     // perturb timing, and the sampler must fire at identical cycles).
     for scheme in [SecurityScheme::Baseline, SecurityScheme::CtrMacBmt] {
-        let a = run_job(&job_for(scheme, 1_000, true));
-        let b = run_job(&job_for(scheme, 1_000, true));
+        let a = run_job(&job_for(scheme, 1_000, true), None);
+        let b = run_job(&job_for(scheme, 1_000, true), None);
         assert_eq!(
             format!("{:?}", a.report),
             format!("{:?}", b.report),
@@ -129,7 +129,7 @@ fn pinned_matrix_matches_the_committed_fingerprints() {
     assert_eq!(jobs.len(), PINNED_60K.len());
     for (job, &(bench, scheme, expected)) in jobs.iter().zip(&PINNED_60K) {
         assert_eq!((job.kernel.name(), job.label.as_str()), (bench, scheme), "matrix order");
-        let report = run_job(job).report;
+        let report = run_job(job, None).report;
         assert_eq!(
             report_fingerprint(&report),
             expected,
@@ -175,7 +175,7 @@ fn lrr_scheduler_matches_the_committed_fingerprints() {
     let gpu = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..GpuConfig::small() };
     for &(bench, scheme, expected) in &PINNED_LRR_60K {
         let kernel = suite::by_name(bench).expect("suite workload");
-        let report = run_job(&pinned_job(kernel, gpu.clone(), scheme)).report;
+        let report = run_job(&pinned_job(kernel, gpu.clone(), scheme), None).report;
         assert_eq!(
             report_fingerprint(&report),
             expected,
@@ -199,7 +199,7 @@ fn wide_sm_matches_the_committed_fingerprints() {
     for &(scheduler, expected) in &PINNED_WIDE_60K {
         let gpu = GpuConfig { scheduler, max_warps_per_sm: 96, ..GpuConfig::small() };
         let kernel = SyntheticKernel::new(spec.clone(), suite::DEFAULT_SEED);
-        let report = run_job(&pinned_job(kernel, gpu, SecurityScheme::Baseline)).report;
+        let report = run_job(&pinned_job(kernel, gpu, SecurityScheme::Baseline), None).report;
         assert_eq!(report.warps, 96 * u64::from(GpuConfig::small().num_sms), "every SM holds 96 warps");
         assert_eq!(
             report_fingerprint(&report),

@@ -7,11 +7,10 @@
 //! fingerprint. This crate keeps a simulator warm behind a hand-rolled
 //! HTTP/1.1 interface (`std::net` only — the workspace is
 //! dependency-free): sweep specs arrive as JSON, expand through
-//! [`secmem_bench::sweep`] into jobs on a FIFO job pool, and every
-//! job is answered through a content-addressed [`cache::ResultCache`] —
-//! so repeated or concurrent identical sweeps cost zero extra
-//! simulations and return **byte-identical** CSVs to a batch
-//! `reproduce matrix` run.
+//! [`secmem_bench::sweep`] into jobs, and every job is answered by one
+//! [`secmem_bench::Runner`] with a content-addressed result cache — so
+//! repeated or concurrent identical sweeps cost zero extra simulations
+//! and return **byte-identical** CSVs to a batch `reproduce matrix` run.
 //!
 //! Endpoints (see DESIGN.md §13 for the wire protocol):
 //!
@@ -29,10 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod http;
-pub mod queue;
 pub mod server;
 pub mod spec;
 
@@ -40,7 +37,5 @@ pub mod spec;
 /// `secmem_serve::json` paths keep working.
 pub use secmem_telemetry::json;
 
-pub use cache::{CacheRole, CacheStats, ResultCache};
-pub use queue::WorkPool;
 pub use server::{ServeError, Server, ServerConfig};
 pub use spec::{parse_sweep_spec, render_sweep_spec, SpecError};

@@ -1,38 +1,36 @@
 //! The sweep server: accepts HTTP connections on a bounded thread pool,
-//! expands submitted sweep specs into jobs on the FIFO simulation
-//! pool, and answers repeated specs from the
-//! content-addressed result cache.
+//! expands submitted sweep specs into jobs, and hands every job to one
+//! [`Runner`] — the same job runner `reproduce` and
+//! [`SweepSpec::run`] use.
 //!
 //! Request flow:
 //!
 //! ```text
 //! client ──HTTP──▶ http pool ──POST /sweeps──▶ SweepSpec::jobs()
-//!                                   │ one task per job
+//!                                   │ Runner::submit, one per job
 //!                                   ▼
-//!                            FIFO sim pool
-//!                                   │ cache.get_or_compute(job_fingerprint)
+//!                  Runner: FIFO pool ─▶ ResultCache(job_fingerprint)
+//!                                   │ miss
 //!                                   ▼
-//!                  ResultCache ──miss──▶ run_job_isolated + WarmCache
+//!                       run_job_isolated + WarmCache
 //! ```
 //!
-//! Every job funnels through [`ResultCache::get_or_compute`], so a
+//! The runner answers a repeated job from its result cache, so a
 //! repeated submission — or two clients racing the same spec — costs
 //! zero extra simulations; the `simulations` counter exposed by
-//! `GET /cache/stats` proves it.
+//! `GET /cache/stats` (the cache's misses) proves it.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use secmem_bench::sweep::{job_fingerprint, report_fingerprint, SweepSpec};
-use secmem_bench::{run_job_isolated, Job, RunResult, WarmCache};
+use secmem_bench::sweep::{report_fingerprint, SweepSpec};
+use secmem_bench::{CacheRole, JobOutcome, RunResult, Runner, WorkPool};
 use secmem_gpusim::kernel::Kernel;
 
-use crate::cache::{CacheRole, ResultCache};
 use crate::http;
 use crate::json;
-use crate::queue::WorkPool;
 use crate::spec::{parse_sweep_spec, render_sweep_spec};
 
 /// Server tuning knobs.
@@ -107,17 +105,11 @@ impl SweepEntry {
     }
 }
 
-/// Shared server state: the cache, the sweeps, and the counters.
+/// Shared server state: the job runner, the sweeps, and the flags.
 struct ServerState {
-    cache: ResultCache<RunResult>,
-    /// Warm-checkpoint forks shared across all jobs (PR 6).
-    warm: WarmCache,
+    runner: Runner,
     sweeps: Mutex<BTreeMap<u64, Arc<SweepEntry>>>,
     next_sweep: AtomicU64,
-    /// Simulations actually executed (cache misses that ran). The
-    /// end-to-end determinism gate asserts this does NOT grow on a
-    /// repeated submission.
-    simulations: AtomicU64,
     draining: AtomicBool,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -135,7 +127,6 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     http_pool: WorkPool,
-    sim_pool: Arc<WorkPool>,
 }
 
 impl Server {
@@ -148,24 +139,16 @@ impl Server {
     pub fn bind(cfg: &ServerConfig) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Io)?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
-        let sim_workers = if cfg.sim_workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            cfg.sim_workers
-        };
         let state = Arc::new(ServerState {
-            cache: ResultCache::new(cfg.cache_capacity),
-            warm: WarmCache::new(),
+            runner: Runner::try_new(cfg.sim_workers, cfg.cache_capacity).map_err(ServeError::Io)?,
             sweeps: Mutex::new(BTreeMap::new()),
             next_sweep: AtomicU64::new(1),
-            simulations: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             addr,
         });
         let http_pool = WorkPool::try_new(cfg.http_threads.max(1)).map_err(ServeError::Io)?;
-        let sim_pool = Arc::new(WorkPool::try_new(sim_workers).map_err(ServeError::Io)?);
-        Ok(Self { listener, state, http_pool, sim_pool })
+        Ok(Self { listener, state, http_pool })
     }
 
     /// The bound address (useful after binding port 0).
@@ -182,33 +165,34 @@ impl Server {
     /// Currently infallible after bind (accept errors on individual
     /// connections are skipped); typed for forward compatibility.
     pub fn run(self) -> Result<(), ServeError> {
-        let Server { listener, state, http_pool, sim_pool } = self;
+        let Server { listener, state, http_pool } = self;
         for stream in listener.incoming() {
             if state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
             let state = state.clone();
-            let sim_pool = sim_pool.clone();
-            http_pool.submit(move || handle_connection(&state, &sim_pool, &mut stream));
+            http_pool.submit(move || handle_connection(&state, &mut stream));
         }
-        // Graceful teardown: finish in-flight HTTP exchanges and queued
-        // simulations, then release the workers.
-        http_pool.shutdown();
-        sim_pool.drain();
-        sim_pool.stop();
+        // Graceful teardown: finish in-flight HTTP exchanges, then the
+        // queued simulations. Dropping the last `state` joins the
+        // runner's workers.
+        drop(http_pool);
+        state.runner.drain();
         Ok(())
     }
 }
 
-/// Runs one job through the cache, recording progress on its sweep.
-fn execute_job(state: &ServerState, entry: &SweepEntry, index: usize, job: &Job) {
-    let fp = job_fingerprint(job);
-    let (result, role) = state.cache.get_or_compute(fp, || {
-        state.simulations.fetch_add(1, Ordering::SeqCst);
-        run_job_isolated(job, &state.warm).ok()
-    });
-
+/// Records job `index`'s outcome on its sweep.
+fn record_job(
+    entry: &SweepEntry,
+    index: usize,
+    bench: &str,
+    label: &str,
+    outcome: JobOutcome,
+    role: CacheRole,
+) {
+    let result = outcome.ok();
     let mut progress = entry.lock();
     progress.done += 1;
     let cached = role != CacheRole::Computed;
@@ -219,8 +203,8 @@ fn execute_job(state: &ServerState, entry: &SweepEntry, index: usize, job: &Job)
         "{{\"sweep\":{},\"job\":{},\"bench\":\"{}\",\"scheme\":\"{}\",\"done\":{},\"total\":{},\"cached\":{}",
         entry.id,
         index,
-        json::escape(job.kernel.name()),
-        json::escape(&job.label),
+        json::escape(bench),
+        json::escape(label),
         progress.done,
         entry.total,
         cached
@@ -252,7 +236,7 @@ fn err_body(message: &str) -> Vec<u8> {
 
 /// Parses and dispatches one connection (one request: all responses are
 /// `Connection: close`). Write failures are ignored — the client hung up.
-fn handle_connection(state: &Arc<ServerState>, sim_pool: &Arc<WorkPool>, stream: &mut TcpStream) {
+fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
     let request = match http::read_request(stream) {
         Ok(r) => r,
         Err(e) => {
@@ -263,13 +247,13 @@ fn handle_connection(state: &Arc<ServerState>, sim_pool: &Arc<WorkPool>, stream:
     let target = request.target.split('?').next().unwrap_or("");
     let parts: Vec<&str> = target.split('/').filter(|p| !p.is_empty()).collect();
     let outcome = match (request.method.as_str(), parts.as_slice()) {
-        ("GET", ["health"]) => get_health(state, sim_pool, stream),
-        ("POST", ["sweeps"]) => post_sweep(state, sim_pool, stream, &request.body),
+        ("GET", ["health"]) => get_health(state, stream),
+        ("POST", ["sweeps"]) => post_sweep(state, stream, &request.body),
         ("GET", ["sweeps", id]) => get_sweep_status(state, stream, id),
         ("GET", ["sweeps", id, "results"]) => get_sweep_results(state, stream, id),
         ("GET", ["sweeps", id, "stream"]) => get_sweep_stream(state, stream, id),
         ("GET", ["cache", "stats"]) => get_cache_stats(state, stream),
-        ("POST", ["drain"]) => post_drain(state, sim_pool, stream),
+        ("POST", ["drain"]) => post_drain(state, stream),
         ("POST", ["shutdown"]) => post_shutdown(state, stream),
         (_, ["health" | "sweeps" | "cache" | "drain" | "shutdown", ..]) => {
             http::write_response(stream, 405, "application/json", &err_body("method not allowed"))
@@ -280,25 +264,16 @@ fn handle_connection(state: &Arc<ServerState>, sim_pool: &Arc<WorkPool>, stream:
     let _ = outcome;
 }
 
-fn get_health(
-    state: &ServerState,
-    sim_pool: &WorkPool,
-    stream: &mut TcpStream,
-) -> Result<(), http::HttpError> {
+fn get_health(state: &ServerState, stream: &mut TcpStream) -> Result<(), http::HttpError> {
     let body = format!(
         "{{\"status\":\"ok\",\"pending_jobs\":{},\"draining\":{}}}",
-        sim_pool.pending(),
+        state.runner.pending(),
         state.draining.load(Ordering::SeqCst)
     );
     http::write_response(stream, 200, "application/json", body.as_bytes())
 }
 
-fn post_sweep(
-    state: &Arc<ServerState>,
-    sim_pool: &Arc<WorkPool>,
-    stream: &mut TcpStream,
-    body: &[u8],
-) -> Result<(), http::HttpError> {
+fn post_sweep(state: &ServerState, stream: &mut TcpStream, body: &[u8]) -> Result<(), http::HttpError> {
     if state.draining.load(Ordering::SeqCst) {
         return http::write_response(stream, 503, "application/json", &err_body("server is draining"));
     }
@@ -336,14 +311,11 @@ fn post_sweep(
     state.sweeps().insert(id, entry.clone());
     let total = jobs.len();
     for (index, job) in jobs.into_iter().enumerate() {
-        let state = state.clone();
         let entry = entry.clone();
-        let accepted = sim_pool.submit(move || execute_job(&state, &entry, index, &job));
-        if !accepted {
-            // Shutdown raced the submission: report what was queued.
-            let body = err_body("server is shutting down");
-            return http::write_response(stream, 503, "application/json", &body);
-        }
+        let (bench, label) = (job.kernel.name().to_string(), job.label.clone());
+        state.runner.submit(job, move |outcome, role| {
+            record_job(&entry, index, &bench, &label, outcome, role);
+        });
     }
     let body = format!("{{\"sweep\":{id},\"jobs\":{total}}}");
     http::write_response(stream, 200, "application/json", body.as_bytes())
@@ -418,7 +390,7 @@ fn get_sweep_stream(state: &ServerState, stream: &mut TcpStream, id: &str) -> Re
 }
 
 fn get_cache_stats(state: &ServerState, stream: &mut TcpStream) -> Result<(), http::HttpError> {
-    let stats = state.cache.stats();
+    let stats = state.runner.stats();
     let body = format!(
         "{{\"entries\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"coalesced\":{},\"evictions\":{},\
          \"failures\":{},\"simulations\":{}}}",
@@ -429,18 +401,15 @@ fn get_cache_stats(state: &ServerState, stream: &mut TcpStream) -> Result<(), ht
         stats.coalesced,
         stats.evictions,
         stats.failures,
-        state.simulations.load(Ordering::SeqCst)
+        // Every miss runs its job's simulation exactly once.
+        stats.misses
     );
     http::write_response(stream, 200, "application/json", body.as_bytes())
 }
 
-fn post_drain(
-    state: &ServerState,
-    sim_pool: &WorkPool,
-    stream: &mut TcpStream,
-) -> Result<(), http::HttpError> {
+fn post_drain(state: &ServerState, stream: &mut TcpStream) -> Result<(), http::HttpError> {
     state.draining.store(true, Ordering::SeqCst);
-    sim_pool.drain();
+    state.runner.drain();
     http::write_response(stream, 200, "application/json", b"{\"status\":\"drained\"}")
 }
 
