@@ -9,8 +9,8 @@
 //! even one DRAM burst off, the fingerprints here would diverge.
 
 use secmem_bench::sweep::report_fingerprint;
-use secmem_checkpoint::Frame;
-use secmem_core::{SecureBackend, SecureMemConfig, SecurityScheme};
+use secmem_checkpoint::{fnv1a, Frame};
+use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
@@ -82,6 +82,31 @@ fn snapshot_resume_is_invisible_across_the_full_matrix() {
                 }
             }
         }
+    }
+}
+
+/// Cycle at which the pinned frames are taken.
+const FRAME_CYCLE: u64 = 20_000;
+
+/// FNV-1a of `save_checkpoint().encode()` at [`FRAME_CYCLE`] on the small
+/// GPU. The report fingerprints never serialize a cache, so these pins
+/// are what holds the cache, MSHR and engine state bytes fixed: one run
+/// with separate metadata caches (power-of-two sets) and one with the
+/// 6-set unified metadata cache.
+const PINNED_FRAMES: [(&str, MetadataCacheKind, u64); 2] = [
+    ("b+tree", MetadataCacheKind::Separate, 0x6874_0aff_49bf_dc96),
+    ("kmeans", MetadataCacheKind::Unified, 0x7985_5ae8_a0f5_789e),
+];
+
+#[test]
+fn checkpoint_frames_are_pinned() {
+    for (bench, cache_kind, expected) in PINNED_FRAMES {
+        let k = kernel(bench);
+        let cfg = SecureMemConfig { cache_kind, ..SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt) };
+        let mut sim = Simulator::new(GpuConfig::small(), &k, move |_, g| SecureBackend::new(cfg.clone(), g));
+        let _ = sim.run_checked(FRAME_CYCLE);
+        let fp = fnv1a(&sim.save_checkpoint().encode());
+        assert_eq!(fp, expected, "{bench}/{cache_kind:?}: checkpoint frame bytes changed ({fp:#018x})");
     }
 }
 
