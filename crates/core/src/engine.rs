@@ -37,7 +37,7 @@ use secmem_telemetry::{EventKind, Telemetry, TelemetryEvent, ThrashDetector, Thr
 
 use crate::config::{SecureMemConfig, TreeCoverage};
 use crate::engines::{AesEngineBank, MacUnit};
-use crate::error::CoreError;
+use crate::error::{ConfigError, CoreError};
 use crate::layout::MetadataLayout;
 use crate::mdcache::{MdOutcome, MetadataCaches};
 
@@ -300,9 +300,22 @@ impl SecureBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] when `cfg` fails validation.
+    /// Returns [`CoreError::Config`] when `gpu` or `cfg` fails validation,
+    /// or a partition's protected bytes cannot be laid out in whole
+    /// counter lines.
     pub fn try_new(cfg: SecureMemConfig, gpu: &secmem_gpusim::config::GpuConfig) -> Result<Self, CoreError> {
+        // The address map and metadata layout below assume a validated
+        // power-of-two geometry.
+        gpu.validate()?;
         cfg.validate()?;
+        let layout_unit = crate::layout::DATA_LINES_PER_COUNTER_LINE * LINE_SIZE;
+        if !gpu.protected_bytes_per_partition().is_multiple_of(layout_unit) {
+            return Err(ConfigError::new(
+                "protected_bytes",
+                format!("must give each partition a multiple of {layout_unit} B"),
+            )
+            .into());
+        }
         let layout = MetadataLayout::new(gpu.protected_bytes_per_partition(), cfg.scheme.tree());
         let aes = if cfg.zero_crypto {
             AesEngineBank::ideal()
@@ -1512,6 +1525,26 @@ mod extension_tests {
         match SecureBackend::try_new(cfg, &gpu()) {
             Err(crate::error::CoreError::Config(e)) => assert_eq!(e.field, "aes_engines"),
             other => panic!("expected config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_bad_gpu_geometry() {
+        let g = gpu();
+        let cases = [
+            ("num_partitions", GpuConfig { num_partitions: 0, ..g.clone() }),
+            ("num_partitions", GpuConfig { num_partitions: 3, ..g.clone() }),
+            ("interleave_bytes", GpuConfig { interleave_bytes: 96, ..g.clone() }),
+            (
+                "protected_bytes",
+                GpuConfig { protected_bytes: g.num_partitions as u64 * g.interleave_bytes, ..g },
+            ),
+        ];
+        for (field, bad) in cases {
+            match SecureBackend::try_new(SecureMemConfig::secure_mem(), &bad) {
+                Err(crate::error::CoreError::Config(e)) => assert_eq!(e.field, field, "{e}"),
+                other => panic!("{field}: expected config error, got {other:?}"),
+            }
         }
     }
 

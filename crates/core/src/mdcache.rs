@@ -287,7 +287,7 @@ impl<T> MetadataCaches<T> {
             Store::Infinite(present) => present.contains(&line),
             Store::Real(caches) => {
                 let ci = cache_index(self.kind, caches, class);
-                !matches!(caches[ci].peek(line, FULL_SECTOR_MASK), secmem_gpusim::cache::Probe::Miss)
+                caches[ci].lookup(line).is_some()
             }
         }
     }

@@ -63,26 +63,32 @@ pub enum ReplacementPolicy {
 /// Maximum re-reference prediction value for 2-bit SRRIP.
 const RRPV_MAX: u8 = 3;
 
+/// Tag key of an empty way. Line addresses are multiples of
+/// [`LINE_SIZE`], so no line can carry it.
+const EMPTY: Addr = Addr::MAX;
+
+/// Sector and replacement state of one line slot. The tag lives apart,
+/// in [`SectoredCache`]'s packed tag array.
 #[derive(Debug, Clone, Copy)]
 struct LineState {
-    tag: Addr,
     valid: SectorMask,
     dirty: SectorMask,
     lru: u64,
     rrpv: u8,
-    present: bool,
 }
 
 impl LineState {
-    const INVALID: LineState = LineState {
-        tag: 0,
-        valid: SectorMask::EMPTY,
-        dirty: SectorMask::EMPTY,
-        lru: 0,
-        rrpv: RRPV_MAX,
-        present: false,
-    };
+    const INVALID: LineState =
+        LineState { valid: SectorMask::EMPTY, dirty: SectorMask::EMPTY, lru: 0, rrpv: RRPV_MAX };
 }
+
+/// A resident line found by [`SectoredCache::lookup`].
+///
+/// It names a slot, not an address: it stays valid until the next
+/// [`SectoredCache::fill`], [`SectoredCache::invalidate_sectors`] or
+/// restore, which may reassign the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way(usize);
 
 /// Aggregate hit/miss statistics for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,8 +137,17 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    sets: Vec<LineState>,
+    /// Tag key of every line slot, set-major; [`EMPTY`] marks an empty
+    /// way. This is the only copy of the tags, packed so a set scan
+    /// touches `assoc` words and nothing else.
+    tags: Vec<Addr>,
+    /// Sector and replacement state, parallel to `tags`.
+    lines: Vec<LineState>,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask; other geometries (the 6-set unified metadata
+    /// cache) take the remainder.
+    set_mask: Option<usize>,
     assoc: usize,
     tick: u64,
     policy: ReplacementPolicy,
@@ -216,8 +231,10 @@ impl SectoredCache {
         let assoc = (assoc as usize).clamp(1, lines);
         let num_sets = lines / assoc;
         Ok(Self {
-            sets: vec![LineState::INVALID; lines],
+            tags: vec![EMPTY; lines],
+            lines: vec![LineState::INVALID; lines],
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             assoc,
             tick: 0,
             policy,
@@ -225,39 +242,67 @@ impl SectoredCache {
         })
     }
 
+    /// Index of the first slot of `line_addr`'s set.
     #[inline]
-    fn set_index(&self, line_addr: Addr) -> usize {
-        ((line_addr / LINE_SIZE) as usize) % self.num_sets
+    fn set_base(&self, line_addr: Addr) -> usize {
+        let line = (line_addr / LINE_SIZE) as usize;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.num_sets,
+        };
+        set * self.assoc
     }
 
-    fn ways(&mut self, line_addr: Addr) -> &mut [LineState] {
-        let set = self.set_index(line_addr);
-        &mut self.sets[set * self.assoc..(set + 1) * self.assoc]
+    /// Finds the way holding `line_addr` with one scan of its set's tags,
+    /// without touching LRU or statistics. Pass the result to
+    /// [`Self::peek_way`] and then [`Self::probe_way`] to decide on a
+    /// hit and account it without scanning the set again.
+    #[inline]
+    pub fn lookup(&self, line_addr: Addr) -> Option<Way> {
+        debug_assert_ne!(line_addr, EMPTY, "the empty-way key is not a line address");
+        let base = self.set_base(line_addr);
+        self.tags[base..base + self.assoc].iter().position(|&t| t == line_addr).map(|i| Way(base + i))
     }
 
-    /// Probes for the given sectors of a line, updating LRU and statistics.
-    pub fn probe(&mut self, line_addr: Addr, sectors: SectorMask) -> Probe {
-        self.tick += 1;
-        let tick = self.tick;
-        let mut result = Probe::Miss;
-        let ways = self.ways(line_addr);
-        for way in ways.iter_mut() {
-            if way.present && way.tag == line_addr {
-                way.lru = tick;
-                way.rrpv = 0;
-                result = if way.valid.contains(sectors) {
-                    Probe::Hit
-                } else {
-                    Probe::PartialMiss(sectors.minus(way.valid))
-                };
-                break;
-            }
+    fn classify(valid: SectorMask, sectors: SectorMask) -> Probe {
+        if valid.contains(sectors) {
+            Probe::Hit
+        } else {
+            Probe::PartialMiss(sectors.minus(valid))
         }
+    }
+
+    /// [`Self::peek`] on a line already looked up.
+    #[inline]
+    pub fn peek_way(&self, way: Option<Way>, sectors: SectorMask) -> Probe {
+        match way {
+            Some(Way(i)) => Self::classify(self.lines[i].valid, sectors),
+            None => Probe::Miss,
+        }
+    }
+
+    /// [`Self::probe`] on a line already looked up.
+    pub fn probe_way(&mut self, way: Option<Way>, sectors: SectorMask) -> Probe {
+        self.tick += 1;
+        let result = match way {
+            Some(Way(i)) => {
+                let line = &mut self.lines[i];
+                line.lru = self.tick;
+                line.rrpv = 0;
+                Self::classify(line.valid, sectors)
+            }
+            None => Probe::Miss,
+        };
         match result {
             Probe::Hit => self.stats.hits += 1,
             _ => self.stats.misses += 1,
         }
         result
+    }
+
+    /// Probes for the given sectors of a line, updating LRU and statistics.
+    pub fn probe(&mut self, line_addr: Addr, sectors: SectorMask) -> Probe {
+        self.probe_way(self.lookup(line_addr), sectors)
     }
 
     /// Accounts a probe the caller knows would miss (the line is absent
@@ -270,37 +315,28 @@ impl SectoredCache {
 
     /// Probes without updating LRU or statistics.
     pub fn peek(&self, line_addr: Addr, sectors: SectorMask) -> Probe {
-        let set = self.set_index(line_addr);
-        for way in &self.sets[set * self.assoc..(set + 1) * self.assoc] {
-            if way.present && way.tag == line_addr {
-                return if way.valid.contains(sectors) {
-                    Probe::Hit
-                } else {
-                    Probe::PartialMiss(sectors.minus(way.valid))
-                };
-            }
-        }
-        Probe::Miss
+        self.peek_way(self.lookup(line_addr), sectors)
     }
 
     /// Performs a store: if the line is present, the sectors become valid
     /// and dirty (write-validate within a resident line).
     pub fn write(&mut self, line_addr: Addr, sectors: SectorMask) -> WriteOutcome {
         self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways(line_addr);
-        for way in ways.iter_mut() {
-            if way.present && way.tag == line_addr {
-                way.lru = tick;
-                way.rrpv = 0;
-                way.valid = way.valid.union(sectors);
-                way.dirty = way.dirty.union(sectors);
+        match self.lookup(line_addr) {
+            Some(Way(i)) => {
+                let line = &mut self.lines[i];
+                line.lru = self.tick;
+                line.rrpv = 0;
+                line.valid = line.valid.union(sectors);
+                line.dirty = line.dirty.union(sectors);
                 self.stats.hits += 1;
-                return WriteOutcome::Hit;
+                WriteOutcome::Hit
+            }
+            None => {
+                self.stats.misses += 1;
+                WriteOutcome::Miss
             }
         }
-        self.stats.misses += 1;
-        WriteOutcome::Miss
     }
 
     /// Installs sectors of a line (allocate-on-fill). Sectors listed in
@@ -317,62 +353,66 @@ impl SectoredCache {
         self.tick += 1;
         self.stats.fills += 1;
         let tick = self.tick;
-        let ways = self.ways(line_addr);
 
         // Merge into an existing line if present.
-        for way in ways.iter_mut() {
-            if way.present && way.tag == line_addr {
-                way.valid = way.valid.union(sectors);
-                way.dirty = way.dirty.union(dirty);
-                way.lru = tick;
-                return None;
-            }
+        if let Some(Way(i)) = self.lookup(line_addr) {
+            let line = &mut self.lines[i];
+            line.valid = line.valid.union(sectors);
+            line.dirty = line.dirty.union(dirty);
+            line.lru = tick;
+            return None;
         }
-        // Otherwise pick a victim: any invalid way first, else by policy.
-        let policy = self.policy;
-        let ways = self.ways(line_addr);
-        let victim = {
-            let invalid = ways.iter().position(|w| !w.present);
-            match (invalid, policy) {
-                (Some(i), _) => i,
-                (None, ReplacementPolicy::Lru) => {
-                    let mut victim = 0usize;
-                    let mut best = u64::MAX;
-                    for (i, way) in ways.iter().enumerate() {
-                        if way.lru < best {
-                            best = way.lru;
-                            victim = i;
-                        }
-                    }
-                    victim
-                }
-                (None, ReplacementPolicy::Srrip) => loop {
-                    if let Some(i) = ways.iter().position(|w| w.rrpv >= RRPV_MAX) {
-                        break i;
-                    }
-                    for way in ways.iter_mut() {
-                        way.rrpv = (way.rrpv + 1).min(RRPV_MAX);
-                    }
-                },
-            }
-        };
-        let old = ways[victim];
-        let insert_rrpv = match policy {
+        let base = self.set_base(line_addr);
+        let victim = base + self.pick_victim(base);
+        let insert_rrpv = match self.policy {
             ReplacementPolicy::Lru => 0,
             // SRRIP: predict a distant re-reference for new lines so a
             // streaming burst cannot flush the reused working set.
             ReplacementPolicy::Srrip => RRPV_MAX - 1,
         };
-        ways[victim] =
-            LineState { tag: line_addr, valid: sectors, dirty, lru: tick, rrpv: insert_rrpv, present: true };
-        if old.present {
-            self.stats.evictions += 1;
-            if !old.dirty.is_empty() {
-                self.stats.dirty_evictions += 1;
+        let old_tag = std::mem::replace(&mut self.tags[victim], line_addr);
+        let old = std::mem::replace(
+            &mut self.lines[victim],
+            LineState { valid: sectors, dirty, lru: tick, rrpv: insert_rrpv },
+        );
+        if old_tag == EMPTY {
+            return None;
+        }
+        self.stats.evictions += 1;
+        if !old.dirty.is_empty() {
+            self.stats.dirty_evictions += 1;
+        }
+        Some(Eviction { line_addr: old_tag, dirty: old.dirty })
+    }
+
+    /// The way of the set starting at `base` that a new line replaces:
+    /// any empty way first, else by policy.
+    fn pick_victim(&mut self, base: usize) -> usize {
+        let end = base + self.assoc;
+        if let Some(i) = self.tags[base..end].iter().position(|&t| t == EMPTY) {
+            return i;
+        }
+        let ways = &mut self.lines[base..end];
+        match self.policy {
+            ReplacementPolicy::Lru => {
+                let mut victim = 0usize;
+                let mut best = u64::MAX;
+                for (i, way) in ways.iter().enumerate() {
+                    if way.lru < best {
+                        best = way.lru;
+                        victim = i;
+                    }
+                }
+                victim
             }
-            Some(Eviction { line_addr: old.tag, dirty: old.dirty })
-        } else {
-            None
+            ReplacementPolicy::Srrip => loop {
+                if let Some(i) = ways.iter().position(|w| w.rrpv >= RRPV_MAX) {
+                    break i;
+                }
+                for way in ways.iter_mut() {
+                    way.rrpv = (way.rrpv + 1).min(RRPV_MAX);
+                }
+            },
         }
     }
 
@@ -380,15 +420,13 @@ impl SectoredCache {
     /// write-through L1 on stores). Dirty state is discarded — only safe
     /// for write-through caches.
     pub fn invalidate_sectors(&mut self, line_addr: Addr, sectors: SectorMask) {
-        let ways = self.ways(line_addr);
-        for way in ways.iter_mut() {
-            if way.present && way.tag == line_addr {
-                way.valid = way.valid.minus(sectors);
-                way.dirty = way.dirty.minus(sectors);
-                if way.valid.is_empty() {
-                    *way = LineState::INVALID;
-                }
-                return;
+        if let Some(Way(i)) = self.lookup(line_addr) {
+            let line = &mut self.lines[i];
+            line.valid = line.valid.minus(sectors);
+            line.dirty = line.dirty.minus(sectors);
+            if line.valid.is_empty() {
+                *line = LineState::INVALID;
+                self.tags[i] = EMPTY;
             }
         }
     }
@@ -398,24 +436,20 @@ impl SectoredCache {
     ///
     /// Returns true if the line was resident.
     pub fn mark_dirty(&mut self, line_addr: Addr, sectors: SectorMask) -> bool {
-        let ways = self.ways(line_addr);
-        for way in ways.iter_mut() {
-            if way.present && way.tag == line_addr {
-                way.dirty = way.dirty.union(sectors.intersect(way.valid));
-                return true;
-            }
-        }
-        false
+        let Some(Way(i)) = self.lookup(line_addr) else { return false };
+        let line = &mut self.lines[i];
+        line.dirty = line.dirty.union(sectors.intersect(line.valid));
+        true
     }
 
     /// Flushes every dirty line, returning the writebacks, and leaves the
     /// cache clean (contents stay valid).
     pub fn flush_dirty(&mut self) -> Vec<Eviction> {
         let mut out = Vec::new();
-        for way in &mut self.sets {
-            if way.present && !way.dirty.is_empty() {
-                out.push(Eviction { line_addr: way.tag, dirty: way.dirty });
-                way.dirty = SectorMask::EMPTY;
+        for (&tag, line) in self.tags.iter().zip(&mut self.lines) {
+            if tag != EMPTY && !line.dirty.is_empty() {
+                out.push(Eviction { line_addr: tag, dirty: line.dirty });
+                line.dirty = SectorMask::EMPTY;
             }
         }
         out
@@ -423,12 +457,12 @@ impl SectoredCache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|w| w.present).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Total line slots.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len()
+        self.tags.len()
     }
 
     /// Access statistics.
@@ -444,16 +478,17 @@ impl SectoredCache {
     /// Serializes contents, replacement state and statistics into a
     /// checkpoint payload. Geometry (set count, associativity, policy) is
     /// not stored — it is rebuilt from the configuration and validated on
-    /// restore.
+    /// restore. An empty way is written as tag 0, not present.
     pub fn save_state(&self, w: &mut Writer) {
-        w.put_usize(self.sets.len());
-        for way in &self.sets {
-            w.put_u64(way.tag);
-            way.valid.save(w);
-            way.dirty.save(w);
-            w.put_u64(way.lru);
-            w.put_u8(way.rrpv);
-            w.put_bool(way.present);
+        w.put_usize(self.tags.len());
+        for (&tag, line) in self.tags.iter().zip(&self.lines) {
+            let present = tag != EMPTY;
+            w.put_u64(if present { tag } else { 0 });
+            line.valid.save(w);
+            line.dirty.save(w);
+            w.put_u64(line.lru);
+            w.put_u8(line.rrpv);
+            w.put_bool(present);
         }
         w.put_u64(self.tick);
         self.stats.save(w);
@@ -465,17 +500,18 @@ impl SectoredCache {
     /// # Errors
     ///
     /// [`CheckpointError::Malformed`] if the stored line count does not
-    /// match this cache, or a line violates sector-mask invariants; any
-    /// decode error otherwise.
+    /// match this cache, a line violates sector-mask invariants, an empty
+    /// way carries a tag, or a resident line carries the empty-way key;
+    /// any decode error otherwise.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
         let lines = r.get_usize()?;
-        if lines != self.sets.len() {
+        if lines != self.tags.len() {
             return Err(CheckpointError::Malformed(format!(
                 "cache geometry mismatch: checkpoint has {lines} lines, cache has {}",
-                self.sets.len()
+                self.tags.len()
             )));
         }
-        for way in &mut self.sets {
+        for (slot, line) in self.tags.iter_mut().zip(&mut self.lines) {
             let tag = r.get_u64()?;
             let valid = SectorMask::load(r)?;
             let dirty = SectorMask::load(r)?;
@@ -490,7 +526,14 @@ impl SectoredCache {
             if rrpv > RRPV_MAX {
                 return Err(CheckpointError::Malformed(format!("cache line rrpv {rrpv}")));
             }
-            *way = LineState { tag, valid, dirty, lru, rrpv, present };
+            let tag_ok = if present { tag != EMPTY } else { tag == 0 };
+            if !tag_ok {
+                return Err(CheckpointError::Malformed(format!(
+                    "cache line tag {tag:#x} does not match its present flag {present}"
+                )));
+            }
+            *slot = if present { tag } else { EMPTY };
+            *line = LineState { valid, dirty, lru, rrpv };
         }
         self.tick = r.get_u64()?;
         self.stats = CacheStats::load(r)?;
@@ -655,6 +698,7 @@ mod tests {
             .expect("valid geometry");
         assert_eq!(a.capacity_lines(), b.capacity_lines());
         assert_eq!(a.num_sets, b.num_sets);
+        assert_eq!(a.set_mask, Some(a.num_sets - 1));
     }
 
     #[test]
@@ -714,11 +758,44 @@ mod tests {
         assert_eq!(ReplacementPolicy::default(), ReplacementPolicy::Lru);
     }
 
+    /// A one-line cache's state with the given tag and present flag.
+    fn one_line_state(tag: Addr, present: bool) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_usize(1);
+        w.put_u64(tag);
+        SectorMask::EMPTY.save(&mut w);
+        SectorMask::EMPTY.save(&mut w);
+        w.put_u64(0);
+        w.put_u8(RRPV_MAX);
+        w.put_bool(present);
+        w.put_u64(0);
+        CacheStats::default().save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_checks_tag_against_present_flag() {
+        let mut c = SectoredCache::new(128, 1);
+        for (tag, present, ok) in
+            [(0, false, true), (0x80, true, true), (0x80, false, false), (EMPTY, true, false)]
+        {
+            let bytes = one_line_state(tag, present);
+            let restored = c.restore_state(&mut Reader::new(&bytes));
+            assert_eq!(restored.is_ok(), ok, "tag {tag:#x} present {present}: {restored:?}");
+            if ok {
+                let mut w = Writer::new();
+                c.save_state(&mut w);
+                assert_eq!(w.into_bytes(), bytes, "restore/save round trip");
+            }
+        }
+    }
+
     #[test]
     fn non_power_of_two_sets_work() {
         // 6 KB, 8 ways -> 6 sets, like the unified metadata cache.
         let mut c = SectoredCache::new(6 * 1024, 8);
         assert_eq!(c.capacity_lines(), 48);
+        assert_eq!(c.set_mask, None);
         for i in 0..200u64 {
             c.fill(i * 128, full(), SectorMask::EMPTY);
         }

@@ -266,53 +266,85 @@ impl Default for GpuConfig {
 /// Memory is interleaved across partitions at [`GpuConfig::interleave_bytes`]
 /// granularity, like real GPUs stripe consecutive 256 B chunks across
 /// memory channels.
+///
+/// Every access asks for its partition, local offset and L2 bank, so the
+/// map stores log2 of the interleave, partition count and bank count
+/// (all powers of two after [`GpuConfig::validate`]) and answers with
+/// shifts and masks instead of 64-bit divisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
-    interleave: u64,
-    partitions: u64,
+    interleave_shift: u32,
+    partition_bits: u32,
+    bank_mask: u64,
     xor_hash: bool,
 }
 
 impl AddressMap {
     /// Creates the map from a configuration.
+    ///
+    /// The geometry must have passed [`GpuConfig::validate`]: a
+    /// non-power-of-two interleave, partition or bank count would be
+    /// silently mis-mapped (debug builds assert).
     pub fn new(cfg: &GpuConfig) -> Self {
+        debug_assert!(
+            cfg.interleave_bytes.is_power_of_two()
+                && cfg.num_partitions.is_power_of_two()
+                && cfg.l2_banks_per_partition.is_power_of_two(),
+            "AddressMap needs a validated power-of-two geometry"
+        );
         Self {
-            interleave: cfg.interleave_bytes,
-            partitions: cfg.num_partitions as u64,
+            interleave_shift: cfg.interleave_bytes.trailing_zeros(),
+            partition_bits: cfg.num_partitions.trailing_zeros(),
+            bank_mask: cfg.l2_banks_per_partition as u64 - 1,
             xor_hash: cfg.partition_xor_hash,
         }
+    }
+
+    #[inline]
+    fn partition_mask(&self) -> u64 {
+        (1u64 << self.partition_bits) - 1
+    }
+
+    #[inline]
+    fn interleave_mask(&self) -> u64 {
+        (1u64 << self.interleave_shift) - 1
     }
 
     /// The partition owning `addr`.
     #[inline]
     pub fn partition_of(&self, addr: Addr) -> u32 {
-        let chunk = addr / self.interleave;
-        let base = chunk % self.partitions;
-        if self.xor_hash {
+        let chunk = addr >> self.interleave_shift;
+        let base = chunk & self.partition_mask();
+        let part = if self.xor_hash {
             // Fold the next-higher chunk bits in; stays bijective per
             // (partition, local) because the folded bits are part of the
             // local offset.
-            (base ^ ((chunk / self.partitions) % self.partitions)) as u32
+            base ^ ((chunk >> self.partition_bits) & self.partition_mask())
         } else {
-            base as u32
-        }
+            base
+        };
+        crate::narrow::u64_to_u32(part, "partition index is masked to the partition count")
     }
 
     /// The partition-local byte offset of `addr`.
     #[inline]
     pub fn local_offset(&self, addr: Addr) -> Addr {
-        let chunk = addr / self.interleave;
-        (chunk / self.partitions) * self.interleave + (addr % self.interleave)
+        let chunk = addr >> self.interleave_shift;
+        ((chunk >> self.partition_bits) << self.interleave_shift) | (addr & self.interleave_mask())
     }
 
     /// Inverse of [`AddressMap::local_offset`]: reconstructs the global
     /// address from a partition id and local offset.
     #[inline]
     pub fn global_addr(&self, partition: u32, local: Addr) -> Addr {
-        let chunk_div = local / self.interleave;
-        let slot =
-            if self.xor_hash { (partition as u64) ^ (chunk_div % self.partitions) } else { partition as u64 };
-        (chunk_div * self.partitions + slot) * self.interleave + (local % self.interleave)
+        let chunk_div = local >> self.interleave_shift;
+        let slot = if self.xor_hash {
+            (partition as u64) ^ (chunk_div & self.partition_mask())
+        } else {
+            partition as u64
+        };
+        (((chunk_div << self.partition_bits) + slot) << self.interleave_shift)
+            + (local & self.interleave_mask())
     }
 
     /// The L2 bank within the partition for `addr` (a *global* address).
@@ -326,11 +358,9 @@ impl AddressMap {
     /// `global_addr(partition_of(addr), local_offset(addr))` — pinned by
     /// the `bank_of_agrees_through_local_roundtrip` property test.
     #[inline]
-    pub fn bank_of(&self, addr: Addr, banks: u32) -> u32 {
-        crate::narrow::u64_to_u32(
-            self.local_offset(addr) / self.interleave % banks as u64,
-            "bank index is reduced mod banks: u32",
-        )
+    pub fn bank_of(&self, addr: Addr) -> u32 {
+        let local_chunk = addr >> self.interleave_shift >> self.partition_bits;
+        crate::narrow::u64_to_u32(local_chunk & self.bank_mask, "bank index is masked to the bank count")
     }
 }
 
@@ -436,7 +466,7 @@ mod tests {
         let cfg = GpuConfig::volta();
         let map = AddressMap::new(&cfg);
         for addr in (0..(1u64 << 20)).step_by(256) {
-            assert!(map.bank_of(addr, 2) < 2);
+            assert!(map.bank_of(addr) < 2);
         }
     }
 
@@ -475,13 +505,9 @@ mod tests {
                 let local = map.local_offset(addr);
                 let rebuilt = map.global_addr(p, local);
                 assert_eq!(rebuilt, addr, "xor={xor_hash} addr={addr:#x}");
+                assert_eq!(map.bank_of(addr), map.bank_of(rebuilt), "xor={xor_hash} addr={addr:#x}");
                 assert_eq!(
-                    map.bank_of(addr, banks),
-                    map.bank_of(rebuilt, banks),
-                    "xor={xor_hash} addr={addr:#x}"
-                );
-                assert_eq!(
-                    map.bank_of(addr, banks) as u64,
+                    map.bank_of(addr) as u64,
                     local / cfg.interleave_bytes % banks as u64,
                     "bank must follow the partition-local chunk (xor={xor_hash} addr={addr:#x})"
                 );

@@ -8,6 +8,15 @@
 //! and keeps iteration order deterministic for a given insertion order —
 //! unlike `RandomState`, it has no per-process seed, which also removes a
 //! source of run-to-run variation for anything that iterates a map.
+//!
+//! [`FxHasher::finish`] rotates the product left by 26 bits (as
+//! rustc-hash 2 does). A multiply only carries entropy *upward*: the low
+//! bits of `x · K` depend only on the low bits of `x`. Line addresses are
+//! multiples of 128, so without the rotate the low 7 bits of every
+//! line-address hash are zero, and hashbrown, which picks the bucket
+//! from the low bits, starts every probe sequence at the same bucket.
+//! The rotate brings the well-mixed high bits of the product down to
+//! where the bucket index is taken.
 
 // lint:allow-file(D2): this module IS the deterministic wrapper the rest of
 // the workspace is required to use; it must name std's map types to alias them.
@@ -34,7 +43,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -102,6 +111,22 @@ mod tests {
         let h2 = b.hash_one(0xdead_beefu64);
         assert_eq!(h1, h2);
         assert_ne!(b.hash_one(1u64), b.hash_one(2u64));
+    }
+
+    /// Distinct values of the low `bits` bits over `k · stride` hashes.
+    fn low_bit_values(stride: u64, bits: u32) -> usize {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let b: BuildHasherDefault<FxHasher> = Default::default();
+        let mask = (1u64 << bits) - 1;
+        (0..1024u64).map(|k| b.hash_one(k * stride) & mask).collect::<FastHashSet<u64>>().len()
+    }
+
+    #[test]
+    fn line_aligned_keys_spread_over_low_bits() {
+        // hashbrown takes the bucket from the low bits: line-aligned keys
+        // must not all land on one bucket.
+        assert!(low_bit_values(128, 7) >= 64, "128 B lines: {}", low_bit_values(128, 7));
+        assert!(low_bit_values(4096, 7) >= 64, "4 KB pages: {}", low_bit_values(4096, 7));
     }
 
     #[test]

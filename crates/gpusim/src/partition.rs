@@ -124,8 +124,7 @@ impl<B: MemoryBackend> MemPartition<B> {
     }
 
     fn bank_index(&self, addr: Addr) -> usize {
-        let banks = crate::narrow::usize_to_u32(self.banks.len(), "bank count is a small power of two");
-        self.map.bank_of(addr, banks) as usize
+        self.map.bank_of(addr) as usize
     }
 
     /// Attempts to consume one incoming request, taking ownership so the
@@ -135,11 +134,13 @@ impl<B: MemoryBackend> MemPartition<B> {
         let bank_idx = self.bank_index(req.line_addr);
         match req.kind {
             AccessKind::Load => {
-                let probe = self.banks[bank_idx].cache.peek(req.line_addr, req.sectors);
-                let missing = match probe {
+                // One set scan: the way found here also serves the
+                // accounting probe once the request is consumed.
+                let way = self.banks[bank_idx].cache.lookup(req.line_addr);
+                let missing = match self.banks[bank_idx].cache.peek_way(way, req.sectors) {
                     Probe::Hit => {
                         let bank = &mut self.banks[bank_idx];
-                        let _ = bank.cache.probe(req.line_addr, req.sectors);
+                        let _ = bank.cache.probe_way(way, req.sectors);
                         let pushed = bank.hit_delay.try_push(now, req);
                         debug_assert!(pushed.is_ok(), "hit queue is unbounded");
                         return Ok(());
@@ -164,7 +165,7 @@ impl<B: MemoryBackend> MemPartition<B> {
                 match bank.mshrs.access(line_addr, missing, req) {
                     MshrOutcome::Full(req) => Err(req),
                     MshrOutcome::Merged => {
-                        let _ = bank.cache.probe(line_addr, sectors);
+                        let _ = bank.cache.probe_way(way, sectors);
                         Ok(())
                     }
                     outcome => {
@@ -172,7 +173,7 @@ impl<B: MemoryBackend> MemPartition<B> {
                             MshrOutcome::MergedNewSectors(m) => m,
                             _ => missing,
                         };
-                        let _ = bank.cache.probe(line_addr, sectors);
+                        let _ = bank.cache.probe_way(way, sectors);
                         // The L2 is sectored: each missing 32 B sector goes
                         // to the memory side as its own request (this is
                         // what produces the 1-primary + N-secondary

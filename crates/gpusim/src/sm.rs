@@ -382,10 +382,13 @@ impl Sm {
             let Some(pa) = self.dispatch.front().copied() else { break };
             match pa.kind {
                 AccessKind::Load => {
-                    let want = match self.l1.peek(pa.access.line_addr, pa.access.sectors) {
+                    // One set scan serves both the verdict here and the
+                    // accounting probe once the access is consumed.
+                    let way = self.l1.lookup(pa.access.line_addr);
+                    let want = match self.l1.peek_way(way, pa.access.sectors) {
                         Probe::Hit => {
                             // Count the hit / refresh LRU now that it is consumed.
-                            let _ = self.l1.probe(pa.access.line_addr, pa.access.sectors);
+                            let _ = self.l1.probe_way(way, pa.access.sectors);
                             self.hit_returns.push(Reverse((now + self.l1_latency, pa.warp)));
                             self.dispatch.pop_front();
                             continue;
@@ -400,7 +403,7 @@ impl Sm {
                     }
                     match self.l1_mshrs.access(pa.access.line_addr, want, pa.warp) {
                         MshrOutcome::Allocated => {
-                            let _ = self.l1.probe(pa.access.line_addr, pa.access.sectors);
+                            let _ = self.l1.probe_way(way, pa.access.sectors);
                             out.requests.push(self.make_request(
                                 pa.access.line_addr,
                                 want,
@@ -411,7 +414,7 @@ impl Sm {
                             self.dispatch.pop_front();
                         }
                         MshrOutcome::MergedNewSectors(m) => {
-                            let _ = self.l1.probe(pa.access.line_addr, pa.access.sectors);
+                            let _ = self.l1.probe_way(way, pa.access.sectors);
                             out.requests.push(self.make_request(
                                 pa.access.line_addr,
                                 m,
@@ -422,7 +425,7 @@ impl Sm {
                             self.dispatch.pop_front();
                         }
                         MshrOutcome::Merged => {
-                            let _ = self.l1.probe(pa.access.line_addr, pa.access.sectors);
+                            let _ = self.l1.probe_way(way, pa.access.sectors);
                             self.dispatch.pop_front();
                         }
                         MshrOutcome::Full(_) => return,

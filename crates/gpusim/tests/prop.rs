@@ -142,6 +142,61 @@ fn address_map_roundtrip() {
     }
 }
 
+/// The shift/mask address map equals the division formulas it replaced,
+/// over every power-of-two geometry `GpuConfig::validate` admits in the
+/// ranges below, with and without the partition xor swizzle.
+#[test]
+fn address_map_matches_division_formulas() {
+    let partition = |addr: u64, il: u64, p: u64, xor: bool| {
+        let chunk = addr / il;
+        let base = chunk % p;
+        if xor {
+            base ^ ((chunk / p) % p)
+        } else {
+            base
+        }
+    };
+    let local = |addr: u64, il: u64, p: u64| (addr / il / p) * il + addr % il;
+    let global = |part: u64, local: u64, il: u64, p: u64, xor: bool| {
+        let chunk_div = local / il;
+        let slot = if xor { part ^ (chunk_div % p) } else { part };
+        (chunk_div * p + slot) * il + local % il
+    };
+    let mut rng = Rng64::new(0x5100);
+    for partitions in [1u32, 2, 4, 8, 16, 32] {
+        for interleave in [128u64, 256, 512, 1024, 2048, 4096] {
+            for banks in [1u32, 2, 4] {
+                for xor in [false, true] {
+                    let cfg = GpuConfig {
+                        num_partitions: partitions,
+                        interleave_bytes: interleave,
+                        l2_banks_per_partition: banks,
+                        partition_xor_hash: xor,
+                        ..GpuConfig::volta()
+                    };
+                    let map = AddressMap::new(&cfg);
+                    let (p, il) = (partitions as u64, interleave);
+                    for i in 0..256 {
+                        let addr = if i == 0 { 0 } else { rng.gen_range(1u64 << 44) };
+                        let what = format!("p={p} il={il} banks={banks} xor={xor} addr={addr:#x}");
+                        let part = partition(addr, il, p, xor);
+                        let off = local(addr, il, p);
+                        assert_eq!(map.partition_of(addr) as u64, part, "partition_of {what}");
+                        assert_eq!(map.local_offset(addr), off, "local_offset {what}");
+                        assert_eq!(map.bank_of(addr) as u64, off / il % banks as u64, "bank_of {what}");
+                        assert_eq!(
+                            map.global_addr(part as u32, off),
+                            global(part, off, il, p, xor),
+                            "{what}"
+                        );
+                        assert_eq!(map.global_addr(part as u32, off), addr, "round trip {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Reuse histogram mass always equals the access count.
 #[test]
 fn reuse_mass_conservation() {
