@@ -227,7 +227,7 @@ fn main() {
             let sim_cycles = result.report.cycles;
             let cycles_per_sec =
                 if wall.as_secs_f64() > 0.0 { sim_cycles as f64 / wall.as_secs_f64() } else { 0.0 };
-            let report_fp = report_fingerprint(&result.report);
+            let report_fp = result.report_fp;
             eprintln!(
                 "[perf] {bench:>14} {:>13}  {sim_cycles:>7} cyc  {wall_ms:>9.2} ms  {:>11.0} cyc/s  fp {report_fp:016x}",
                 scheme.label(),

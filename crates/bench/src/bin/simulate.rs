@@ -36,7 +36,7 @@
 use std::path::{Path, PathBuf};
 
 use secmem_bench::json::report_to_json;
-use secmem_bench::{run_job, BackendChoice, Job, RunResult};
+use secmem_bench::{report_fingerprint, run_job, BackendChoice, Job, RunResult};
 use secmem_checkpoint::Frame;
 use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
@@ -234,7 +234,14 @@ fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
             sim.set_telemetry(telemetry);
             let report = drive_checkpointed(&mut sim, o)?;
             let telemetry = sim.telemetry_snapshot();
-            Ok(RunResult { bench, label: job.label.clone(), report, reuse: None, telemetry })
+            Ok(RunResult {
+                bench,
+                label: job.label.clone(),
+                report_fp: report_fingerprint(&report),
+                report,
+                reuse: None,
+                telemetry,
+            })
         }
         BackendChoice::Secure(cfg) => {
             let cfg = cfg.clone();
@@ -248,7 +255,14 @@ fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
                 .reuse_profilers()
                 .map(|p| [p[0].histogram(), p[1].histogram(), p[2].histogram()]);
             let telemetry = sim.telemetry_snapshot();
-            Ok(RunResult { bench, label: job.label.clone(), report, reuse, telemetry })
+            Ok(RunResult {
+                bench,
+                label: job.label.clone(),
+                report_fp: report_fingerprint(&report),
+                report,
+                reuse,
+                telemetry,
+            })
         }
     }
 }

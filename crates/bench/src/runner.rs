@@ -20,7 +20,7 @@ use secmem_workloads::SyntheticKernel;
 
 use crate::cache::{CacheRole, CacheStats, ResultCache};
 use crate::queue::WorkPool;
-use crate::sweep::job_fingerprint;
+use crate::sweep::{job_fingerprint, report_fingerprint};
 
 /// Which memory backend to install.
 #[derive(Debug, Clone)]
@@ -40,6 +40,9 @@ pub struct RunResult {
     pub label: String,
     /// The end-of-run report.
     pub report: SimReport,
+    /// [`report_fingerprint`] of `report`, computed once where the
+    /// report is made: every consumer of a result reads this field.
+    pub report_fp: u64,
     /// Reuse-distance histograms `[counter, mac, tree]` of partition 0,
     /// when profiling was enabled.
     pub reuse: Option<[[u64; NUM_BUCKETS]; 3]>,
@@ -100,7 +103,14 @@ pub fn run_job(job: &Job, warm: Option<&WarmCache>) -> RunResult {
             (report, reuse, sim.telemetry_snapshot())
         }
     };
-    RunResult { bench: job.kernel.name().to_string(), label: job.label.clone(), report, reuse, telemetry }
+    RunResult {
+        bench: job.kernel.name().to_string(),
+        label: job.label.clone(),
+        report_fp: report_fingerprint(&report),
+        report,
+        reuse,
+        telemetry,
+    }
 }
 
 /// Runs `job`'s warmup and measured window on a freshly built `sim`.

@@ -298,7 +298,7 @@ impl SweepSpec {
                         r.report.warp_instructions.to_string(),
                         r.report.thread_instructions.to_string(),
                         format!("{:.6}", r.report.ipc()),
-                        format!("{:016x}", report_fingerprint(&r.report)),
+                        format!("{:016x}", r.report_fp),
                     ]),
                     None => table.push_row(vec![
                         bench.clone(),

@@ -131,3 +131,46 @@ fn checkpoint_rejects_the_wrong_configuration() {
     };
     assert!(wrong.restore_checkpoint(&frame).is_err(), "geometry mismatch must be rejected");
 }
+
+/// The L1 dispatch and L2 input heads remember why they were last
+/// refused, and the engine replays known-stall metadata retries in bulk;
+/// none of that derived state is checkpointed, and a restore drops it so
+/// the next attempt probes in full. Two-entry L1, L2 and metadata MSHR
+/// files keep every head stalled most of the time: a run restored from
+/// its own checkpoint every 97 cycles must match the straight run in
+/// its report and its final frame bytes.
+#[test]
+fn remembered_head_stalls_match_full_probes() {
+    const END: u64 = 20_000;
+    const EVERY: u64 = 97;
+    let k = kernel("b+tree");
+    let gpu = GpuConfig { l1_mshrs: 2, l2_mshrs: 2, ..GpuConfig::small() };
+    let cfg = SecureMemConfig { mdcache_mshrs: 2, ..SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt) };
+    let build = || {
+        let cfg = cfg.clone();
+        Simulator::new(gpu.clone(), &k, move |_, g| SecureBackend::new(cfg.clone(), g))
+    };
+
+    let mut straight = build();
+    let unbroken = straight.run(END);
+    assert!(unbroken.l2_mshr.stalls > 1_000, "only {} L2 MSHR stalls", unbroken.l2_mshr.stalls);
+
+    let mut restored = build();
+    let mut at = 0;
+    while at < END {
+        at = (at + EVERY).min(END);
+        let _ = restored.run_checked(at);
+        let frame = restored.save_checkpoint();
+        restored.restore_checkpoint(&frame).expect("a simulator restores its own checkpoint");
+    }
+    let resumed = restored.report();
+    assert_eq!(
+        report_fingerprint(&unbroken),
+        report_fingerprint(&resumed),
+        "restored every {EVERY} cycles: report diverges\nstraight: {unbroken:?}\nrestored: {resumed:?}"
+    );
+    assert!(
+        straight.save_checkpoint().encode() == restored.save_checkpoint().encode(),
+        "restored every {EVERY} cycles: final frame bytes diverge"
+    );
+}

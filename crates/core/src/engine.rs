@@ -755,32 +755,22 @@ impl SecureBackend {
     }
 
     /// Retries the stalled ops in queue order, stopping at the first
-    /// access that stalls again. An op with no fill since it stalled is a
-    /// known stall: it replays the stalled attempt's side effects
-    /// (profiler access, cache and MSHR stall statistics, requeue) without
-    /// probing the cache or the MSHR file.
+    /// access that stalls again. Once every queued op is a known stall (no
+    /// fill since it stalled) the rest of the drain is replayed in bulk by
+    /// [`Self::replay_known_stalls`].
     fn drain_retries(&mut self) {
         self.sync_stall_epoch();
         let mut budget = self.retries.len();
         while budget > 0 {
-            budget -= 1;
             // Dated ops are a suffix: the front one is dated iff all are.
+            // Nothing below fills, so once dated the queue stays dated.
             debug_assert!(self.known_stalls <= self.retries.len());
-            let known_stall = self.known_stalls == self.retries.len();
-            let Some(op) = self.retries.pop_front() else { break };
-            if known_stall {
-                let (class, line, is_access) = match &op {
-                    RetryOp::Access { class, line, .. } => (*class, *line, true),
-                    RetryOp::Walk { nodes } => (TrafficClass::Tree, nodes[0], false),
-                };
-                self.profile(class, line);
-                self.mdcache.replay_stall(class);
-                self.retries.push_back(op);
-                if is_access {
-                    break;
-                }
-                continue;
+            if self.known_stalls == self.retries.len() {
+                self.replay_known_stalls(budget);
+                return;
             }
+            budget -= 1;
+            let Some(op) = self.retries.pop_front() else { break };
             match op {
                 RetryOp::Access { class, line, waiter } => {
                     if !self.md_access(class, line, waiter) {
@@ -792,6 +782,32 @@ impl SecureBackend {
                 RetryOp::Walk { nodes } => self.continue_walk(nodes),
             }
         }
+    }
+
+    /// Replays what retrying the next `budget` ops one by one would do
+    /// when every one of them is a known stall: each walk up to the first
+    /// access, and that access, stalls again (profiler access, cache and
+    /// MSHR stall statistics) and moves to the back of the queue, and the
+    /// drain stops there. Neither the cache nor an MSHR file is probed.
+    fn replay_known_stalls(&mut self, budget: usize) {
+        let first_access =
+            self.retries.iter().take(budget).position(|op| matches!(op, RetryOp::Access { .. }));
+        let walks = first_access.unwrap_or(budget);
+        let replayed = first_access.map_or(budget, |i| i + 1);
+        if let Some(p) = self.profilers.as_deref_mut() {
+            for op in self.retries.iter().take(replayed) {
+                let (class, line) = match op {
+                    RetryOp::Access { class, line, .. } => (*class, *line),
+                    RetryOp::Walk { nodes } => (TrafficClass::Tree, nodes[0]),
+                };
+                p[secmem_gpusim::stats::meta_index(class)].access(line);
+            }
+        }
+        self.mdcache.replay_stalls(TrafficClass::Tree, walks as u64);
+        if let Some(RetryOp::Access { class, .. }) = first_access.map(|i| &self.retries[i]) {
+            self.mdcache.replay_stalls(*class, 1);
+        }
+        self.retries.rotate_left(replayed);
     }
 }
 
@@ -1572,9 +1588,22 @@ mod checkpoint_tests {
     /// Drives a deterministic open-loop request pattern over `[from, to)`,
     /// appending every (cycle, id) response to `log`.
     fn drive(b: &mut SecureBackend, from: Cycle, to: Cycle, log: &mut Vec<(Cycle, u64)>) {
+        drive_reads(b, from, to, log, Reads { every: 7, stride: 128 });
+    }
+
+    /// The read half of a [`drive`] pattern: one read every `every`
+    /// cycles, to 64 lines `stride` bytes apart.
+    #[derive(Clone, Copy, Debug)]
+    struct Reads {
+        every: Cycle,
+        stride: u64,
+    }
+
+    /// [`drive`] with the reads of `reads`.
+    fn drive_reads(b: &mut SecureBackend, from: Cycle, to: Cycle, log: &mut Vec<(Cycle, u64)>, reads: Reads) {
         for now in from..to {
-            if now % 7 == 0 && b.can_accept_read() {
-                b.submit_read(now, req(now, (now % 64) * 128));
+            if now % reads.every == 0 && b.can_accept_read() {
+                b.submit_read(now, req(now, (now % 64) * reads.stride));
             }
             if now % 11 == 0 && b.can_accept_write() {
                 b.submit_write(now, req(1000 + now, (now % 32) * 256));
@@ -1657,47 +1686,76 @@ mod checkpoint_tests {
         b.known_stalls > 0 && b.known_stalls == b.retries.len() && b.stall_epoch == b.mdcache.fill_epoch()
     }
 
+    /// Walks queued ahead of the first access, when every queued op is a
+    /// known stall: absent a fill, the next drain replays them in bulk.
+    fn known_stall_walks(b: &SecureBackend) -> usize {
+        if !has_known_stall(b) {
+            return 0;
+        }
+        b.retries.iter().take_while(|op| matches!(op, RetryOp::Walk { .. })).count()
+    }
+
     /// One-entry, one-target metadata MSHR files keep the retry queue full
-    /// of known stalls, which replay their side effects without probing.
-    /// Two runs must end byte-identical to the uninterrupted one: one
-    /// resumed once while retries are known stalls, and one resumed every
-    /// cycle, so that every retry re-probes (restored retries are undated).
-    #[test]
-    fn known_stall_retries_resume_byte_identically() {
-        let mut cfg = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
+    /// of known stalls, which are replayed in bulk without probing. Two
+    /// runs must end byte-identical to the uninterrupted one: one resumed
+    /// once while retries are known stalls, and one resumed every cycle,
+    /// so that every retry re-probes (restored retries are undated).
+    /// Returns how many cycles started with at least two known-stall
+    /// walks at the front of the queue.
+    fn known_stall_resume_case(scheme: SecurityScheme, profile_reuse: bool, reads: Reads) -> u32 {
+        let ctx = format!("{scheme:?}, profile_reuse={profile_reuse}, {reads:?}");
+        let mut cfg = SecureMemConfig::with_scheme(scheme);
         cfg.mdcache_mshrs = 1;
         cfg.mdcache_mshr_merge = 1;
-        cfg.profile_reuse = true;
+        cfg.profile_reuse = profile_reuse;
         let mut straight = SecureBackend::new(cfg, &GpuConfig::small());
         let mut log = Vec::new();
         let mut cut = 0;
         while !has_known_stall(&straight) {
-            drive(&mut straight, cut, cut + 1, &mut log);
+            drive_reads(&mut straight, cut, cut + 1, &mut log, reads);
             cut += 1;
-            assert!(cut < 2_000, "tiny MSHR files must stall");
+            assert!(cut < 2_000, "{ctx}: tiny MSHR files must stall");
         }
         let mut resumed = resume(&straight);
-        assert!(!has_known_stall(&resumed), "restored retries start undated");
+        assert!(!has_known_stall(&resumed), "{ctx}: restored retries start undated");
         let mut reprobed = resume(&straight);
         let (mut log_resumed, mut log_reprobed) = (log.clone(), log.clone());
 
         const END: Cycle = 3_000;
         let mut known_stall_cycles = 0;
+        let mut bulk_walk_cycles = 0;
         for now in cut..END {
             known_stall_cycles += u32::from(has_known_stall(&straight));
-            drive(&mut straight, now, now + 1, &mut log);
+            bulk_walk_cycles += u32::from(known_stall_walks(&straight) >= 2);
+            drive_reads(&mut straight, now, now + 1, &mut log, reads);
         }
-        drive(&mut resumed, cut, END, &mut log_resumed);
+        drive_reads(&mut resumed, cut, END, &mut log_resumed, reads);
         for now in cut..END {
             reprobed = resume(&reprobed);
-            drive(&mut reprobed, now, now + 1, &mut log_reprobed);
+            drive_reads(&mut reprobed, now, now + 1, &mut log_reprobed, reads);
         }
-        assert!(known_stall_cycles > 100, "only {known_stall_cycles} cycles with known stalls");
-        assert_eq!(log, log_resumed, "response stream after one resume");
-        assert_eq!(log, log_reprobed, "response stream when every retry re-probes");
+        assert!(known_stall_cycles > 100, "{ctx}: only {known_stall_cycles} cycles with known stalls");
+        assert_eq!(log, log_resumed, "{ctx}: response stream after one resume");
+        assert_eq!(log, log_reprobed, "{ctx}: response stream when every retry re-probes");
         let end_state = state_bytes(&straight);
-        assert!(end_state == state_bytes(&resumed), "state after one resume diverged");
-        assert!(end_state == state_bytes(&reprobed), "state when every retry re-probes diverged");
+        assert!(end_state == state_bytes(&resumed), "{ctx}: state after one resume diverged");
+        assert!(end_state == state_bytes(&reprobed), "{ctx}: state when every retry re-probes diverged");
+        bulk_walk_cycles
+    }
+
+    #[test]
+    fn known_stall_retries_resume_byte_identically() {
+        known_stall_resume_case(SecurityScheme::CtrMacBmt, true, Reads { every: 7, stride: 128 });
+        // Walk-heavy: sparse reads 256 KB apart each miss a MAC line the
+        // one-entry MAC MSHR file can fetch, but every MAC fetch starts a
+        // walk whose uncached nodes the one-entry tree MSHR file fetches
+        // one at a time, so walks pile up ahead of any access. Bulk replay
+        // must match probing with and without reuse profiling.
+        for profile_reuse in [true, false] {
+            let reads = Reads { every: 127, stride: 256 << 10 };
+            let bulk = known_stall_resume_case(SecurityScheme::DirectMacMt, profile_reuse, reads);
+            assert!(bulk > 100, "direct_mac_mt: only {bulk} cycles start with 2+ known-stall walks");
+        }
     }
 
     #[test]

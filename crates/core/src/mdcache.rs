@@ -245,25 +245,26 @@ impl<T> MetadataCaches<T> {
     /// Number of fills so far. Only a fill installs a line or frees an
     /// MSHR entry, so an access that returned [`MdOutcome::Stall`] stalls
     /// again for as long as the epoch is unchanged: replay it with
-    /// [`MetadataCaches::replay_stall`] instead of probing.
+    /// [`MetadataCaches::replay_stalls`] instead of probing.
     pub(crate) fn fill_epoch(&self) -> u64 {
         self.fill_epoch
     }
 
-    /// Accounts a repeat of an access known to stall (no fill since it
-    /// last returned [`MdOutcome::Stall`]) with exactly the side effects
-    /// of [`MetadataCaches::access`] stalling — cache tick and miss, MSHR
-    /// stall — without the cache probe or MSHR lookup.
-    pub(crate) fn replay_stall(&mut self, class: TrafficClass) {
+    /// Accounts `n` repeats of `class` accesses known to stall (no fill
+    /// since each last returned [`MdOutcome::Stall`]) with exactly the
+    /// side effects of `n` stalling [`MetadataCaches::access`] calls —
+    /// cache ticks and misses, MSHR stalls — without a cache probe or
+    /// MSHR lookup.
+    pub(crate) fn replay_stalls(&mut self, class: TrafficClass, n: u64) {
         let s = &mut self.stats[meta_index(class)];
-        s.cache.misses += 1;
-        s.mshr.stalls += 1;
+        s.cache.misses += n;
+        s.mshr.stalls += n;
         if let Store::Real(caches) = &mut self.store {
             let ci = cache_index(self.kind, caches, class);
-            caches[ci].note_miss();
+            caches[ci].note_misses(n);
         }
         let mi = self.mshr_index(class);
-        self.mshrs[mi].note_stall();
+        self.mshrs[mi].note_stalls(n);
     }
 
     /// Marks a resident line dirty (counter increment / MAC update / tree
@@ -502,8 +503,10 @@ mod tests {
                 md
             };
             let (mut probed, mut replayed) = (build(), build());
-            assert_eq!(probed.access(MAC, 0x0, 2), MdOutcome::Stall);
-            replayed.replay_stall(MAC);
+            for waiter in 2..5 {
+                assert_eq!(probed.access(MAC, 0x0, waiter), MdOutcome::Stall);
+            }
+            replayed.replay_stalls(MAC, 3);
             assert_eq!(probed.stats(), replayed.stats());
             assert!(state_bytes(&probed) == state_bytes(&replayed), "cache/MSHR state diverged");
         }

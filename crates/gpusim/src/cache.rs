@@ -90,6 +90,24 @@ impl LineState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Way(usize);
 
+/// Why a queue's head load missed and was refused: what its retry would
+/// find again as long as its cache and MSHR file are untouched. The L1
+/// dispatch queue and the L2 input queue hold their head until it is
+/// accepted, so only a fill (or a response) can change that; whoever
+/// applies one drops the memo, and a retry with the memo in hand skips
+/// the set scan and, on a full MSHR file, the MSHR lookup too. Derived
+/// state: never checkpointed, cleared on restore.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeadStall {
+    /// The head's line, as [`SectoredCache::lookup`] found it.
+    pub(crate) way: Option<Way>,
+    /// The sectors the head still needs.
+    pub(crate) missing: SectorMask,
+    /// The MSHR file refused the head; otherwise the next stage had no
+    /// room and the MSHR file was not asked.
+    pub(crate) mshr_full: bool,
+}
+
 /// Aggregate hit/miss statistics for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -305,12 +323,13 @@ impl SectoredCache {
         self.probe_way(self.lookup(line_addr), sectors)
     }
 
-    /// Accounts a probe the caller knows would miss (the line is absent
-    /// and nothing has been filled since it last missed) without
-    /// searching the set: the same tick and miss count as [`Self::probe`].
-    pub fn note_miss(&mut self) {
-        self.tick += 1;
-        self.stats.misses += 1;
+    /// Accounts `n` probes the caller knows would miss (each line is
+    /// absent and nothing has been filled since it last missed) without
+    /// searching a set: the same ticks and miss count as `n` calls of
+    /// [`Self::probe`].
+    pub fn note_misses(&mut self, n: u64) {
+        self.tick += n;
+        self.stats.misses += n;
     }
 
     /// Probes without updating LRU or statistics.

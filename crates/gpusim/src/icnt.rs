@@ -19,6 +19,10 @@ pub struct DelayQueue<T> {
     rate: u32,
     cap: usize,
     q: VecDeque<(Cycle, T)>,
+    /// The front element's ready cycle (`Cycle::MAX` when empty), so a
+    /// poll that finds nothing due never touches the ring buffer. Derived
+    /// from `q`: not checkpointed.
+    head_ready: Cycle,
     drained_at: Cycle,
     drained_count: u32,
 }
@@ -32,6 +36,7 @@ impl<T> DelayQueue<T> {
             rate: rate.max(1),
             cap,
             q: VecDeque::new(),
+            head_ready: Cycle::MAX,
             drained_at: Cycle::MAX,
             drained_count: 0,
         }
@@ -51,20 +56,26 @@ impl<T> DelayQueue<T> {
         if self.is_full() {
             return Err(item);
         }
-        self.q.push_back((now + self.latency, item));
+        let ready = now + self.latency;
+        if self.q.is_empty() {
+            self.head_ready = ready;
+        }
+        self.q.push_back((ready, item));
         Ok(())
+    }
+
+    /// Re-reads the front element's ready cycle after `q` changed.
+    fn sync_head(&mut self) {
+        self.head_ready = self.q.front().map_or(Cycle::MAX, |(ready, _)| *ready);
     }
 
     /// Returns a reference to the front element if a [`DelayQueue::pop`]
     /// at `now` would succeed, without consuming rate.
     pub fn ready(&self, now: Cycle) -> Option<&T> {
-        if self.drained_at == now && self.drained_count >= self.rate {
+        if self.head_ready > now || (self.drained_at == now && self.drained_count >= self.rate) {
             return None;
         }
-        match self.q.front() {
-            Some((ready, item)) if *ready <= now => Some(item),
-            _ => None,
-        }
+        self.q.front().map(|(_, item)| item)
     }
 
     /// Pops the front element if it is ready at `now` and the per-cycle
@@ -74,22 +85,19 @@ impl<T> DelayQueue<T> {
             self.drained_at = now;
             self.drained_count = 0;
         }
-        if self.drained_count >= self.rate {
+        if self.drained_count >= self.rate || self.head_ready > now {
             return None;
         }
-        match self.q.front() {
-            Some((ready, _)) if *ready <= now => {
-                self.drained_count += 1;
-                self.q.pop_front().map(|(_, item)| item)
-            }
-            _ => None,
-        }
+        self.drained_count += 1;
+        let item = self.q.pop_front().map(|(_, item)| item);
+        self.sync_head();
+        item
     }
 
     /// The cycle at which the front element becomes visible, if any.
     /// Used by the idle-skip scheduler to find the next delivery event.
     pub fn next_ready_at(&self) -> Option<Cycle> {
-        self.q.front().map(|(ready, _)| *ready)
+        (self.head_ready != Cycle::MAX).then_some(self.head_ready)
     }
 
     /// Current occupancy.
@@ -128,6 +136,7 @@ impl<T: Snapshot> DelayQueue<T> {
             )));
         }
         self.q = q;
+        self.sync_head();
         self.drained_at = r.get_u64()?;
         self.drained_count = r.get_u32()?;
         Ok(())
@@ -325,6 +334,97 @@ mod tests {
         assert_eq!(q.pop(5), Some(1));
         assert_eq!(q.ready(5), None, "rate used up this cycle");
         assert_eq!(q.ready(6), Some(&2));
+    }
+
+    /// The queue without a cached head: every poll reads `q.front()`.
+    struct FrontQueue {
+        latency: Cycle,
+        rate: u32,
+        cap: usize,
+        q: VecDeque<(Cycle, u32)>,
+        drained_at: Cycle,
+        drained_count: u32,
+    }
+
+    impl FrontQueue {
+        fn push(&mut self, now: Cycle, item: u32) -> Result<(), u32> {
+            if self.q.len() >= self.cap {
+                return Err(item);
+            }
+            self.q.push_back((now + self.latency, item));
+            Ok(())
+        }
+
+        fn ready(&self, now: Cycle) -> Option<&u32> {
+            if self.drained_at == now && self.drained_count >= self.rate {
+                return None;
+            }
+            self.q.front().filter(|(ready, _)| *ready <= now).map(|(_, item)| item)
+        }
+
+        fn pop(&mut self, now: Cycle) -> Option<u32> {
+            if self.drained_at != now {
+                self.drained_at = now;
+                self.drained_count = 0;
+            }
+            if self.drained_count >= self.rate || self.q.front().is_none_or(|(ready, _)| *ready > now) {
+                return None;
+            }
+            self.drained_count += 1;
+            self.q.pop_front().map(|(_, item)| item)
+        }
+
+        fn save_state(&self, w: &mut Writer) {
+            self.q.save(w);
+            w.put_u64(self.drained_at);
+            w.put_u32(self.drained_count);
+        }
+    }
+
+    fn saved(save: impl Fn(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A seeded mix of pushes, rate-limited pops, peeks and checkpoint
+    /// round trips: the cached head must answer exactly as a queue that
+    /// reads its front on every poll, and save the same bytes.
+    #[test]
+    fn cached_head_matches_reading_the_front() {
+        for seed in 0..8 {
+            let mut rng = crate::rng::Rng64::new(seed);
+            let (latency, rate, cap) =
+                (rng.gen_range(6) as u32, 1 + rng.gen_range(3) as u32, 1 + rng.gen_range(8) as usize);
+            let mut q: DelayQueue<u32> = DelayQueue::new(latency, rate, cap);
+            let mut reference = FrontQueue {
+                latency: latency as Cycle,
+                rate,
+                cap,
+                q: VecDeque::new(),
+                drained_at: Cycle::MAX,
+                drained_count: 0,
+            };
+            let mut now: Cycle = 0;
+            for step in 0..4_000u32 {
+                let ctx = format!("seed {seed}, step {step}, cycle {now}");
+                match rng.gen_range(10) {
+                    0..=3 => assert_eq!(q.try_push(now, step), reference.push(now, step), "{ctx}: push"),
+                    4..=6 => assert_eq!(q.pop(now), reference.pop(now), "{ctx}: pop"),
+                    7 => assert_eq!(q.ready(now), reference.ready(now), "{ctx}: ready"),
+                    8 => {
+                        let bytes = saved(|w| q.save_state(w));
+                        assert_eq!(bytes, saved(|w| reference.save_state(w)), "{ctx}: saved state");
+                        q = DelayQueue::new(latency, rate, cap);
+                        let mut r = Reader::new(&bytes);
+                        q.restore_state(&mut r).expect("restore succeeds");
+                        r.expect_end().expect("payload fully consumed");
+                    }
+                    _ => now += rng.gen_range(4),
+                }
+                assert_eq!(q.next_ready_at(), reference.q.front().map(|(ready, _)| *ready), "{ctx}: head");
+            }
+        }
     }
 
     #[test]

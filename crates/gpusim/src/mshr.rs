@@ -207,11 +207,11 @@ impl<T> MshrFile<T> {
         }
     }
 
-    /// Accounts an access the caller knows would return
-    /// [`MshrOutcome::Full`] (nothing has been filled or completed since it
-    /// last did) without looking the line up: the same stall count.
-    pub fn note_stall(&mut self) {
-        self.stats.stalls += 1;
+    /// Accounts `n` accesses the caller knows would return
+    /// [`MshrOutcome::Full`] (nothing has been filled or completed since
+    /// each last did) without looking a line up: the same stall count.
+    pub fn note_stalls(&mut self, n: u64) {
+        self.stats.stalls += n;
     }
 
     /// True if the line has an in-flight entry.

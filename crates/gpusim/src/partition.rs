@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
 use crate::backend::MemoryBackend;
-use crate::cache::{CacheStats, Probe, SectoredCache, WriteOutcome};
+use crate::cache::{CacheStats, HeadStall, Probe, SectoredCache, WriteOutcome};
 use crate::config::{AddressMap, GpuConfig};
 use crate::icnt::DelayQueue;
 use crate::mshr::{MshrFile, MshrOutcome, MshrStats};
@@ -55,6 +55,9 @@ pub struct MemPartition<B> {
     wb_cap: usize,
     next_backend_id: u64,
     accept_per_cycle: u32,
+    /// Why the `input` head (a load to bank `.0`) was last refused; see
+    /// [`HeadStall`]. Dropped by a fill into that bank.
+    head_stall: Option<(usize, HeadStall)>,
 }
 
 impl<B: MemoryBackend> MemPartition<B> {
@@ -72,6 +75,7 @@ impl<B: MemoryBackend> MemPartition<B> {
             wb_cap: 16,
             next_backend_id: (id as u64) << 48,
             accept_per_cycle: cfg.icnt_flit_per_cycle.max(cfg.l2_banks_per_partition),
+            head_stall: None,
         }
     }
 
@@ -111,6 +115,17 @@ impl<B: MemoryBackend> MemPartition<B> {
         total
     }
 
+    /// L2 accesses (hits plus misses) across banks.
+    pub fn l2_accesses(&self) -> u64 {
+        self.banks
+            .iter()
+            .map(|b| {
+                let s = b.cache.stats();
+                s.hits + s.misses
+            })
+            .sum()
+    }
+
     /// Aggregated L2 MSHR statistics across banks.
     pub fn l2_mshr_stats(&self) -> MshrStats {
         let mut total = MshrStats::default();
@@ -127,31 +142,49 @@ impl<B: MemoryBackend> MemPartition<B> {
         self.map.bank_of(addr) as usize
     }
 
-    /// Attempts to consume one incoming request, taking ownership so the
+    /// Attempts to consume the `input` head, taking ownership so the
     /// accept path never clones. On a resource stall the request is handed
-    /// back in `Err` and must stay queued.
+    /// back in `Err` and must go back to the head of `input`.
     fn try_accept(&mut self, now: Cycle, req: MemRequest) -> Result<(), MemRequest> {
         let bank_idx = self.bank_index(req.line_addr);
+        let head_stall = self.head_stall.take();
         match req.kind {
             AccessKind::Load => {
-                // One set scan: the way found here also serves the
-                // accounting probe once the request is consumed.
-                let way = self.banks[bank_idx].cache.lookup(req.line_addr);
-                let missing = match self.banks[bank_idx].cache.peek_way(way, req.sectors) {
-                    Probe::Hit => {
-                        let bank = &mut self.banks[bank_idx];
-                        let _ = bank.cache.probe_way(way, req.sectors);
-                        let pushed = bank.hit_delay.try_push(now, req);
-                        debug_assert!(pushed.is_ok(), "hit queue is unbounded");
-                        return Ok(());
+                let stall = match head_stall {
+                    Some((bank, stall)) => {
+                        debug_assert_eq!(bank, bank_idx, "the memo belongs to the refused head");
+                        stall
                     }
-                    Probe::PartialMiss(m) => m,
-                    Probe::Miss => req.sectors,
+                    None => {
+                        // One set scan: the way found here also serves the
+                        // accounting probe once the request is consumed.
+                        let cache = &self.banks[bank_idx].cache;
+                        let way = cache.lookup(req.line_addr);
+                        let missing = match cache.peek_way(way, req.sectors) {
+                            Probe::Hit => {
+                                let bank = &mut self.banks[bank_idx];
+                                let _ = bank.cache.probe_way(way, req.sectors);
+                                let pushed = bank.hit_delay.try_push(now, req);
+                                debug_assert!(pushed.is_ok(), "hit queue is unbounded");
+                                return Ok(());
+                            }
+                            Probe::PartialMiss(m) => m,
+                            Probe::Miss => req.sectors,
+                        };
+                        HeadStall { way, missing, mshr_full: false }
+                    }
                 };
                 if !self.backend.can_accept_read() {
+                    self.head_stall = Some((bank_idx, stall));
                     return Err(req);
                 }
+                let HeadStall { way, missing, mshr_full } = stall;
                 let bank = &mut self.banks[bank_idx];
+                if mshr_full {
+                    bank.mshrs.note_stalls(1);
+                    self.head_stall = Some((bank_idx, stall));
+                    return Err(req);
+                }
                 #[cfg(debug_assertions)]
                 if let Some(targets) = bank.mshrs.targets(req.line_addr) {
                     debug_assert!(
@@ -163,7 +196,10 @@ impl<B: MemoryBackend> MemPartition<B> {
                 let line_addr = req.line_addr;
                 let sectors = req.sectors;
                 match bank.mshrs.access(line_addr, missing, req) {
-                    MshrOutcome::Full(req) => Err(req),
+                    MshrOutcome::Full(req) => {
+                        self.head_stall = Some((bank_idx, HeadStall { mshr_full: true, ..stall }));
+                        Err(req)
+                    }
                     MshrOutcome::Merged => {
                         let _ = bank.cache.probe_way(way, sectors);
                         Ok(())
@@ -287,6 +323,9 @@ impl<B: MemoryBackend> MemPartition<B> {
     /// the writeback buffer.
     fn apply_fill(&mut self, fill: &BackendReq) {
         let bank_idx = fill.bank as usize;
+        if self.head_stall.is_some_and(|(bank, _)| bank == bank_idx) {
+            self.head_stall = None;
+        }
         let bank = &mut self.banks[bank_idx];
         if let Some(ev) = bank.cache.fill(fill.line_addr, fill.sectors, SectorMask::EMPTY) {
             if !ev.dirty.is_empty() {
@@ -398,6 +437,7 @@ impl<B: MemoryBackend> MemPartition<B> {
             bank.hit_delay.restore_state(r)?;
         }
         self.backend.restore_state(r)?;
+        self.head_stall = None;
         let input: VecDeque<MemRequest> = VecDeque::load(r)?;
         if input.len() > self.input_cap {
             return Err(CheckpointError::Malformed(format!(

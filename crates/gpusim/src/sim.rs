@@ -241,26 +241,26 @@ impl<B: MemoryBackend> Simulator<B> {
 
     /// Earliest cycle at or after `now` at which any component can make
     /// progress, or `None` when every component is event-less (drained,
-    /// or deadlocked waiting on responses that will never come).
+    /// or deadlocked waiting on responses that will never come). Stops at
+    /// the first component due now, since nothing can beat `now`;
+    /// partitions come first, as they are the likeliest to be busy.
     fn next_activity_cycle(&self) -> Option<Cycle> {
         let now = self.now;
-        let mut next: Option<Cycle> = None;
-        let mut merge = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));
         if self.overflow.iter().any(|q| !q.is_empty()) {
-            merge(now);
+            return Some(now);
         }
-        for sm in &self.sms {
-            if let Some(c) = sm.next_event_cycle(now) {
-                merge(c);
+        let events = self
+            .partitions
+            .iter()
+            .map(|p| p.next_event_cycle(now))
+            .chain(std::iter::once(self.icnt.next_event_cycle(now)))
+            .chain(self.sms.iter().map(|sm| sm.next_event_cycle(now)));
+        let mut next: Option<Cycle> = None;
+        for c in events.flatten() {
+            if c <= now {
+                return Some(c);
             }
-        }
-        if let Some(c) = self.icnt.next_event_cycle(now) {
-            merge(c);
-        }
-        for p in &self.partitions {
-            if let Some(c) = p.next_event_cycle(now) {
-                merge(c);
-            }
+            next = Some(next.map_or(c, |n| n.min(c)));
         }
         next
     }
@@ -546,10 +546,8 @@ impl<B: MemoryBackend> Simulator<B> {
         let mut dram_busy = 0u64;
         let mut l2_activity = 0u64;
         for p in &self.partitions {
-            let d = p.backend().dram_stats();
-            dram_busy += d.busy_fp;
-            let l2 = p.l2_stats();
-            l2_activity += l2.hits + l2.misses;
+            dram_busy += p.backend().dram_stats().busy_fp;
+            l2_activity += p.l2_accesses();
         }
         (instructions, dram_busy, l2_activity)
     }

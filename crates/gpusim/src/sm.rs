@@ -19,7 +19,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
-use crate::cache::{Probe, SectoredCache};
+use crate::cache::{HeadStall, Probe, SectoredCache};
 use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::kernel::WarpProgram;
 use crate::mshr::{FillOutcome, MshrFile, MshrOutcome};
@@ -129,6 +129,9 @@ pub struct Sm {
     /// Any event that could unblock a warp resets this to 0.
     issue_idle_until: Cycle,
     issue_idle_blocked: bool,
+    /// Why the `dispatch` head (a load) was last refused; see
+    /// [`HeadStall`]. Dropped by every response.
+    head_stall: Option<HeadStall>,
     last_issued: u32,
     next_req_id: u64,
     /// Warp instructions issued.
@@ -165,6 +168,7 @@ impl Sm {
             visited: vec![0; words],
             issue_idle_until: 0,
             issue_idle_blocked: false,
+            head_stall: None,
             last_issued: 0,
             next_req_id: (id as u64) << 40,
             instructions: 0,
@@ -251,6 +255,7 @@ impl Sm {
     /// Delivers a memory response (an L2/engine fill) to this SM.
     pub fn on_response(&mut self, resp: &MemRequest) {
         self.issue_idle_until = 0;
+        self.head_stall = None;
         let line = resp.line_addr;
         self.fill_targets.clear();
         match self.l1_mshrs.note_fill(line, resp.sectors, &mut self.fill_targets) {
@@ -382,25 +387,38 @@ impl Sm {
             let Some(pa) = self.dispatch.front().copied() else { break };
             match pa.kind {
                 AccessKind::Load => {
-                    // One set scan serves both the verdict here and the
-                    // accounting probe once the access is consumed.
-                    let way = self.l1.lookup(pa.access.line_addr);
-                    let want = match self.l1.peek_way(way, pa.access.sectors) {
-                        Probe::Hit => {
-                            // Count the hit / refresh LRU now that it is consumed.
-                            let _ = self.l1.probe_way(way, pa.access.sectors);
-                            self.hit_returns.push(Reverse((now + self.l1_latency, pa.warp)));
-                            self.dispatch.pop_front();
-                            continue;
+                    let stall = match self.head_stall.take() {
+                        Some(stall) => stall,
+                        None => {
+                            // One set scan serves both the verdict here and
+                            // the accounting probe once the access is consumed.
+                            let way = self.l1.lookup(pa.access.line_addr);
+                            let missing = match self.l1.peek_way(way, pa.access.sectors) {
+                                Probe::Hit => {
+                                    // Count the hit / refresh LRU now that it is consumed.
+                                    let _ = self.l1.probe_way(way, pa.access.sectors);
+                                    self.hit_returns.push(Reverse((now + self.l1_latency, pa.warp)));
+                                    self.dispatch.pop_front();
+                                    continue;
+                                }
+                                Probe::PartialMiss(missing) => missing,
+                                Probe::Miss => pa.access.sectors,
+                            };
+                            HeadStall { way, missing, mshr_full: false }
                         }
-                        Probe::PartialMiss(missing) => missing,
-                        Probe::Miss => pa.access.sectors,
                     };
                     // Without interconnect room we cannot risk allocating an
                     // MSHR whose request we could not send.
                     if icnt_room == 0 {
+                        self.head_stall = Some(stall);
                         return;
                     }
+                    if stall.mshr_full {
+                        self.l1_mshrs.note_stalls(1);
+                        self.head_stall = Some(stall);
+                        return;
+                    }
+                    let HeadStall { way, missing: want, .. } = stall;
                     match self.l1_mshrs.access(pa.access.line_addr, want, pa.warp) {
                         MshrOutcome::Allocated => {
                             let _ = self.l1.probe_way(way, pa.access.sectors);
@@ -428,7 +446,10 @@ impl Sm {
                             let _ = self.l1.probe_way(way, pa.access.sectors);
                             self.dispatch.pop_front();
                         }
-                        MshrOutcome::Full(_) => return,
+                        MshrOutcome::Full(_) => {
+                            self.head_stall = Some(HeadStall { mshr_full: true, ..stall });
+                            return;
+                        }
                     }
                 }
                 AccessKind::Store => {
@@ -701,6 +722,7 @@ impl Sm {
         }
         self.l1.restore_state(r)?;
         self.l1_mshrs.restore_state(r)?;
+        self.head_stall = None;
         let dispatch_len = r.get_count()?;
         let mut dispatch = VecDeque::with_capacity(dispatch_len);
         for _ in 0..dispatch_len {

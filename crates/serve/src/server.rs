@@ -25,7 +25,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use secmem_bench::sweep::{report_fingerprint, SweepSpec};
+use secmem_bench::sweep::SweepSpec;
 use secmem_bench::{CacheRole, JobOutcome, RunResult, Runner, WorkPool};
 use secmem_gpusim::kernel::Kernel;
 
@@ -211,7 +211,7 @@ fn record_job(
     );
     match &result {
         Some(r) => {
-            event.push_str(&format!(",\"ok\":true,\"fp\":\"{:016x}\"", report_fingerprint(&r.report)));
+            event.push_str(&format!(",\"ok\":true,\"fp\":\"{:016x}\"", r.report_fp));
             if let Some(snap) = &r.telemetry {
                 if let Some(series) = snap.series("dram.data_bytes") {
                     event.push_str(&format!(",\"dram_bytes\":{}", series.total() as u64));
