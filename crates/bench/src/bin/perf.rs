@@ -29,9 +29,9 @@
 use secmem_bench::timing::{warmed, Stopwatch};
 use std::fmt::Write as _;
 
-use secmem_bench::sweep::report_fingerprint;
-use secmem_bench::{run_job, BackendChoice, Job};
-use secmem_core::{SecureMemConfig, SecurityScheme};
+use secmem_bench::run_job;
+use secmem_bench::sweep::{report_fingerprint, SweepSpec};
+use secmem_core::SecurityScheme;
 use secmem_gpusim::backend::PassthroughBackend;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
@@ -54,21 +54,13 @@ fn schemes(smoke: bool) -> Vec<SecurityScheme> {
     if smoke {
         vec![SecurityScheme::Baseline, SecurityScheme::CtrMacBmt]
     } else {
-        vec![
-            SecurityScheme::Baseline,
-            SecurityScheme::CtrOnly,
-            SecurityScheme::CtrBmt,
-            SecurityScheme::CtrMacBmt,
-            SecurityScheme::Direct,
-            SecurityScheme::DirectMac,
-            SecurityScheme::DirectMacMt,
-        ]
+        SecurityScheme::ALL.to_vec()
     }
 }
 
 struct RunRow {
     bench: String,
-    scheme: &'static str,
+    scheme: String,
     sim_cycles: u64,
     wall_ms: f64,
     cycles_per_sec: f64,
@@ -198,52 +190,41 @@ fn main() {
         DEFAULT_SEED,
     );
 
+    let spec = SweepSpec {
+        benches: benches.iter().map(|b| (*b).to_string()).collect(),
+        schemes: schemes(smoke),
+        cycles,
+        ..SweepSpec::pinned_matrix()
+    };
+    let jobs = spec.jobs().unwrap_or_else(|e| {
+        eprintln!("[perf] {e}");
+        std::process::exit(2);
+    });
     let mut rows: Vec<RunRow> = Vec::new();
     let total_watch = Stopwatch::start();
-    for bench in &benches {
-        for scheme in schemes(smoke) {
-            let kernel = suite::by_name(bench).unwrap_or_else(|| {
-                eprintln!("[perf] unknown benchmark {bench}");
-                std::process::exit(2);
-            });
-            let backend = match scheme {
-                SecurityScheme::Baseline => BackendChoice::Baseline,
-                s => BackendChoice::Secure(SecureMemConfig::with_scheme(s)),
-            };
-            let job = Job {
-                kernel,
-                gpu: gpu.clone(),
-                backend,
-                cycles,
-                warmup: 0,
-                label: scheme.label().to_string(),
-                telemetry: None,
-                telemetry_out: None,
-            };
-            let watch = Stopwatch::start();
-            let result = run_job(&job, None);
-            let wall = watch.elapsed();
-            let wall_ms = wall.as_secs_f64() * 1e3;
-            let sim_cycles = result.report.cycles;
-            let cycles_per_sec =
-                if wall.as_secs_f64() > 0.0 { sim_cycles as f64 / wall.as_secs_f64() } else { 0.0 };
-            let report_fp = result.report_fp;
-            eprintln!(
-                "[perf] {bench:>14} {:>13}  {sim_cycles:>7} cyc  {wall_ms:>9.2} ms  {:>11.0} cyc/s  fp {report_fp:016x}",
-                scheme.label(),
-                cycles_per_sec,
-            );
-            rows.push(RunRow {
-                bench: (*bench).to_string(),
-                scheme: scheme.label(),
-                sim_cycles,
-                wall_ms,
-                cycles_per_sec,
-                report_fp,
-                warp_insts: result.report.warp_instructions,
-                l2_accesses: result.report.l2.accesses(),
-            });
-        }
+    for job in &jobs {
+        let watch = Stopwatch::start();
+        let result = run_job(job);
+        let wall = watch.elapsed();
+        let wall_ms = wall.as_secs_f64() * 1e3;
+        let sim_cycles = result.report.cycles;
+        let cycles_per_sec =
+            if wall.as_secs_f64() > 0.0 { sim_cycles as f64 / wall.as_secs_f64() } else { 0.0 };
+        let report_fp = result.report_fp;
+        eprintln!(
+            "[perf] {:>14} {:>13}  {sim_cycles:>7} cyc  {wall_ms:>9.2} ms  {:>11.0} cyc/s  fp {report_fp:016x}",
+            result.bench, result.label, cycles_per_sec,
+        );
+        rows.push(RunRow {
+            sim_cycles,
+            wall_ms,
+            cycles_per_sec,
+            report_fp,
+            warp_insts: result.report.warp_instructions,
+            l2_accesses: result.report.l2.accesses(),
+            bench: result.bench,
+            scheme: result.label,
+        });
     }
     let total_wall = total_watch.elapsed_secs();
     let total_cycles: u64 = rows.iter().map(|r| r.sim_cycles).sum();

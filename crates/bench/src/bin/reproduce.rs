@@ -107,80 +107,65 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { experiments, opts, csv_dir, resume })
 }
 
-const ALL: [&str; 22] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table6",
-    "table7",
-    "area-displacement",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-];
-
-/// Experiments beyond the paper: ablations of its design choices and the
-/// selective-encryption extension. Run with `reproduce ext`.
-const EXTENSIONS: [&str; 6] = [
-    "ablation-replacement",
-    "ablation-verification",
-    "ablation-scheduler",
-    "ablation-dram",
-    "selective-encryption",
-    "ml-suite",
-];
-
 /// An experiment: every one takes the same options and job runner.
 type Experiment = fn(&ExpOpts, &Runner) -> ExpResult;
 
-fn experiment(name: &str) -> Option<Experiment> {
+/// Which group name runs an experiment besides its own name.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// The paper's tables and figures: `reproduce all`.
+    Paper,
+    /// Ablations of the paper's design choices, selective encryption and
+    /// the ML suite: `reproduce ext`.
+    Extension,
+    /// Runs only by name.
+    Alone,
+}
+
+/// Every experiment, in the order `all` and `ext` run them.
+const EXPERIMENTS: [(&str, Group, Experiment); 29] = {
     use experiments::*;
-    let exp: Experiment = match name {
-        "table1" => table1,
-        "table2" => table2,
-        "table3" => table3,
-        "table4" => table4,
-        "fig3" => fig3,
-        "fig4" => fig4,
-        "fig5" => fig5,
-        "fig6" => fig6,
-        "fig7" => fig7,
-        "fig8" => fig8,
-        "fig9" => fig9,
-        "fig10" => fig10,
-        "fig11" => fig11,
-        "fig12" => fig12,
-        "table6" => table6,
-        "table7" => table7,
-        "area-displacement" => area_displacement,
-        "fig13" => fig13,
-        "fig14" => fig14,
-        "fig15" => fig15,
-        "fig16" => fig16,
-        "fig17" => fig17,
-        "ablation-replacement" => ablation_replacement,
-        "ablation-verification" => ablation_verification,
-        "ablation-scheduler" => ablation_scheduler,
-        "ablation-dram" => ablation_dram,
-        "selective-encryption" => selective_encryption,
-        "ml-suite" => ml_suite,
-        "matrix" => matrix,
-        _ => return None,
-    };
-    Some(exp)
+    use Group::{Alone, Extension, Paper};
+    [
+        ("table1", Paper, table1),
+        ("table2", Paper, table2),
+        ("table3", Paper, table3),
+        ("table4", Paper, table4),
+        ("fig3", Paper, fig3),
+        ("fig4", Paper, fig4),
+        ("fig5", Paper, fig5),
+        ("fig6", Paper, fig6),
+        ("fig7", Paper, fig7),
+        ("fig8", Paper, fig8),
+        ("fig9", Paper, fig9),
+        ("fig10", Paper, fig10),
+        ("fig11", Paper, fig11),
+        ("fig12", Paper, fig12),
+        ("table6", Paper, table6),
+        ("table7", Paper, table7),
+        ("area-displacement", Paper, area_displacement),
+        ("fig13", Paper, fig13),
+        ("fig14", Paper, fig14),
+        ("fig15", Paper, fig15),
+        ("fig16", Paper, fig16),
+        ("fig17", Paper, fig17),
+        ("ablation-replacement", Extension, ablation_replacement),
+        ("ablation-verification", Extension, ablation_verification),
+        ("ablation-scheduler", Extension, ablation_scheduler),
+        ("ablation-dram", Extension, ablation_dram),
+        ("selective-encryption", Extension, selective_encryption),
+        ("ml-suite", Extension, ml_suite),
+        ("matrix", Alone, matrix),
+    ]
+};
+
+fn experiment(name: &str) -> Option<Experiment> {
+    EXPERIMENTS.iter().find(|(n, _, _)| *n == name).map(|&(_, _, run)| run)
+}
+
+/// The names of `group`'s experiments, in table order.
+fn group(group: Group) -> impl Iterator<Item = String> {
+    EXPERIMENTS.iter().filter(move |(_, g, _)| *g == group).map(|(name, _, _)| (*name).to_string())
 }
 
 /// Applies `--resume`: experiments whose CSV already exists *and passes
@@ -259,12 +244,10 @@ fn main() {
     };
     let mut todo: Vec<String> = Vec::new();
     for exp in &args.experiments {
-        if exp == "all" {
-            todo.extend(ALL.iter().map(|s| s.to_string()));
-        } else if exp == "ext" {
-            todo.extend(EXTENSIONS.iter().map(|s| s.to_string()));
-        } else {
-            todo.push(exp.clone());
+        match exp.as_str() {
+            "all" => todo.extend(group(Group::Paper)),
+            "ext" => todo.extend(group(Group::Extension)),
+            _ => todo.push(exp.clone()),
         }
     }
 

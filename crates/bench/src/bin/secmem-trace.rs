@@ -49,19 +49,6 @@ fn find_kernel(name: &str) -> Option<SyntheticKernel> {
     suite::by_name(name).or_else(|| ml::ml_suite().into_iter().find(|k| k.name() == name))
 }
 
-fn scheme_of(name: &str) -> Option<Option<SecurityScheme>> {
-    Some(match name {
-        "baseline" => None,
-        "ctr" => Some(SecurityScheme::CtrOnly),
-        "ctr_bmt" => Some(SecurityScheme::CtrBmt),
-        "ctr_mac_bmt" => Some(SecurityScheme::CtrMacBmt),
-        "direct" => Some(SecurityScheme::Direct),
-        "direct_mac" => Some(SecurityScheme::DirectMac),
-        "direct_mac_mt" => Some(SecurityScheme::DirectMacMt),
-        _ => return None,
-    })
-}
-
 /// Loads and fully validates a trace file in either format.
 fn load_trace(path: &Path) -> Result<BinaryTrace, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -171,19 +158,19 @@ fn cmd_run(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    let backend = scheme_of(&scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
+    let parsed = SecurityScheme::from_label(&scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
     let kernel = TraceKernel::from_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!(
         "replaying {} ({} resident bytes) under {scheme} for {cycles} cycles",
         path.display(),
         kernel.resident_bytes()
     );
-    let report = match backend {
-        None => {
+    let report = match parsed {
+        SecurityScheme::Baseline => {
             let mut sim = Simulator::new(gpu.clone(), &kernel, |_, g| PassthroughBackend::from_config(g));
             sim.run(cycles)
         }
-        Some(s) => {
+        s => {
             let cfg = SecureMemConfig { scheme: s, ..SecureMemConfig::secure_mem() };
             let mut sim = Simulator::new(gpu.clone(), &kernel, |_, g| SecureBackend::new(cfg.clone(), g));
             sim.run(cycles)

@@ -36,16 +36,16 @@
 use std::path::{Path, PathBuf};
 
 use secmem_bench::json::report_to_json;
-use secmem_bench::{report_fingerprint, run_job, BackendChoice, Job, RunResult};
+use secmem_bench::{run_job, run_job_with, BackendChoice, Drive, Job};
 use secmem_checkpoint::Frame;
-use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecurityScheme};
-use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
+use secmem_core::{MetadataCacheKind, SecureMemConfig, SecurityScheme};
+use secmem_gpusim::backend::MemoryBackend;
 use secmem_gpusim::cache::ReplacementPolicy;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
 use secmem_gpusim::stats::SimReport;
 use secmem_gpusim::types::TrafficClass;
-use secmem_telemetry::{chrome, json, Telemetry, TelemetryConfig};
+use secmem_telemetry::{chrome, json, TelemetryConfig};
 use secmem_workloads::{ml, suite, SyntheticKernel};
 
 struct Options {
@@ -174,109 +174,87 @@ fn emergency_path(out: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Drives a simulator in `--checkpoint-every` sized chunks, writing a
-/// snapshot after each chunk, and captures an emergency snapshot when
-/// the forward-progress watchdog trips.
-fn drive_checkpointed<B: MemoryBackend>(sim: &mut Simulator<B>, o: &Options) -> Result<SimReport, String> {
-    if let Some(path) = &o.resume_from {
-        let frame = Frame::read_file(path).map_err(|e| format!("--resume-from {}: {e}", path.display()))?;
-        sim.restore_checkpoint(&frame).map_err(|e| format!("--resume-from {}: {e}", path.display()))?;
-        eprintln!("resumed from {} at cycle {}", path.display(), frame.cycle);
+/// The `--checkpoint-every`/`--resume-from` driver: restores the
+/// `resume_from` snapshot (if any), runs in `every`-cycle chunks (one
+/// chunk when `every` is 0) writing a snapshot to `out` after each, and
+/// captures an emergency snapshot when the forward-progress watchdog
+/// trips.
+struct Checkpointing<'a> {
+    every: u64,
+    out: &'a Path,
+    resume_from: Option<&'a Path>,
+}
+
+impl<'a> Checkpointing<'a> {
+    fn new(o: &'a Options) -> Self {
+        Self { every: o.checkpoint_every, out: &o.checkpoint_out, resume_from: o.resume_from.as_deref() }
     }
-    loop {
-        let target =
-            if o.checkpoint_every > 0 { (sim.now() + o.checkpoint_every).min(o.cycles) } else { o.cycles };
-        match sim.run_checked(target) {
-            Ok(report) => {
-                if sim.finished() || sim.now() >= o.cycles {
-                    return Ok(report);
+}
+
+impl Drive for Checkpointing<'_> {
+    type Error = String;
+
+    fn drive<B: MemoryBackend>(&mut self, sim: &mut Simulator<B>, job: &Job) -> Result<SimReport, String> {
+        if let Some(path) = self.resume_from {
+            let frame =
+                Frame::read_file(path).map_err(|e| format!("--resume-from {}: {e}", path.display()))?;
+            sim.restore_checkpoint(&frame).map_err(|e| format!("--resume-from {}: {e}", path.display()))?;
+            eprintln!("resumed from {} at cycle {}", path.display(), frame.cycle);
+        }
+        loop {
+            let target = if self.every > 0 { (sim.now() + self.every).min(job.cycles) } else { job.cycles };
+            match sim.run_checked(target) {
+                Ok(report) => {
+                    if sim.finished() || sim.now() >= job.cycles {
+                        return Ok(report);
+                    }
+                    if self.every > 0 {
+                        let frame = sim.save_checkpoint();
+                        frame
+                            .write_file(self.out)
+                            .map_err(|e| format!("writing {}: {e}", self.out.display()))?;
+                        eprintln!("checkpoint at cycle {} -> {}", frame.cycle, self.out.display());
+                    }
                 }
-                if o.checkpoint_every > 0 {
+                Err(stall) => {
+                    let path = emergency_path(self.out);
                     let frame = sim.save_checkpoint();
-                    frame
-                        .write_file(&o.checkpoint_out)
-                        .map_err(|e| format!("writing {}: {e}", o.checkpoint_out.display()))?;
-                    eprintln!("checkpoint at cycle {} -> {}", frame.cycle, o.checkpoint_out.display());
+                    match frame.write_file(&path) {
+                        Ok(()) => eprintln!(
+                            "watchdog: {stall}; emergency snapshot at cycle {} -> {}",
+                            frame.cycle,
+                            path.display()
+                        ),
+                        Err(e) => eprintln!("watchdog: {stall}; emergency snapshot failed: {e}"),
+                    }
+                    // The report carries the stall diagnostics.
+                    return Ok(sim.report());
                 }
-            }
-            Err(stall) => {
-                let path = emergency_path(&o.checkpoint_out);
-                let frame = sim.save_checkpoint();
-                match frame.write_file(&path) {
-                    Ok(()) => eprintln!(
-                        "watchdog: {stall}; emergency snapshot at cycle {} -> {}",
-                        frame.cycle,
-                        path.display()
-                    ),
-                    Err(e) => eprintln!("watchdog: {stall}; emergency snapshot failed: {e}"),
-                }
-                // The report carries the stall diagnostics.
-                return Ok(sim.report());
             }
         }
     }
 }
 
-/// Like [`run_job`], but with the simulator exposed to the chunked
-/// checkpoint loop. Mirrors `run_job`'s construction exactly so resumed
-/// runs restore into an identical machine.
-fn run_checkpointed_job(job: &Job, o: &Options) -> Result<RunResult, String> {
-    use secmem_gpusim::kernel::Kernel;
-    let bench = job.kernel.name().to_string();
-    let telemetry = match &job.telemetry {
-        Some(cfg) => Telemetry::enabled(cfg.clone()),
-        None => Telemetry::disabled(),
+/// The job `o` describes, running `kernel`.
+fn job_of(o: &Options, kernel: SyntheticKernel) -> Result<Job, String> {
+    let scheme =
+        SecurityScheme::from_label(&o.scheme).ok_or_else(|| format!("unknown scheme '{}'", o.scheme))?;
+    let backend = match scheme {
+        SecurityScheme::Baseline => BackendChoice::Baseline,
+        s => BackendChoice::Secure(SecureMemConfig { scheme: s, ..o.cfg.clone() }),
     };
-    match &job.backend {
-        BackendChoice::Baseline => {
-            let mut sim =
-                Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            sim.set_telemetry(telemetry);
-            let report = drive_checkpointed(&mut sim, o)?;
-            let telemetry = sim.telemetry_snapshot();
-            Ok(RunResult {
-                bench,
-                label: job.label.clone(),
-                report_fp: report_fingerprint(&report),
-                report,
-                reuse: None,
-                telemetry,
-            })
-        }
-        BackendChoice::Secure(cfg) => {
-            let cfg = cfg.clone();
-            let mut sim =
-                Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            sim.set_telemetry(telemetry);
-            let report = drive_checkpointed(&mut sim, o)?;
-            let reuse = sim
-                .partition(0)
-                .backend()
-                .reuse_profilers()
-                .map(|p| [p[0].histogram(), p[1].histogram(), p[2].histogram()]);
-            let telemetry = sim.telemetry_snapshot();
-            Ok(RunResult {
-                bench,
-                label: job.label.clone(),
-                report_fp: report_fingerprint(&report),
-                report,
-                reuse,
-                telemetry,
-            })
-        }
-    }
-}
-
-fn scheme_of(name: &str) -> Option<Option<SecurityScheme>> {
-    Some(match name {
-        "baseline" => None,
-        "ctr" => Some(SecurityScheme::CtrOnly),
-        "ctr_bmt" => Some(SecurityScheme::CtrBmt),
-        "ctr_mac_bmt" => Some(SecurityScheme::CtrMacBmt),
-        "direct" => Some(SecurityScheme::Direct),
-        "direct_mac" => Some(SecurityScheme::DirectMac),
-        "direct_mac_mt" => Some(SecurityScheme::DirectMacMt),
-        _ => return None,
+    let telemetry = o
+        .telemetry
+        .then(|| TelemetryConfig { sample_interval: o.sample_interval, ..TelemetryConfig::default() });
+    Ok(Job {
+        kernel,
+        gpu: o.gpu.clone(),
+        backend,
+        cycles: o.cycles,
+        warmup: o.warmup,
+        label: o.scheme.clone(),
+        telemetry,
+        telemetry_out: None, // single run: the trace is written below
     })
 }
 
@@ -292,30 +270,16 @@ fn main() {
         eprintln!("unknown benchmark '{}'", o.bench);
         std::process::exit(2);
     };
-    let Some(scheme) = scheme_of(&o.scheme) else {
-        eprintln!("unknown scheme '{}'", o.scheme);
-        std::process::exit(2);
-    };
-    let backend = match scheme {
-        None => BackendChoice::Baseline,
-        Some(s) => BackendChoice::Secure(SecureMemConfig { scheme: s, ..o.cfg.clone() }),
-    };
-    let telemetry = o
-        .telemetry
-        .then(|| TelemetryConfig { sample_interval: o.sample_interval, ..TelemetryConfig::default() });
-    let job = Job {
-        kernel,
-        gpu: o.gpu.clone(),
-        backend,
-        cycles: o.cycles,
-        warmup: o.warmup,
-        label: o.scheme.clone(),
-        telemetry,
-        telemetry_out: None, // single run: the trace is written below
+    let job = match job_of(&o, kernel) {
+        Ok(job) => job,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     };
     let checkpointing = o.checkpoint_every > 0 || o.resume_from.is_some();
     let result = if checkpointing {
-        match run_checkpointed_job(&job, &o) {
+        match run_job_with(&job, &mut Checkpointing::new(&o)) {
             Ok(result) => result,
             Err(e) => {
                 eprintln!("{e}");
@@ -323,7 +287,7 @@ fn main() {
             }
         }
     } else {
-        run_job(&job, None)
+        run_job(&job)
     };
     let r = &result.report;
     if let (Some(path), Some(snap)) = (&o.trace_out, &result.telemetry) {
@@ -375,6 +339,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secmem_gpusim::backend::PassthroughBackend;
     use secmem_gpusim::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
     use secmem_gpusim::kernel::StreamKernel;
 
@@ -418,8 +383,9 @@ mod tests {
         gpu.watchdog_cycles = 2_000;
         o.gpu = gpu.clone();
 
+        let job = job_of(&o, find_kernel(&o.bench).expect("suite workload")).expect("known scheme");
         let mut sim = stalling_sim(&gpu);
-        let report = drive_checkpointed(&mut sim, &o).expect("stall is reported, not an error");
+        let report = Checkpointing::new(&o).drive(&mut sim, &job).expect("stall is reported, not an error");
         let stall = report.stall.as_ref().expect("report must carry the stall diagnostics");
 
         // The wedged machine must be captured, decodable, and restorable
@@ -439,6 +405,41 @@ mod tests {
             stall.cycle,
             again.cycle
         );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// On a stall-heavy cell (two-entry metadata MSHR files), the plain
+    /// driver, the checkpoint driver in 1500-cycle chunks, and a run
+    /// resumed from the first chunk's frame give the same report.
+    #[test]
+    fn checkpoint_driver_matches_the_plain_driver() {
+        let dir = std::env::temp_dir().join(format!("simulate_chunks_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut o = options(&dir);
+        o.bench = "b+tree".into();
+        o.scheme = "direct_mac_mt".into();
+        o.cycles = 4_000;
+        o.cfg.mdcache_mshrs = 2;
+        let job = job_of(&o, find_kernel(&o.bench).expect("suite workload")).expect("known scheme");
+        let straight = run_job(&job).report_fp;
+
+        o.checkpoint_every = 1_500;
+        let chunked = run_job_with(&job, &mut Checkpointing::new(&o)).expect("chunked run").report_fp;
+        assert_eq!(chunked, straight, "chunked run diverges from the plain driver");
+
+        // A two-chunk run leaves the first chunk's frame behind.
+        let first = dir.join("first.ckpt");
+        let two_chunks = Job { cycles: 3_000, ..job.clone() };
+        run_job_with(&two_chunks, &mut Checkpointing { every: 1_500, out: &first, resume_from: None })
+            .expect("two-chunk run");
+        assert_eq!(Frame::read_file(&first).expect("frame decodes").cycle, 1_500);
+        let out = dir.join("resumed.ckpt");
+        let resumed =
+            run_job_with(&job, &mut Checkpointing { every: 0, out: &out, resume_from: Some(&first) })
+                .expect("resumed run")
+                .report_fp;
+        assert_eq!(resumed, straight, "run resumed at cycle 1500 diverges from the plain driver");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

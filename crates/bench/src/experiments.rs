@@ -866,18 +866,15 @@ pub fn ml_suite(opts: &ExpOpts, runner: &Runner) -> ExpResult {
 /// as a batch experiment so server output can be diffed against
 /// `reproduce matrix` byte-for-byte.
 pub fn matrix(opts: &ExpOpts, runner: &Runner) -> ExpResult {
-    use crate::sweep::{GpuPreset, SweepSpec, ALL_SCHEMES, PINNED_BENCHES};
+    use crate::sweep::{GpuPreset, SweepSpec};
     let preset = if opts.gpu == GpuConfig::small() { GpuPreset::Small } else { GpuPreset::Volta };
     let spec = SweepSpec {
-        benches: PINNED_BENCHES.iter().map(|b| (*b).to_string()).collect(),
-        schemes: ALL_SCHEMES.to_vec(),
         gpu: preset,
         cycles: opts.cycles,
         warmup: opts.warmup,
         seed: opts.seed,
         sample_interval: opts.telemetry.as_ref().map(|t| t.sample_interval),
-        l2_bytes_per_bank: None,
-        l2_assoc: None,
+        ..SweepSpec::pinned_matrix()
     };
     let jobs = spec.jobs().expect("pinned matrix spec is valid");
     Ok(spec.results_table(&whole(runner.run_batch(jobs))?))

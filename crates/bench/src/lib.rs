@@ -27,7 +27,8 @@ pub use cache::{CacheRole, CacheStats, ResultCache};
 pub use experiments::{ExpOpts, JobsFailed};
 pub use queue::WorkPool;
 pub use runner::{
-    run_job, run_job_isolated, BackendChoice, Job, JobFailure, JobOutcome, RunResult, Runner, WarmCache,
+    run_job, run_job_isolated, run_job_with, BackendChoice, Drive, Job, JobFailure, JobOutcome, RunResult,
+    Runner,
 };
 pub use sweep::{job_fingerprint, report_fingerprint, GpuPreset, SweepError, SweepSpec};
 pub use table::ExpTable;

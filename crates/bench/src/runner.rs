@@ -4,11 +4,9 @@
 //! [`crate::SweepSpec::run`] and the `secmem-serve` sweep server all run
 //! their jobs through a [`Runner`].
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
-use secmem_checkpoint::{fnv1a, Frame};
 use secmem_core::{SecureBackend, SecureMemConfig};
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
 use secmem_gpusim::config::GpuConfig;
@@ -74,27 +72,69 @@ pub struct Job {
     pub telemetry_out: Option<PathBuf>,
 }
 
-/// Runs one job on the calling thread. This is the only place a
-/// [`Job`] becomes a [`Simulator`].
+/// How [`run_job_with`] runs a simulator it has built for a job.
 ///
-/// With a `warm` cache, a job with warmup forks its warmup from a
-/// snapshot when another job with an identical (kernel, GPU, backend,
-/// warmup) prefix has already warmed a simulator. Jobs with telemetry
-/// always warm from scratch: sample-window boundaries shift across a
-/// restore, so only an unforked run keeps their traces identical.
-pub fn run_job(job: &Job, warm: Option<&WarmCache>) -> RunResult {
+/// The plain driver behind [`run_job`] runs the warmup and the measured
+/// window; `simulate`'s checkpoint driver runs the same machine in
+/// chunks, writing a snapshot after each one.
+pub trait Drive {
+    /// Why the driver could not produce a report.
+    type Error;
+
+    /// Runs `sim`, freshly built from `job` with the job's telemetry
+    /// installed, and returns its report.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the driver cannot recover from.
+    fn drive<B: MemoryBackend>(
+        &mut self,
+        sim: &mut Simulator<B>,
+        job: &Job,
+    ) -> Result<SimReport, Self::Error>;
+}
+
+/// The plain driver: the warmup window (if any), then the measured one.
+struct Plain;
+
+impl Drive for Plain {
+    type Error = std::convert::Infallible;
+
+    fn drive<B: MemoryBackend>(
+        &mut self,
+        sim: &mut Simulator<B>,
+        job: &Job,
+    ) -> Result<SimReport, Self::Error> {
+        // `run_with_warmup(0, ..)` would still emit a warmup phase event.
+        Ok(if job.warmup == 0 { sim.run(job.cycles) } else { sim.run_with_warmup(job.warmup, job.cycles) })
+    }
+}
+
+/// Runs one job on the calling thread.
+pub fn run_job(job: &Job) -> RunResult {
+    let Ok(result) = run_job_with(job, &mut Plain);
+    result
+}
+
+/// Builds `job`'s simulator, hands it to `driver` and collects the
+/// result. This is the only place a [`Job`] becomes a [`Simulator`].
+///
+/// # Errors
+///
+/// The driver's error.
+pub fn run_job_with<D: Drive>(job: &Job, driver: &mut D) -> Result<RunResult, D::Error> {
     use secmem_gpusim::kernel::Kernel;
     let (report, reuse, telemetry) = match &job.backend {
         BackendChoice::Baseline => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| PassthroughBackend::from_config(g));
-            let report = measure(&mut sim, job, warm);
+            let report = start(&mut sim, job, driver)?;
             (report, None, sim.telemetry_snapshot())
         }
         BackendChoice::Secure(cfg) => {
             let mut sim =
                 Simulator::new(job.gpu.clone(), &job.kernel, |_, g| SecureBackend::new(cfg.clone(), g));
-            let report = measure(&mut sim, job, warm);
+            let report = start(&mut sim, job, driver)?;
             let reuse = sim
                 .partition(0)
                 .backend()
@@ -103,103 +143,26 @@ pub fn run_job(job: &Job, warm: Option<&WarmCache>) -> RunResult {
             (report, reuse, sim.telemetry_snapshot())
         }
     };
-    RunResult {
+    Ok(RunResult {
         bench: job.kernel.name().to_string(),
         label: job.label.clone(),
         report_fp: report_fingerprint(&report),
         report,
         reuse,
         telemetry,
-    }
+    })
 }
 
-/// Runs `job`'s warmup and measured window on a freshly built `sim`.
-fn measure<B: MemoryBackend>(sim: &mut Simulator<B>, job: &Job, warm: Option<&WarmCache>) -> SimReport {
+/// Installs `job`'s telemetry on a freshly built `sim` and drives it.
+fn start<B: MemoryBackend, D: Drive>(
+    sim: &mut Simulator<B>,
+    job: &Job,
+    driver: &mut D,
+) -> Result<SimReport, D::Error> {
     if let Some(cfg) = &job.telemetry {
         sim.set_telemetry(Telemetry::enabled(cfg.clone()));
     }
-    match warm {
-        // `run_with_warmup(0, ..)` would still emit a warmup phase event.
-        _ if job.warmup == 0 => sim.run(job.cycles),
-        Some(cache) if job.telemetry.is_none() => warmed_report(sim, job, cache),
-        _ => sim.run_with_warmup(job.warmup, job.cycles),
-    }
-}
-
-/// A warmed simulator snapshot and whether its warmup window was
-/// truncated by early kernel retirement.
-#[derive(Debug)]
-struct WarmEntry {
-    frame: Frame,
-    truncated: bool,
-}
-
-/// A cache of warmed simulator snapshots shared across the jobs of one
-/// sweep.
-///
-/// Sweeps frequently run many configurations of the same benchmark
-/// under the same warmup; everything before the measured window is
-/// identical work. Keys cover everything that shapes the warmup prefix
-/// — kernel, GPU configuration, backend configuration and warmup
-/// length — so two jobs share a snapshot only when their prefixes are
-/// provably the same simulation. The snapshot-resume guarantee (see
-/// [`Simulator::save_checkpoint`]) makes a forked run byte-identical
-/// to one that warmed from scratch.
-#[derive(Debug, Default)]
-pub struct WarmCache {
-    inner: Mutex<HashMap<u64, Arc<WarmEntry>>>,
-}
-
-impl WarmCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct warmed snapshots held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("warm cache lock").len()
-    }
-
-    /// True when no snapshot has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<WarmEntry>> {
-        self.inner.lock().expect("warm cache lock").get(&key).cloned()
-    }
-
-    fn put(&self, key: u64, entry: WarmEntry) {
-        // Two racing jobs with the same key compute identical frames
-        // (the simulation is deterministic), so last-write-wins is fine.
-        self.inner.lock().expect("warm cache lock").insert(key, Arc::new(entry));
-    }
-}
-
-/// Everything that shapes the warmup prefix, fingerprinted.
-fn warm_key(job: &Job) -> u64 {
-    fnv1a(format!("{:?}|{:?}|{:?}|{}", job.kernel, job.gpu, job.backend, job.warmup).as_bytes())
-}
-
-/// Warms `sim` for `job`, forking from `cache` when a snapshot with the
-/// same prefix exists, then runs the measured window.
-fn warmed_report<B: MemoryBackend>(sim: &mut Simulator<B>, job: &Job, cache: &WarmCache) -> SimReport {
-    let key = warm_key(job);
-    let restored =
-        cache.get(key).and_then(|entry| sim.restore_checkpoint(&entry.frame).ok().map(|()| entry.truncated));
-    let truncated = match restored {
-        Some(truncated) => truncated,
-        None => {
-            let truncated = sim.warm_up(job.warmup);
-            cache.put(key, WarmEntry { frame: sim.save_checkpoint(), truncated });
-            truncated
-        }
-    };
-    let mut report = sim.run(job.cycles);
-    report.cycles = sim.now().saturating_sub(job.warmup);
-    report.warmup_truncated = truncated;
-    report
+    driver.drive(sim, job)
 }
 
 /// A job that panicked (twice — each job gets one retry before it is
@@ -242,15 +205,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the whole sweep.
 ///
 /// Every job a [`Runner`] simulates goes through here, so panic
-/// isolation, the retry policy and warm-checkpoint forking behave
-/// identically whether a job comes from `reproduce`, a batch sweep or
-/// the `secmem-serve` sweep server.
-pub fn run_job_isolated(job: &Job, cache: &WarmCache) -> Result<RunResult, JobFailure> {
+/// isolation and the retry policy behave identically whether a job
+/// comes from `reproduce`, a batch sweep or the `secmem-serve` sweep
+/// server.
+pub fn run_job_isolated(job: &Job) -> Result<RunResult, JobFailure> {
     use secmem_gpusim::kernel::Kernel;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut last = None;
     for _attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| run_job(job, Some(cache)))) {
+        match catch_unwind(AssertUnwindSafe(|| run_job(job))) {
             Ok(result) => return Ok(result),
             Err(payload) => last = Some(panic_message(payload.as_ref())),
         }
@@ -266,9 +229,8 @@ pub fn run_job_isolated(job: &Job, cache: &WarmCache) -> Result<RunResult, JobFa
 /// The answer to one job: its result, or why it has none.
 pub type JobOutcome = Result<Arc<RunResult>, JobFailure>;
 
-/// The one job runner: a FIFO [`WorkPool`] of simulation workers, a
-/// single-flight [`ResultCache`] keyed by [`job_fingerprint`], and the
-/// [`WarmCache`] its simulations fork warmups from.
+/// The one job runner: a FIFO [`WorkPool`] of simulation workers and a
+/// single-flight [`ResultCache`] keyed by [`job_fingerprint`].
 ///
 /// A job whose fingerprint the runner has already simulated is answered
 /// from the cache, relabelled with the requesting job's label; since a
@@ -278,31 +240,22 @@ pub type JobOutcome = Result<Arc<RunResult>, JobFailure>;
 /// one `secmem-serve` server — so separate runners never share results.
 pub struct Runner {
     pool: WorkPool,
-    memo: Arc<Memo>,
+    memo: Arc<ResultCache<RunResult>>,
 }
 
-/// What the pool's tasks share: the result cache and the warm snapshots.
-struct Memo {
-    results: ResultCache<RunResult>,
-    warm: WarmCache,
-}
-
-impl Memo {
-    /// Answers `job` from the cache, simulating it on a miss.
-    fn answer(&self, job: &Job) -> (JobOutcome, CacheRole) {
-        let mut failure = None;
-        let (result, role) = self.results.get_or_compute(job_fingerprint(job), || {
-            run_job_isolated(job, &self.warm).map_err(|f| failure = Some(f)).ok()
-        });
-        let outcome = match result {
-            Some(r) if r.label == job.label => Ok(r),
-            Some(r) => Ok(Arc::new(RunResult { label: job.label.clone(), ..(*r).clone() })),
-            // The cache returns no value only to the caller whose own
-            // computation failed, and that computation set `failure`.
-            None => Err(failure.expect("a failed lookup ran its own computation")),
-        };
-        (outcome, role)
-    }
+/// Answers `job` from `memo`, simulating it on a miss.
+fn answer(memo: &ResultCache<RunResult>, job: &Job) -> (JobOutcome, CacheRole) {
+    let mut failure = None;
+    let (result, role) = memo
+        .get_or_compute(job_fingerprint(job), || run_job_isolated(job).map_err(|f| failure = Some(f)).ok());
+    let outcome = match result {
+        Some(r) if r.label == job.label => Ok(r),
+        Some(r) => Ok(Arc::new(RunResult { label: job.label.clone(), ..(*r).clone() })),
+        // The cache returns no value only to the caller whose own
+        // computation failed, and that computation set `failure`.
+        None => Err(failure.expect("a failed lookup ran its own computation")),
+    };
+    (outcome, role)
 }
 
 impl Runner {
@@ -326,10 +279,7 @@ impl Runner {
     pub fn try_new(workers: usize, capacity: usize) -> Result<Self, std::io::Error> {
         let workers =
             if workers == 0 { std::thread::available_parallelism().map_or(4, |n| n.get()) } else { workers };
-        Ok(Self {
-            pool: WorkPool::try_new(workers)?,
-            memo: Arc::new(Memo { results: ResultCache::new(capacity), warm: WarmCache::new() }),
-        })
+        Ok(Self { pool: WorkPool::try_new(workers)?, memo: Arc::new(ResultCache::new(capacity)) })
     }
 
     /// Queues `job` on the pool; `done` runs on the worker once the job
@@ -340,7 +290,7 @@ impl Runner {
     {
         let memo = self.memo.clone();
         let queued = self.pool.submit(move || {
-            let (outcome, role) = memo.answer(&job);
+            let (outcome, role) = answer(&memo, &job);
             done(outcome, role);
         });
         // The pool refuses work only while it is being dropped, which
@@ -392,7 +342,7 @@ impl Runner {
     /// miss (a job that waited on an identical one in flight counts as a
     /// hit, and also as `coalesced`), and every miss is one simulation.
     pub fn stats(&self) -> CacheStats {
-        self.memo.results.stats()
+        self.memo.stats()
     }
 
     /// Queued plus running jobs.
@@ -428,7 +378,7 @@ mod tests {
             telemetry: None,
             telemetry_out: None,
         };
-        let r = run_job(&job, None);
+        let r = run_job(&job);
         assert!(r.report.thread_instructions > 0);
         assert!(r.reuse.is_none());
     }
@@ -448,7 +398,7 @@ mod tests {
             telemetry: None,
             telemetry_out: None,
         };
-        let r = run_job(&job, None);
+        let r = run_job(&job);
         assert!(r.report.thread_instructions > 0);
         let reuse = r.reuse.expect("profiling enabled");
         assert!(reuse[0].iter().sum::<u64>() > 0, "counter accesses profiled");
@@ -507,53 +457,6 @@ mod tests {
             "failure carries the panic message: {}",
             failures[0].error
         );
-    }
-
-    #[test]
-    fn warm_cache_fork_matches_cold_warmup() {
-        let k = suite::by_name("fdtd2d").expect("exists");
-        let mk = |label: &str| Job {
-            kernel: k.clone(),
-            gpu: tiny_gpu(),
-            backend: BackendChoice::Secure(SecureMemConfig::secure_mem()),
-            cycles: 5_000,
-            warmup: 2_000,
-            label: label.into(),
-            telemetry: None,
-            telemetry_out: None,
-        };
-        let cold = run_job(&mk("cold"), None);
-        let cache = WarmCache::new();
-        let miss = run_job(&mk("miss"), Some(&cache));
-        assert_eq!(cache.len(), 1, "miss populates the cache");
-        let hit = run_job(&mk("hit"), Some(&cache));
-        assert_eq!(cache.len(), 1, "hit adds nothing");
-        let fp = |r: &RunResult| format!("{:?}", r.report);
-        assert_eq!(fp(&cold), fp(&miss), "cache-miss path matches an unforked run");
-        assert_eq!(fp(&cold), fp(&hit), "forked warmup matches cold warmup");
-    }
-
-    #[test]
-    fn warm_cache_keys_separate_configurations() {
-        let k = suite::by_name("nw").expect("exists");
-        let mk = |backend: BackendChoice, warmup: u64| Job {
-            kernel: k.clone(),
-            gpu: tiny_gpu(),
-            backend,
-            cycles: 2_000,
-            warmup,
-            label: "x".into(),
-            telemetry: None,
-            telemetry_out: None,
-        };
-        let cache = WarmCache::new();
-        let _ = run_job(&mk(BackendChoice::Baseline, 500), Some(&cache));
-        let _ = run_job(&mk(BackendChoice::Secure(SecureMemConfig::secure_mem()), 500), Some(&cache));
-        let _ = run_job(&mk(BackendChoice::Baseline, 700), Some(&cache));
-        assert_eq!(cache.len(), 3, "backend and warmup both key the cache");
-        // No warmup: nothing to share, the cache is bypassed.
-        let _ = run_job(&mk(BackendChoice::Baseline, 0), Some(&cache));
-        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -65,23 +65,6 @@ impl GpuPreset {
     }
 }
 
-/// Parses a scheme's paper label (`baseline`, `ctr`, `ctr_bmt`,
-/// `ctr_mac_bmt`, `direct`, `direct_mac`, `direct_mac_mt`).
-pub fn scheme_by_label(label: &str) -> Option<SecurityScheme> {
-    ALL_SCHEMES.into_iter().find(|s| s.label() == label)
-}
-
-/// Every protection scheme, in the canonical (Table V / VIII) order.
-pub const ALL_SCHEMES: [SecurityScheme; 7] = [
-    SecurityScheme::Baseline,
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
-
 /// The pinned benchmark set (one per Table-IV category), matching the
 /// checkpoint-determinism gate.
 pub const PINNED_BENCHES: [&str; 4] = ["nw", "b+tree", "kmeans", "fdtd2d"];
@@ -154,7 +137,7 @@ impl SweepSpec {
     pub fn pinned_matrix() -> Self {
         Self {
             benches: PINNED_BENCHES.iter().map(|b| (*b).to_string()).collect(),
-            schemes: ALL_SCHEMES.to_vec(),
+            schemes: SecurityScheme::ALL.to_vec(),
             gpu: GpuPreset::Small,
             cycles: 3_000,
             warmup: 0,
@@ -331,9 +314,7 @@ pub fn report_fingerprint(report: &SimReport) -> u64 {
 ///
 /// Two jobs with equal fingerprints are the *same deterministic
 /// simulation*, so a result cache keyed by this value can serve the
-/// second submission byte-identically without re-simulating. The same
-/// derivation keys the runner's [`crate::runner::WarmCache`], minus the
-/// measured window.
+/// second submission byte-identically without re-simulating.
 pub fn job_fingerprint(job: &Job) -> u64 {
     fnv1a(
         format!(
@@ -412,14 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme_labels_round_trip() {
-        for scheme in ALL_SCHEMES {
-            assert_eq!(scheme_by_label(scheme.label()), Some(scheme));
-        }
-        assert_eq!(scheme_by_label("rot13"), None);
-    }
-
-    #[test]
     fn gpu_preset_labels_round_trip() {
         for preset in [GpuPreset::Volta, GpuPreset::Small] {
             assert_eq!(GpuPreset::from_label(preset.label()), Some(preset));
@@ -451,7 +424,7 @@ mod tests {
         let spec = tiny_spec();
         let jobs = spec.jobs().expect("valid spec");
         // Run only the first job; the rest render as FAILED rows.
-        let results = vec![run_job(&jobs[0], None)];
+        let results = vec![run_job(&jobs[0])];
         let table = spec.results_table(&results);
         assert_eq!(table.rows.len(), 4, "one row per (bench, scheme) regardless of results");
         assert_eq!(table.rows[0][0], "nw");

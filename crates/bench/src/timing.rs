@@ -44,24 +44,17 @@ impl Stopwatch {
     }
 }
 
-/// Runs `f` for `iters` iterations and returns the total elapsed time.
-/// The standard micro-bench loop body: callers divide by `iters` (and
-/// should warm up first, e.g. via [`warmed`]).
-pub fn time_iters<F: FnMut()>(iters: u64, mut f: F) -> Duration {
-    let sw = Stopwatch::start();
-    for _ in 0..iters {
-        f();
-    }
-    sw.elapsed()
-}
-
 /// Runs `f` for `iters / 10` warm-up iterations (at least one), then
 /// `iters` timed iterations, returning the timed total.
 pub fn warmed<F: FnMut()>(iters: u64, mut f: F) -> Duration {
     for _ in 0..iters.div_ceil(10) {
         f();
     }
-    time_iters(iters, f)
+    let sw = Stopwatch::start();
+    for _ in 0..iters {
+        f();
+    }
+    sw.elapsed()
 }
 
 #[cfg(test)]
@@ -78,13 +71,6 @@ mod tests {
         std::hint::black_box(x);
         assert!(sw.elapsed_secs() >= 0.0);
         assert!(sw.elapsed_ms() >= 0.0);
-    }
-
-    #[test]
-    fn time_iters_counts_every_iteration() {
-        let mut n = 0u64;
-        let _ = time_iters(100, || n += 1);
-        assert_eq!(n, 100);
     }
 
     #[test]

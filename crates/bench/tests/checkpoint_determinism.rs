@@ -4,33 +4,21 @@
 //! uninterrupted run — for every benchmark of the pinned matrix under
 //! every security scheme.
 //!
-//! This is the property that makes `simulate --resume-from` and the
-//! sweep runner's warm-checkpoint forking trustworthy: if resume were
-//! even one DRAM burst off, the fingerprints here would diverge.
+//! This is the property that makes `simulate --resume-from`
+//! trustworthy: if resume were even one DRAM burst off, the
+//! fingerprints here would diverge.
 
-use secmem_bench::sweep::report_fingerprint;
-use secmem_checkpoint::{fnv1a, Frame};
+use secmem_bench::sweep::{report_fingerprint, PINNED_BENCHES};
+use secmem_checkpoint::{fnv1a, CheckpointError, Frame};
 use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
+use secmem_gpusim::cache::ReplacementPolicy;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::sim::Simulator;
 use secmem_workloads::{suite, SyntheticKernel};
 
 const CYCLES: u64 = 3_000;
 const CUT: u64 = 1_200;
-
-/// The pinned benchmark matrix (one per Table-IV category).
-const BENCHES: [&str; 4] = ["nw", "b+tree", "kmeans", "fdtd2d"];
-
-const ALL_SCHEMES: [SecurityScheme; 7] = [
-    SecurityScheme::Baseline,
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
 
 fn kernel(bench: &str) -> SyntheticKernel {
     suite::by_name(bench).unwrap_or_else(|| panic!("suite workload {bench}"))
@@ -64,8 +52,8 @@ fn check<B: MemoryBackend>(bench: &str, scheme: SecurityScheme, build: impl Fn()
 #[test]
 fn snapshot_resume_is_invisible_across_the_full_matrix() {
     let gpu = GpuConfig::small();
-    for bench in BENCHES {
-        for scheme in ALL_SCHEMES {
+    for bench in PINNED_BENCHES {
+        for scheme in SecurityScheme::ALL {
             let k = kernel(bench);
             match scheme {
                 SecurityScheme::Baseline => {
@@ -94,8 +82,8 @@ const FRAME_CYCLE: u64 = 20_000;
 /// with separate metadata caches (power-of-two sets) and one with the
 /// 6-set unified metadata cache.
 const PINNED_FRAMES: [(&str, MetadataCacheKind, u64); 2] = [
-    ("b+tree", MetadataCacheKind::Separate, 0x6874_0aff_49bf_dc96),
-    ("kmeans", MetadataCacheKind::Unified, 0x7985_5ae8_a0f5_789e),
+    ("b+tree", MetadataCacheKind::Separate, 0x30e5_bb32_e6e3_959c),
+    ("kmeans", MetadataCacheKind::Unified, 0x26b4_0a69_b0fe_bbd0),
 ];
 
 #[test]
@@ -130,6 +118,16 @@ fn checkpoint_rejects_the_wrong_configuration() {
         Simulator::new(other_gpu, &k, move |_, g| SecureBackend::new(cfg.clone(), g))
     };
     assert!(wrong.restore_checkpoint(&frame).is_err(), "geometry mismatch must be rejected");
+
+    // Same GPU, different secure-memory configuration: the secure
+    // backend's own fingerprint must not match.
+    let other_scheme = SecureMemConfig { scheme: SecurityScheme::DirectMac, ..cfg.clone() };
+    let other_policy = SecureMemConfig { mdcache_policy: ReplacementPolicy::Srrip, ..cfg.clone() };
+    for (what, other) in [("scheme", other_scheme), ("replacement policy", other_policy)] {
+        let mut wrong = Simulator::new(gpu.clone(), &k, move |_, g| SecureBackend::new(other.clone(), g));
+        let err = wrong.restore_checkpoint(&frame).expect_err("secure configuration mismatch");
+        assert!(matches!(err, CheckpointError::ConfigMismatch { .. }), "{what} mismatch: got {err:?}");
+    }
 }
 
 /// The L1 dispatch and L2 input heads remember why they were last

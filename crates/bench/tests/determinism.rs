@@ -10,57 +10,40 @@
 
 use secmem_bench::json::report_to_json;
 use secmem_bench::sweep::{report_fingerprint, SweepSpec};
-use secmem_bench::{run_job, BackendChoice, Job};
-use secmem_core::{SecureMemConfig, SecurityScheme};
+use secmem_bench::{run_job, Job};
+use secmem_core::SecurityScheme;
 use secmem_gpusim::config::{GpuConfig, SchedulerPolicy};
 use secmem_gpusim::kernel::Kernel;
 use secmem_telemetry::json::{self, Json};
-use secmem_telemetry::TelemetryConfig;
 use secmem_workloads::{suite, SyntheticKernel};
 
-const ALL_SCHEMES: [SecurityScheme; 7] = [
-    SecurityScheme::Baseline,
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
-
-fn job_for(scheme: SecurityScheme, warmup: u64, telemetry: bool) -> Job {
-    let backend = match scheme {
-        SecurityScheme::Baseline => BackendChoice::Baseline,
-        s => BackendChoice::Secure(SecureMemConfig::with_scheme(s)),
-    };
-    Job {
-        kernel: suite::by_name("fdtd2d").expect("suite workload"),
-        gpu: GpuConfig::small(),
-        backend,
+/// `fdtd2d` under `schemes` for 6 000 cycles on the small GPU.
+fn fdtd2d(schemes: &[SecurityScheme]) -> SweepSpec {
+    SweepSpec {
+        benches: vec!["fdtd2d".into()],
+        schemes: schemes.to_vec(),
         cycles: 6_000,
-        warmup,
-        label: scheme.label().to_string(),
-        telemetry: telemetry.then(|| TelemetryConfig { sample_interval: 512, ..TelemetryConfig::default() }),
-        telemetry_out: None,
+        ..SweepSpec::pinned_matrix()
     }
 }
 
 #[test]
 fn reports_are_byte_identical_across_runs_for_all_schemes() {
     let gpu = GpuConfig::small();
-    for scheme in ALL_SCHEMES {
-        let a = run_job(&job_for(scheme, 0, false), None);
-        let b = run_job(&job_for(scheme, 0, false), None);
-        assert!(a.report.cycles > 0, "{scheme:?}: run must simulate");
+    for job in fdtd2d(&SecurityScheme::ALL).jobs().expect("valid spec") {
+        let scheme = &job.label;
+        let a = run_job(&job);
+        let b = run_job(&job);
+        assert!(a.report.cycles > 0, "{scheme}: run must simulate");
         assert_eq!(
             report_to_json(&a.report, &gpu),
             report_to_json(&b.report, &gpu),
-            "{scheme:?}: JSON report differs between identical runs"
+            "{scheme}: JSON report differs between identical runs"
         );
         assert_eq!(
             format!("{:?}", a.report),
             format!("{:?}", b.report),
-            "{scheme:?}: Debug report differs between identical runs"
+            "{scheme}: Debug report differs between identical runs"
         );
     }
 }
@@ -70,23 +53,26 @@ fn reports_are_byte_identical_with_warmup_and_telemetry() {
     // Warmup exercises the reset path; telemetry exercises the sampler.
     // Both must stay deterministic too (enabled telemetry must not
     // perturb timing, and the sampler must fire at identical cycles).
-    for scheme in [SecurityScheme::Baseline, SecurityScheme::CtrMacBmt] {
-        let a = run_job(&job_for(scheme, 1_000, true), None);
-        let b = run_job(&job_for(scheme, 1_000, true), None);
+    let schemes = [SecurityScheme::Baseline, SecurityScheme::CtrMacBmt];
+    let spec = SweepSpec { warmup: 1_000, sample_interval: Some(512), ..fdtd2d(&schemes) };
+    for job in spec.jobs().expect("valid spec") {
+        let scheme = &job.label;
+        let a = run_job(&job);
+        let b = run_job(&job);
         assert_eq!(
             format!("{:?}", a.report),
             format!("{:?}", b.report),
-            "{scheme:?}: report differs with warmup+telemetry"
+            "{scheme}: report differs with warmup+telemetry"
         );
         let sa = a.telemetry.expect("telemetry enabled");
         let sb = b.telemetry.expect("telemetry enabled");
-        assert_eq!(sa, sb, "{scheme:?}: telemetry snapshot differs between identical runs");
+        assert_eq!(sa, sb, "{scheme}: telemetry snapshot differs between identical runs");
     }
 }
 
 /// The `report_fp` of every cell of the pinned 4-benchmark × 7-scheme
 /// matrix at 60 000 cycles, as committed in `BENCH_simperf.json`.
-/// Benchmark-major, schemes in `ALL_SCHEMES` order — the order
+/// Benchmark-major, schemes in `SecurityScheme::ALL` order — the order
 /// [`SweepSpec::jobs`] expands to.
 const PINNED_60K: [(&str, &str, u64); 28] = [
     ("nw", "baseline", 0x6c1a_46bb_e446_6881),
@@ -129,7 +115,7 @@ fn pinned_matrix_matches_the_committed_fingerprints() {
     assert_eq!(jobs.len(), PINNED_60K.len());
     for (job, &(bench, scheme, expected)) in jobs.iter().zip(&PINNED_60K) {
         assert_eq!((job.kernel.name(), job.label.as_str()), (bench, scheme), "matrix order");
-        let report = run_job(job, None).report;
+        let report = run_job(job).report;
         assert_eq!(
             report_fingerprint(&report),
             expected,
@@ -158,7 +144,8 @@ fn committed_simperf_file_carries_the_pinned_fingerprints() {
 }
 
 fn pinned_job(kernel: SyntheticKernel, gpu: GpuConfig, scheme: SecurityScheme) -> Job {
-    Job { cycles: 60_000, kernel, gpu, label: scheme.label().to_string(), ..job_for(scheme, 0, false) }
+    let spec = SweepSpec { cycles: 60_000, ..fdtd2d(&[scheme]) };
+    Job { kernel, gpu, ..spec.jobs().expect("valid spec").remove(0) }
 }
 
 /// 60 000-cycle fingerprints of the loose-round-robin scheduler (the
@@ -175,7 +162,7 @@ fn lrr_scheduler_matches_the_committed_fingerprints() {
     let gpu = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..GpuConfig::small() };
     for &(bench, scheme, expected) in &PINNED_LRR_60K {
         let kernel = suite::by_name(bench).expect("suite workload");
-        let report = run_job(&pinned_job(kernel, gpu.clone(), scheme), None).report;
+        let report = run_job(&pinned_job(kernel, gpu.clone(), scheme)).report;
         assert_eq!(
             report_fingerprint(&report),
             expected,
@@ -199,7 +186,7 @@ fn wide_sm_matches_the_committed_fingerprints() {
     for &(scheduler, expected) in &PINNED_WIDE_60K {
         let gpu = GpuConfig { scheduler, max_warps_per_sm: 96, ..GpuConfig::small() };
         let kernel = SyntheticKernel::new(spec.clone(), suite::DEFAULT_SEED);
-        let report = run_job(&pinned_job(kernel, gpu, SecurityScheme::Baseline), None).report;
+        let report = run_job(&pinned_job(kernel, gpu, SecurityScheme::Baseline)).report;
         assert_eq!(report.warps, 96 * u64::from(GpuConfig::small().num_sms), "every SM holds 96 warps");
         assert_eq!(
             report_fingerprint(&report),

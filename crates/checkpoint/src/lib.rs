@@ -30,7 +30,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SECMCKPT";
 
 /// Current checkpoint format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a offset basis (matches the fingerprint hash used by the bench
 /// harness so one hash implementation serves the whole workspace).

@@ -28,6 +28,23 @@ pub enum SecurityScheme {
 }
 
 impl SecurityScheme {
+    /// Every scheme, in the canonical (Table V / VIII) order.
+    pub const ALL: [SecurityScheme; 7] = [
+        SecurityScheme::Baseline,
+        SecurityScheme::CtrOnly,
+        SecurityScheme::CtrBmt,
+        SecurityScheme::CtrMacBmt,
+        SecurityScheme::Direct,
+        SecurityScheme::DirectMac,
+        SecurityScheme::DirectMacMt,
+    ];
+
+    /// Parses a scheme's paper label (the inverse of
+    /// [`SecurityScheme::label`]).
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.label() == label)
+    }
+
     /// True if the scheme uses encryption counters.
     pub fn has_counters(self) -> bool {
         matches!(self, SecurityScheme::CtrOnly | SecurityScheme::CtrBmt | SecurityScheme::CtrMacBmt)
@@ -321,5 +338,13 @@ mod tests {
     fn labels() {
         assert_eq!(SecurityScheme::CtrMacBmt.to_string(), "ctr_mac_bmt");
         assert_eq!(SecurityScheme::Direct.label(), "direct");
+    }
+
+    #[test]
+    fn scheme_labels_round_trip() {
+        for scheme in SecurityScheme::ALL {
+            assert_eq!(SecurityScheme::from_label(scheme.label()), Some(scheme));
+        }
+        assert_eq!(SecurityScheme::from_label("rot13"), None);
     }
 }

@@ -407,6 +407,12 @@ impl SecureBackend {
         &self.cfg
     }
 
+    /// FNV-1a of the configuration's `Debug` rendering: the stamp a
+    /// checkpoint must carry to restore into this backend.
+    fn config_fingerprint(&self) -> u64 {
+        secmem_checkpoint::fnv1a(format!("{:?}", self.cfg).as_bytes())
+    }
+
     /// Reuse-distance histograms `[counter, mac, tree]`, if profiling was
     /// enabled in the configuration.
     pub fn reuse_profilers(&self) -> Option<&[ReuseProfiler; 3]> {
@@ -1045,6 +1051,10 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn save_state(&self, w: &mut Writer) {
+        // The simulator's frame fingerprint covers only the GPU, so the
+        // backend stamps its own configuration: a frame restores only
+        // into the scheme, caches and engines that wrote it.
+        w.put_u64(self.config_fingerprint());
         self.dram.save_state(w);
         self.mdcache.save_state(w);
         self.aes.save_state(w);
@@ -1108,6 +1118,11 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        let stored = r.get_u64()?;
+        let expected = self.config_fingerprint();
+        if stored != expected {
+            return Err(CheckpointError::ConfigMismatch { stored, expected });
+        }
         self.dram.restore_state(r)?;
         self.mdcache.restore_state(r)?;
         self.aes.restore_state(r)?;
@@ -1770,7 +1785,9 @@ mod checkpoint_tests {
         let mut profiled = SecureBackend::new(cfg, &gpu);
         let mut r = Reader::new(&payload);
         let err = profiled.restore_state(&mut r).expect_err("presence mismatch");
-        assert!(matches!(err, CheckpointError::Malformed(_)), "got {err:?}");
+        // `profile_reuse` is part of the configuration stamp, so the
+        // mismatch is caught before any profiler state is read.
+        assert!(matches!(err, CheckpointError::ConfigMismatch { .. }), "got {err:?}");
     }
 
     #[test]

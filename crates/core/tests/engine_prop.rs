@@ -8,14 +8,8 @@ use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::types::{BackendReq, SectorMask, TrafficClass};
 
-const SCHEMES: [SecurityScheme; 6] = [
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
+/// Every scheme but the baseline.
+const SCHEMES: &[SecurityScheme] = SecurityScheme::ALL.split_at(1).1;
 
 /// A seeded random request mix: (line index, sector, is_write).
 fn random_requests(rng: &mut Rng64, max_len: u64) -> Vec<(u64, u32, bool)> {

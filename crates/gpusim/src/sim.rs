@@ -493,30 +493,6 @@ impl<B: MemoryBackend> Simulator<B> {
     /// [`SimReport::warmup_truncated`] and its statistics must not be
     /// interpreted.
     pub fn run_with_warmup(&mut self, warmup: Cycle, max_cycles: Cycle) -> SimReport {
-        let truncated = self.warm_up(warmup);
-        let mut report = self.run(max_cycles);
-        report.cycles = self.now.saturating_sub(warmup);
-        report.warmup_truncated = truncated;
-        debug_assert!(
-            !truncated || report.cycles == 0 || self.now >= warmup,
-            "warmup accounting: now={} warmup={warmup}",
-            self.now
-        );
-        report
-    }
-
-    /// Runs the warmup window alone: `warmup` cycles (or until the
-    /// kernel finishes early), then discards all statistics gathered so
-    /// far. Returns true when the window was truncated — the kernel
-    /// retired before `warmup` elapsed — in which case a subsequent
-    /// measured run is empty and must not be interpreted.
-    ///
-    /// The post-warmup machine is exactly what
-    /// [`Simulator::save_checkpoint`] captures, so sweeps whose jobs
-    /// share an identical (kernel, configuration, warmup) prefix can
-    /// warm one simulator, snapshot it, and fork that snapshot into the
-    /// remaining jobs instead of re-simulating the prefix each time.
-    pub fn warm_up(&mut self, warmup: Cycle) -> bool {
         self.phase_event(true, "warmup");
         let mut last_sig = self.progress_signature();
         while self.now < warmup {
@@ -534,7 +510,15 @@ impl<B: MemoryBackend> Simulator<B> {
         let truncated = self.now < warmup || self.finished();
         self.phase_event(false, "warmup");
         self.reset_stats();
-        truncated
+        let mut report = self.run(max_cycles);
+        report.cycles = self.now.saturating_sub(warmup);
+        report.warmup_truncated = truncated;
+        debug_assert!(
+            !truncated || report.cycles == 0 || self.now >= warmup,
+            "warmup accounting: now={} warmup={warmup}",
+            self.now
+        );
+        report
     }
 
     /// A value that changes whenever the machine makes forward progress:

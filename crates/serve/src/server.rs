@@ -12,7 +12,7 @@
 //!                  Runner: FIFO pool ─▶ ResultCache(job_fingerprint)
 //!                                   │ miss
 //!                                   ▼
-//!                       run_job_isolated + WarmCache
+//!                  run_job_isolated ─▶ run_job
 //! ```
 //!
 //! The runner answers a repeated job from its result cache, so a

@@ -23,7 +23,8 @@
 //!
 //! [`GpuConfig::validate`]: secmem_gpusim::config::GpuConfig::validate
 
-use secmem_bench::sweep::{scheme_by_label, GpuPreset, SweepError, SweepSpec, ALL_SCHEMES};
+use secmem_bench::sweep::{GpuPreset, SweepError, SweepSpec};
+use secmem_core::SecurityScheme;
 use secmem_telemetry::json::{self, Json};
 use secmem_workloads::suite::DEFAULT_SEED;
 
@@ -99,7 +100,7 @@ pub fn parse_sweep_spec(text: &str) -> Result<SweepSpec, SpecError> {
 
     let mut spec = SweepSpec {
         benches: Vec::new(),
-        schemes: ALL_SCHEMES.to_vec(),
+        schemes: SecurityScheme::ALL.to_vec(),
         gpu: GpuPreset::Volta,
         cycles: 120_000,
         warmup: 0,
@@ -114,7 +115,7 @@ pub fn parse_sweep_spec(text: &str) -> Result<SweepSpec, SpecError> {
             "schemes" => {
                 spec.schemes = string_array(val, "schemes")?
                     .into_iter()
-                    .map(|label| scheme_by_label(&label).ok_or(SpecError::UnknownScheme(label)))
+                    .map(|label| SecurityScheme::from_label(&label).ok_or(SpecError::UnknownScheme(label)))
                     .collect::<Result<_, _>>()?;
             }
             "gpu" => {
@@ -175,7 +176,6 @@ pub fn render_sweep_spec(spec: &SweepSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secmem_core::SecurityScheme;
 
     #[test]
     fn parses_a_minimal_spec_with_defaults() {

@@ -31,18 +31,11 @@ fn outcome(r: Result<[u8; 128], SecurityError>, expect_plain: &[u8; 128]) -> &'s
 
 fn main() {
     println!("{:=^78}", " GPU secure memory: attack simulation ");
-    let schemes = [
-        SecurityScheme::CtrOnly,
-        SecurityScheme::CtrBmt,
-        SecurityScheme::CtrMacBmt,
-        SecurityScheme::Direct,
-        SecurityScheme::DirectMac,
-        SecurityScheme::DirectMacMt,
-    ];
+    let schemes = &SecurityScheme::ALL[1..]; // every scheme but the baseline
 
     // 1. Confidentiality: DRAM contents are ciphertext.
     println!("\n--- 1. bus snooping (read DRAM contents) ---");
-    for scheme in schemes {
+    for &scheme in schemes {
         let mut m = FunctionalSecureMemory::new(scheme, REGION, &KEY);
         m.write_line(0, &secret());
         let leaked = m.raw_ciphertext(0);
@@ -57,7 +50,7 @@ fn main() {
 
     // 2. Tampering: flip a bit of the stored ciphertext.
     println!("\n--- 2. memory tampering (flip one DRAM bit) ---");
-    for scheme in schemes {
+    for &scheme in schemes {
         let mut m = FunctionalSecureMemory::new(scheme, REGION, &KEY);
         m.write_line(0, &secret());
         m.tamper_data(0, 17, 0x04);
@@ -80,7 +73,7 @@ fn main() {
     let old = secret();
     let mut new = secret();
     new[..7].copy_from_slice(b"REVOKED");
-    for scheme in schemes {
+    for &scheme in schemes {
         let mut m = FunctionalSecureMemory::new(scheme, REGION, &KEY);
         m.write_line(0, &old);
         let snapshot = m.snapshot();

@@ -20,14 +20,8 @@ use gpu_secure_memory::gpusim::types::TrafficClass;
 const CYCLES: u64 = 20_000;
 const SEED: u64 = 0xA77AC4;
 
-const SCHEMES: [SecurityScheme; 6] = [
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
+/// Every scheme but the baseline.
+const SCHEMES: &[SecurityScheme] = SecurityScheme::ALL.split_at(1).1;
 
 fn kernel() -> StreamKernel {
     StreamKernel { alu_per_mem: 1, bytes_per_warp: 1 << 18, warps: 8 }
@@ -82,7 +76,7 @@ fn main() {
     println!("\n--- 1. data-bus bit flips (one in ~50 data reads) ---");
     let flip = plan_for(FaultKind::BitFlip);
     println!("  {:<13} -> {}", "baseline", verdict(&run_baseline(&flip)));
-    for scheme in SCHEMES {
+    for &scheme in SCHEMES {
         println!("  {:<13} -> {}", scheme.label(), verdict(&run_secure(scheme, &flip)));
     }
 
@@ -91,7 +85,7 @@ fn main() {
     println!("\n--- 2. replay (stale-but-authentic data) ---");
     let replay = plan_for(FaultKind::Replay);
     println!("  {:<13} -> {}", "baseline", verdict(&run_baseline(&replay)));
-    for scheme in SCHEMES {
+    for &scheme in SCHEMES {
         println!("  {:<13} -> {}", scheme.label(), verdict(&run_secure(scheme, &replay)));
     }
 

@@ -3,8 +3,7 @@
 //! restored into a freshly built simulator must run to a report
 //! byte-identical to an uninterrupted run — for every benchmark of the
 //! pinned matrix under every security scheme. This is the property that
-//! makes `simulate --resume-from` and the sweep runner's
-//! warm-checkpoint forking trustworthy.
+//! makes `simulate --resume-from` trustworthy.
 
 use gpu_secure_memory::checkpoint::{fnv1a, Frame};
 use gpu_secure_memory::core::{SecureBackend, SecureMemConfig, SecurityScheme};
@@ -19,16 +18,6 @@ const CUT: u64 = 1_200;
 
 /// The pinned benchmark matrix (one per Table-IV category).
 const BENCHES: [&str; 4] = ["nw", "b+tree", "kmeans", "fdtd2d"];
-
-const ALL_SCHEMES: [SecurityScheme; 7] = [
-    SecurityScheme::Baseline,
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
 
 fn kernel(bench: &str) -> SyntheticKernel {
     suite::by_name(bench).unwrap_or_else(|| panic!("suite workload {bench}"))
@@ -67,7 +56,7 @@ fn check<B: MemoryBackend>(bench: &str, scheme: SecurityScheme, build: impl Fn()
 fn snapshot_resume_is_invisible_across_the_full_matrix() {
     let gpu = GpuConfig::small();
     for bench in BENCHES {
-        for scheme in ALL_SCHEMES {
+        for scheme in SecurityScheme::ALL {
             let k = kernel(bench);
             match scheme {
                 SecurityScheme::Baseline => {

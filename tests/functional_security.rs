@@ -8,14 +8,8 @@ use gpu_secure_memory::gpusim::rng::Rng64;
 
 const REGION: u64 = 1024 * 1024;
 
-const ALL_SCHEMES: [SecurityScheme; 6] = [
-    SecurityScheme::CtrOnly,
-    SecurityScheme::CtrBmt,
-    SecurityScheme::CtrMacBmt,
-    SecurityScheme::Direct,
-    SecurityScheme::DirectMac,
-    SecurityScheme::DirectMacMt,
-];
+/// Every scheme but the baseline.
+const SECURE_SCHEMES: &[SecurityScheme] = SecurityScheme::ALL.split_at(1).1;
 
 const INTEGRITY_SCHEMES: [SecurityScheme; 3] =
     [SecurityScheme::CtrMacBmt, SecurityScheme::DirectMac, SecurityScheme::DirectMacMt];
@@ -34,7 +28,7 @@ fn line(data: u8) -> [u8; 128] {
 #[test]
 fn write_read_roundtrip() {
     for (case, &scheme) in
-        ALL_SCHEMES.iter().enumerate().flat_map(|(j, s)| (0..4).map(move |k| (j * 4 + k, s)))
+        SECURE_SCHEMES.iter().enumerate().flat_map(|(j, s)| (0..4).map(move |k| (j * 4 + k, s)))
     {
         let mut rng = Rng64::new(0xF100 + case as u64);
         let mut m = FunctionalSecureMemory::new(scheme, REGION, &[3u8; 16]);
@@ -54,7 +48,7 @@ fn write_read_roundtrip() {
 
 #[test]
 fn ciphertext_never_leaks_plaintext() {
-    for (case, &scheme) in ALL_SCHEMES.iter().enumerate() {
+    for (case, &scheme) in SECURE_SCHEMES.iter().enumerate() {
         let mut rng = Rng64::new(0xF200 + case as u64);
         let mut m = FunctionalSecureMemory::new(scheme, REGION, &[9u8; 16]);
         for _ in 0..8 {
