@@ -8,6 +8,7 @@
 //! format).
 
 use secmem_bench::sweep::report_fingerprint;
+use secmem_checkpoint::fnv1a;
 use secmem_core::{SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::PassthroughBackend;
 use secmem_gpusim::config::GpuConfig;
@@ -218,4 +219,41 @@ fn checkpoint_resume_is_invisible_for_streamed_binary_replay() {
         "cross-format resume diverges from the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Instructions per warp the pinned recordings take: the length of the
+/// replay traces the benchmark harness records.
+const PINNED_RECORD_INSTS: usize = 1_500;
+
+/// FNV-1a of the SECMTRC bytes of each benchmark recorded on the small
+/// GPU for [`PINNED_RECORD_INSTS`] instructions per warp.
+const SECMTRC_PINS: [(&str, u64); 4] = [
+    ("nw", 0x1f3349ab4895c37c),
+    ("b+tree", 0x5a08ffcdccd98d46),
+    ("kmeans", 0xc8c19ff46a1dbc46),
+    ("fdtd2d", 0xa7771f134febc8ff),
+];
+
+/// FNV-1a of the v1 text of `kmeans` recorded the same way.
+const KMEANS_TEXT_PIN: u64 = 0x8a5651c42b367ddf;
+
+#[test]
+fn recorded_traces_encode_to_their_pinned_bytes() {
+    let gpu = GpuConfig::small();
+    let mut drift = Vec::new();
+    for (bench, want) in SECMTRC_PINS {
+        let kernel = suite::by_name(bench).expect("suite workload");
+        let trace = Trace::record(&kernel, gpu.num_sms, PINNED_RECORD_INSTS);
+        let got = fnv1a(&trace_bin::encode(&trace));
+        if got != want {
+            drift.push(format!("{bench} SECMTRC: {got:#018x}"));
+        }
+        if bench == "kmeans" {
+            let got = fnv1a(trace.to_text().as_bytes());
+            if got != KMEANS_TEXT_PIN {
+                drift.push(format!("{bench} text: {got:#018x}"));
+            }
+        }
+    }
+    assert!(drift.is_empty(), "recorded traces moved from their pins:\n{}", drift.join("\n"));
 }
