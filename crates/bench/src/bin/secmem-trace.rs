@@ -20,6 +20,8 @@
 //! simulator and prints the same report JSON as `simulate --json`, so
 //! CI can diff the two ingestion paths byte-for-byte.
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use secmem_bench::json::report_to_json;
@@ -61,10 +63,21 @@ fn write_trace(trace: &Trace, path: &Path) -> Result<&'static str, String> {
         trace_bin::write_file(trace, path).map_err(|e| format!("writing {}: {e}", path.display()))?;
         return Ok("binary");
     }
-    let mut out = Vec::new();
-    trace.write_text(&mut out).map_err(|e| format!("serializing trace: {e}"))?;
-    std::fs::write(path, out).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    write_text_file(trace, path).map_err(|e| format!("writing {}: {e}", path.display()))?;
     Ok("text")
+}
+
+/// Streams `trace`'s text through a buffered temporary file beside
+/// `path`, then renames it into place: the same crash discipline as
+/// `trace_bin::write_file`, without building the document in memory.
+fn write_text_file(trace: &Trace, path: &Path) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut out = BufWriter::new(File::create(&tmp)?);
+    trace.write_text(&mut out)?;
+    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 fn need(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {

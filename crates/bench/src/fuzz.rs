@@ -224,8 +224,8 @@ pub fn parse_one(corpus: Corpus, input: &[u8]) {
         Corpus::BinTrace => {
             if let Ok(bin) = BinaryTrace::decode(input) {
                 // Decoding validates everything up front; a surviving
-                // file must also materialize without panicking.
-                let _ = bin.to_trace();
+                // file must also convert back to text without panicking.
+                let _ = bin.to_trace().to_text();
             }
         }
         Corpus::LintBaseline => {
