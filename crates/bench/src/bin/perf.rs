@@ -121,13 +121,13 @@ fn trace_ingest_section(smoke: bool, gpu: &GpuConfig, cycles: u64) -> (Vec<Inges
         let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let elapsed = warmed(iters, || {
             let k = TraceKernel::from_file(path).expect("perf trace loads");
-            std::hint::black_box(k.resident_bytes());
+            std::hint::black_box(k.trace().resident_bytes());
         });
         let ingest_ms = elapsed.as_secs_f64() * 1e3 / iters as f64;
         let insts_per_sec =
             if ingest_ms > 0.0 { total_insts as f64 * iters as f64 / elapsed.as_secs_f64() } else { 0.0 };
         let loaded = TraceKernel::from_file(path).expect("perf trace loads");
-        let resident_bytes = loaded.resident_bytes() as u64;
+        let resident_bytes = loaded.trace().resident_bytes() as u64;
         let mut sim = Simulator::new(gpu.clone(), &loaded, |_, g| PassthroughBackend::from_config(g));
         let report = sim.run(cycles);
         let report_fp = report_fingerprint(&report);

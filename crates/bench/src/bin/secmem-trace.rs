@@ -32,7 +32,7 @@ use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::kernel::Kernel;
 use secmem_gpusim::sim::Simulator;
 use secmem_gpusim::trace::{self, Trace, TraceKernel};
-use secmem_gpusim::trace_bin::{self, BinaryTrace};
+use secmem_gpusim::trace_bin;
 use secmem_workloads::{ml, suite, SyntheticKernel};
 
 const USAGE: &str = "usage: secmem-trace <record|convert|stats|verify|run> ...
@@ -52,7 +52,7 @@ fn find_kernel(name: &str) -> Option<SyntheticKernel> {
 }
 
 /// Loads and fully validates a trace file in either format.
-fn load_trace(path: &Path) -> Result<BinaryTrace, String> {
+fn load_trace(path: &Path) -> Result<Trace, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     trace::load(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -114,7 +114,7 @@ fn cmd_record(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
 fn cmd_convert(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let input = PathBuf::from(need(args, "convert")?);
     let output = PathBuf::from(need(args, "convert OUT")?);
-    let to = write_trace(&load_trace(&input)?.to_trace(), &output)?;
+    let to = write_trace(&load_trace(&input)?, &output)?;
     let in_bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
     let out_bytes = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
     println!(
@@ -135,12 +135,12 @@ fn pct(num: u64, den: u64) -> f64 {
 
 fn cmd_stats(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let path = PathBuf::from(need(args, "stats")?);
-    let bin = load_trace(&path)?;
+    let trace = load_trace(&path)?;
     println!("file bytes      {}", std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
-    println!("streams         {}", bin.warp_count());
-    println!("instructions    {}", bin.total_insts());
-    println!("resident bytes  {} (streamed replay)", bin.resident_bytes());
-    let insts = || bin.streams().map(|s| s.insts);
+    println!("streams         {}", trace.warp_count());
+    println!("instructions    {}", trace.total_insts());
+    println!("resident bytes  {} (streamed replay)", trace.resident_bytes());
+    let insts = || trace.streams().map(|s| s.insts);
     if let (Some(min), Some(max)) = (insts().min(), insts().max()) {
         println!("insts/stream    {min}..{max}");
     }
@@ -149,10 +149,10 @@ fn cmd_stats(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
 
 fn cmd_verify(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     let path = PathBuf::from(need(args, "verify")?);
-    let bin = load_trace(&path)?;
+    let trace = load_trace(&path)?;
     // Loading validates everything up front (parse, checksums, bounds,
     // full record walk), so reaching this point is the whole check.
-    println!("{}: ok ({} streams, {} instructions)", path.display(), bin.warp_count(), bin.total_insts());
+    println!("{}: ok ({} streams, {} instructions)", path.display(), trace.warp_count(), trace.total_insts());
     Ok(())
 }
 
@@ -173,10 +173,26 @@ fn cmd_run(args: &mut dyn Iterator<Item = String>) -> Result<(), String> {
     }
     let parsed = SecurityScheme::from_label(&scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
     let kernel = TraceKernel::from_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    // The simulator spawns only the SMs and warps the GPU has; say what
+    // that leaves out instead of replaying less without a word.
+    let (dropped, dropped_insts) = kernel
+        .trace()
+        .streams()
+        .filter(|s| s.sm >= gpu.num_sms || s.warp >= gpu.max_warps_per_sm)
+        .fold((0u64, 0u64), |(n, insts), s| (n + 1, insts + s.insts));
+    if dropped > 0 {
+        eprintln!(
+            "warning: {dropped} of {} streams ({dropped_insts} instructions) lie outside this GPU's \
+             {} SMs x {} warps and will not replay",
+            kernel.trace().warp_count(),
+            gpu.num_sms,
+            gpu.max_warps_per_sm
+        );
+    }
     eprintln!(
         "replaying {} ({} resident bytes) under {scheme} for {cycles} cycles",
         path.display(),
-        kernel.resident_bytes()
+        kernel.trace().resident_bytes()
     );
     let report = match parsed {
         SecurityScheme::Baseline => {

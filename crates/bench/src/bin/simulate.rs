@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use secmem_bench::json::report_to_json;
 use secmem_bench::{run_job, run_job_with, BackendChoice, Drive, Job};
 use secmem_checkpoint::Frame;
-use secmem_core::{MetadataCacheKind, SecureMemConfig, SecurityScheme};
+use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecurityScheme};
 use secmem_gpusim::backend::MemoryBackend;
 use secmem_gpusim::cache::ReplacementPolicy;
 use secmem_gpusim::config::GpuConfig;
@@ -235,13 +235,19 @@ impl Drive for Checkpointing<'_> {
     }
 }
 
-/// The job `o` describes, running `kernel`.
+/// The job `o` describes, running `kernel`. A secure configuration is
+/// checked by building one partition's engine, so a bad flag value is
+/// the engine's typed error rather than a panic once the run starts.
 fn job_of(o: &Options, kernel: SyntheticKernel) -> Result<Job, String> {
     let scheme =
         SecurityScheme::from_label(&o.scheme).ok_or_else(|| format!("unknown scheme '{}'", o.scheme))?;
     let backend = match scheme {
         SecurityScheme::Baseline => BackendChoice::Baseline,
-        s => BackendChoice::Secure(SecureMemConfig { scheme: s, ..o.cfg.clone() }),
+        s => {
+            let cfg = SecureMemConfig { scheme: s, ..o.cfg.clone() };
+            SecureBackend::try_new(cfg.clone(), &o.gpu).map_err(|e| e.to_string())?;
+            BackendChoice::Secure(cfg)
+        }
     };
     let telemetry = o
         .telemetry
@@ -407,6 +413,25 @@ mod tests {
         );
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `--aes-engines 0`, `--mdcache-kb 0` and `--protected-mb 0` are
+    /// rejected while the job is built, with an error naming the field,
+    /// instead of panicking inside the engine constructor.
+    #[test]
+    fn bad_secure_flags_are_typed_errors() {
+        // What each flag sets, at the value 0.
+        let base = SecureMemConfig::secure_mem();
+        for (field, cfg) in [
+            ("aes_engines", SecureMemConfig { aes_engines: 0, ..base.clone() }),
+            ("mdcache_bytes", SecureMemConfig { mdcache_bytes: 0, unified_bytes: 0, ..base.clone() }),
+            ("protected_limit", SecureMemConfig { protected_limit: Some(0), ..base.clone() }),
+        ] {
+            let o = Options { scheme: "ctr_mac_bmt".into(), cfg, ..options(&std::env::temp_dir()) };
+            let kernel = find_kernel(&o.bench).expect("suite workload");
+            let err = job_of(&o, kernel).err().unwrap_or_else(|| panic!("{field} = 0 accepted"));
+            assert!(err.contains(&format!("({field})")), "{field}: {err}");
+        }
     }
 
     /// On a stall-heavy cell (two-entry metadata MSHR files), the plain

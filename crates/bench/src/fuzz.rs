@@ -3,7 +3,7 @@
 //! The repository accepts six kinds of untrusted byte streams: text
 //! trace files (through [`secmem_gpusim::trace::load`], the front end
 //! replay uses: parse, encode to SECMTRC, decode), SECMTRC binary
-//! traces ([`secmem_gpusim::trace_bin::BinaryTrace::decode`]),
+//! traces ([`secmem_gpusim::trace::Trace::decode`]),
 //! the linter's `lint.toml` baseline ([`secmem_lint::Baseline::parse`]),
 //! JSON such as Chrome traces and sweep specs
 //! ([`secmem_telemetry::json::parse`]),
@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use secmem_checkpoint::Frame;
 use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::trace::{self, Trace, TraceLoadError};
-use secmem_gpusim::trace_bin::{self, BinaryTrace};
+use secmem_gpusim::trace_bin;
 use secmem_lint::Baseline;
 use secmem_telemetry::json;
 
@@ -222,10 +222,10 @@ pub fn parse_one(corpus: Corpus, input: &[u8]) {
             }
         }
         Corpus::BinTrace => {
-            if let Ok(bin) = BinaryTrace::decode(input) {
+            if let Ok(trace) = Trace::decode(input) {
                 // Decoding validates everything up front; a surviving
                 // file must also convert back to text without panicking.
-                let _ = bin.to_trace().to_text();
+                let _ = trace.to_text();
             }
         }
         Corpus::LintBaseline => {
@@ -362,7 +362,7 @@ mod tests {
                             .unwrap_or_else(|e| panic!("trace exemplar {i}: {e}"));
                     }
                     Corpus::BinTrace => {
-                        BinaryTrace::decode(input).unwrap_or_else(|e| panic!("bin-trace exemplar {i}: {e}"));
+                        Trace::decode(input).unwrap_or_else(|e| panic!("bin-trace exemplar {i}: {e}"));
                     }
                     Corpus::LintBaseline => {
                         Baseline::parse(&String::from_utf8_lossy(input))
@@ -438,36 +438,36 @@ mod tests {
     #[test]
     fn bin_trace_regression_fixtures_stay_typed() {
         let good = seed_inputs(Corpus::BinTrace).remove(0);
-        assert!(BinaryTrace::decode(&good).is_ok(), "fixture base is valid");
+        assert!(Trace::decode(&good).is_ok(), "fixture base is valid");
 
         // Truncated mid-index and mid-data.
-        assert!(BinaryTrace::decode(&good[..14]).is_err());
-        assert!(BinaryTrace::decode(&good[..good.len() - 3]).is_err());
+        assert!(Trace::decode(&good[..14]).is_err());
+        assert!(Trace::decode(&good[..good.len() - 3]).is_err());
         // Wrong magic and wrong version word.
         let mut evil = good.clone();
         evil[0] = b'X';
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
         let mut evil = good.clone();
         evil[8] = 0xff; // version u32 LE low byte
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
         // Index length field inflated past the file.
         let mut evil = good.clone();
         evil[12] = 0xff;
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
         // First index byte (the stream count varint) forced overlong:
         // non-minimal varints are canonicality violations.
         let mut evil = good.clone();
         let count_at = 20; // magic(8) + version(4) + index len(8)
         evil[count_at] = 0x80;
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
         // A flipped bit deep in the data section trips the checksum.
         let mut evil = good.clone();
         let end = evil.len() - 12;
         evil[end] ^= 0x40;
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
         // Appending trailing garbage must not be silently ignored.
         let mut evil = good.clone();
         evil.push(0);
-        assert!(BinaryTrace::decode(&evil).is_err());
+        assert!(Trace::decode(&evil).is_err());
     }
 }

@@ -14,8 +14,8 @@ use secmem_gpusim::backend::PassthroughBackend;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::sim::Simulator;
-use secmem_gpusim::trace::{Trace, TraceKernel};
-use secmem_gpusim::trace_bin::{self, BinaryTrace};
+use secmem_gpusim::trace::{self, Trace, TraceKernel};
+use secmem_gpusim::trace_bin;
 use secmem_gpusim::types::{Access, Inst, SectorMask};
 use secmem_workloads::suite;
 use std::path::PathBuf;
@@ -81,9 +81,9 @@ fn random_traces_roundtrip_both_formats_and_across_them() {
         // Binary round-trip, and canonicality: re-encoding the decoded
         // trace must reproduce the file byte-for-byte.
         let bytes = trace_bin::encode(&trace);
-        let bin = BinaryTrace::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(bin.to_trace(), trace, "case {case}: binary round-trip");
-        assert_eq!(trace_bin::encode(&bin.to_trace()), bytes, "case {case}: canonical encoding");
+        let bin = Trace::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(bin, trace, "case {case}: binary round-trip");
+        assert_eq!(trace_bin::encode(&bin), bytes, "case {case}: canonical encoding");
 
         // Text round-trip.
         let text = trace.to_text();
@@ -92,7 +92,7 @@ fn random_traces_roundtrip_both_formats_and_across_them() {
 
         // Cross-format: text -> binary -> text is the identity.
         let cross = trace_bin::encode(&reparsed);
-        let back = BinaryTrace::decode(&cross).expect("re-encoded trace decodes").to_trace();
+        let back = Trace::decode(&cross).expect("re-encoded trace decodes");
         assert_eq!(back.to_text(), text, "case {case}: cross-format round-trip");
 
         // The headline size claim, on arbitrary traces rather than the
@@ -113,14 +113,14 @@ fn corrupted_binary_files_are_rejected_with_typed_errors() {
 
     // Sampled truncations (the module's own tests are exhaustive).
     for cut in (0..bytes.len()).step_by(7) {
-        assert!(BinaryTrace::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes must not decode");
+        assert!(Trace::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes must not decode");
     }
     // Sampled bit flips: every byte is either validated structure or
     // checksummed payload, so any flip must surface as an error.
     for i in (0..bytes.len()).step_by(5) {
         let mut evil = bytes.clone();
         evil[i] ^= 0x10;
-        let err = BinaryTrace::decode(&evil).expect_err("flipped byte must be detected");
+        let err = Trace::decode(&evil).expect_err("flipped byte must be detected");
         // Typed, not stringly: the error names what failed.
         let text = err.to_string();
         assert!(!text.is_empty(), "error renders a diagnostic");
@@ -157,7 +157,7 @@ fn report_fingerprints_are_identical_across_ingestion_formats() {
         let from_text = TraceKernel::from_file(&text_path).expect("text ingests");
         let from_bin = TraceKernel::from_file(&bin_path).expect("binary ingests");
         // Text is encoded at load time, so both replay the same buffer.
-        assert_eq!(from_text.resident_bytes(), from_bin.resident_bytes());
+        assert_eq!(from_text.trace().resident_bytes(), from_bin.trace().resident_bytes());
 
         for scheme in [None, Some(SecurityScheme::CtrMacBmt)] {
             let a = replay_fp(&gpu, &from_text, scheme, 4_000);
@@ -237,23 +237,32 @@ const SECMTRC_PINS: [(&str, u64); 4] = [
 /// FNV-1a of the v1 text of `kmeans` recorded the same way.
 const KMEANS_TEXT_PIN: u64 = 0x8a5651c42b367ddf;
 
+/// Each pinned recording also loads to the same trace from its text and
+/// from its SECMTRC bytes, and decoding those bytes re-encodes to them.
 #[test]
 fn recorded_traces_encode_to_their_pinned_bytes() {
     let gpu = GpuConfig::small();
     let mut drift = Vec::new();
     for (bench, want) in SECMTRC_PINS {
         let kernel = suite::by_name(bench).expect("suite workload");
-        let trace = Trace::record(&kernel, gpu.num_sms, PINNED_RECORD_INSTS);
-        let got = fnv1a(&trace_bin::encode(&trace));
+        let recorded = Trace::record(&kernel, gpu.num_sms, PINNED_RECORD_INSTS);
+        let bytes = trace_bin::encode(&recorded);
+        let got = fnv1a(&bytes);
         if got != want {
             drift.push(format!("{bench} SECMTRC: {got:#018x}"));
         }
+        let text = recorded.to_text();
         if bench == "kmeans" {
-            let got = fnv1a(trace.to_text().as_bytes());
+            let got = fnv1a(text.as_bytes());
             if got != KMEANS_TEXT_PIN {
                 drift.push(format!("{bench} text: {got:#018x}"));
             }
         }
+        let from_smtrc = trace::load(&bytes).unwrap_or_else(|e| panic!("{bench} SECMTRC: {e}"));
+        let from_text = trace::load(text.as_bytes()).unwrap_or_else(|e| panic!("{bench} text: {e}"));
+        assert!(from_text == from_smtrc, "{bench}: text and SECMTRC load to different traces");
+        let decoded = Trace::decode(&bytes).unwrap_or_else(|e| panic!("{bench}: {e}"));
+        assert!(trace_bin::encode(&decoded) == bytes, "{bench}: decode then encode changed the bytes");
     }
     assert!(drift.is_empty(), "recorded traces moved from their pins:\n{}", drift.join("\n"));
 }

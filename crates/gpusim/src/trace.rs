@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::kernel::{Kernel, WarpProgram};
-use crate::trace_bin::{self, BinaryTrace, EncodedStream, StreamEncoder};
+use crate::trace_bin::{self, EncodedStream, Records, StreamEncoder, StreamInfo};
 use crate::types::{Access, Addr, Inst, SectorMask};
 
 /// Magic first line of a trace file.
@@ -268,12 +268,12 @@ fn parse_inst_with_buf<'a>(
     }
 }
 
-/// A recorded multi-warp trace. Each `(sm, warp)` stream is held as its
+/// A multi-warp trace: the one in-memory form, whether recorded, parsed
+/// or decoded from a `SECMTRC` file. Each `(sm, warp)` stream is its
 /// instruction count plus its `SECMTRC` record bytes (exactly what
-/// [`trace_bin::encode`] writes for it), never as decoded instructions:
-/// [`Trace::record`], [`Trace::from_text`] and [`Trace::insert`] encode
-/// each instruction as it arrives and drop it. Equality compares the
-/// bytes; the encoding is canonical, so equal streams mean equal bytes.
+/// [`trace_bin::encode`] writes for it) in a buffer its replay cursors
+/// share, never decoded instructions. Equality compares the bytes; the
+/// encoding is canonical, so equal streams mean equal bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// The streams, keyed and so ordered by `(sm, warp)`.
@@ -322,7 +322,7 @@ impl Trace {
 
     /// A decoded copy of a warp's instruction stream, if recorded.
     pub fn stream(&self, sm: u32, warp: u32) -> Option<Vec<Inst>> {
-        self.streams.get(&(sm, warp)).map(|s| s.decode().collect())
+        self.streams.get(&(sm, warp)).map(|s| Records::new(&*s.bytes, s.insts).collect())
     }
 
     /// Number of recorded warps.
@@ -330,15 +330,39 @@ impl Trace {
         self.streams.len()
     }
 
-    /// Iterates recorded streams in ascending `(sm, warp)` order, each
-    /// as a decoded copy.
-    pub fn streams(&self) -> impl Iterator<Item = ((u32, u32), Vec<Inst>)> + '_ {
-        self.streams.iter().map(|(&k, s)| (k, s.decode().collect()))
+    /// Per-stream summaries, in ascending `(sm, warp)` order.
+    pub fn streams(&self) -> impl Iterator<Item = StreamInfo> + '_ {
+        self.streams.iter().map(|(&(sm, warp), s)| StreamInfo {
+            sm,
+            warp,
+            insts: s.insts,
+            bytes: s.bytes.len(),
+        })
     }
 
     /// Total recorded instructions across all streams.
     pub fn total_insts(&self) -> u64 {
         self.streams.values().map(|s| s.insts).sum()
+    }
+
+    /// Bytes the trace keeps resident: each stream's records plus its
+    /// map entry and `Arc` header. Replay adds one small cursor per warp,
+    /// never a decoded copy of a stream.
+    pub fn resident_bytes(&self) -> usize {
+        let per_stream =
+            core::mem::size_of::<((u32, u32), EncodedStream)>() + 2 * core::mem::size_of::<usize>();
+        self.streams.values().map(|s| s.bytes.len() + per_stream).sum()
+    }
+
+    /// Highest recorded SM index + 1, capped at `available` (the shape
+    /// [`TraceKernel`] reports).
+    pub fn active_sms(&self, available: u32) -> u32 {
+        self.streams.last_key_value().map_or(1, |(&(sm, _), _)| sm + 1).min(available)
+    }
+
+    /// Highest recorded warp index + 1 on `sm` (1 when none recorded).
+    pub fn warps_per_sm(&self, sm: u32) -> u32 {
+        self.streams.range((sm, 0)..=(sm, u32::MAX)).next_back().map_or(1, |(&(_, warp), _)| warp + 1)
     }
 
     /// Streams the v1 text serialization into `sink` (warps in
@@ -355,7 +379,7 @@ impl Trace {
         let mut line = String::new();
         for ((sm, warp), stream) in &self.streams {
             writeln!(sink, "warp {sm} {warp}")?;
-            for inst in stream.decode() {
+            for inst in Records::new(&*stream.bytes, stream.insts) {
                 line.clear();
                 serialize_inst_into(&mut line, &inst);
                 line.push('\n');
@@ -453,42 +477,42 @@ impl Trace {
 /// Loads trace bytes in either on-disk format: bytes starting with the
 /// `SECMTRC` magic decode as a binary container; anything else parses
 /// as v1 text and is encoded to `SECMTRC` on the spot. This is the one
-/// place that picks a decoder, and every [`BinaryTrace`] it returns has
-/// passed [`BinaryTrace::decode`]'s full validation.
+/// place that picks a decoder, and every [`Trace`] it returns has
+/// passed [`Trace::decode`]'s full validation.
 ///
 /// # Errors
 ///
 /// [`TraceLoadError::Binary`] for a malformed container,
 /// [`TraceLoadError::Parse`] for text that is not UTF-8 (line 1) or not
 /// a valid v1 trace.
-pub fn load(bytes: &[u8]) -> Result<BinaryTrace, TraceLoadError> {
-    if BinaryTrace::sniff(bytes) {
-        return Ok(BinaryTrace::decode(bytes)?);
+pub fn load(bytes: &[u8]) -> Result<Trace, TraceLoadError> {
+    if Trace::sniff(bytes) {
+        return Ok(Trace::decode(bytes)?);
     }
     let text = core::str::from_utf8(bytes)
         .map_err(|e| ParseTraceError { line: 1, message: format!("trace is not UTF-8: {e}") })?;
     // The parsed `Trace` is dropped before decoding: peak memory holds
     // at most two copies of the encoded bytes besides the text.
     let bytes = trace_bin::encode(&Trace::from_text(text)?);
-    Ok(BinaryTrace::decode(&bytes)?)
+    Ok(Trace::decode(&bytes)?)
 }
 
-/// Replays a [`BinaryTrace`] as a [`Kernel`]: each recorded warp runs
-/// its stream once and exits; unrecorded warps exit immediately.
+/// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its
+/// stream once and exits; unrecorded warps exit immediately.
 ///
-/// Every warp replays through a streaming cursor over one shared,
-/// immutable backing buffer (see [`crate::trace_bin`]), whichever
+/// Every warp replays through a streaming cursor over its stream's
+/// shared, immutable record buffer (see [`crate::trace_bin`]), whichever
 /// format the trace was ingested from, so a paper-scale trace never
 /// materializes its decoded instruction vectors.
 #[derive(Debug, Clone)]
 pub struct TraceKernel {
-    trace: Arc<BinaryTrace>,
+    trace: Arc<Trace>,
     name: String,
 }
 
 impl TraceKernel {
-    /// Wraps a validated binary trace for streaming replay.
-    pub fn from_binary(trace: BinaryTrace, name: impl Into<String>) -> Self {
+    /// Wraps a trace for streaming replay.
+    pub fn from_binary(trace: Trace, name: impl Into<String>) -> Self {
         Self { trace: Arc::new(trace), name: name.into() }
     }
 
@@ -511,10 +535,9 @@ impl TraceKernel {
         true
     }
 
-    /// Bytes the trace keeps resident for replay: the shared backing
-    /// buffer plus its index.
-    pub fn resident_bytes(&self) -> usize {
-        self.trace.resident_bytes()
+    /// The trace this kernel replays.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 }
 
@@ -704,9 +727,8 @@ mod tests {
             let spaces = if rng.one_in(4) { "  " } else { " " };
             let line = tokens.join(spaces);
             let text = format!("{TRACE_HEADER}\nwarp 0 0\n{line}\n");
-            let Ok(bin) = load(text.as_bytes()) else { continue };
+            let Ok(trace) = load(text.as_bytes()) else { continue };
             accepted += 1;
-            let trace = bin.to_trace();
             let stream = trace.stream(0, 0).expect("the one stream");
             assert_eq!(stream.len(), 1, "'{line}'");
             let canonical = line.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -779,7 +801,7 @@ mod tests {
     fn recorded_trace_replays_equivalently() {
         let kernel = StreamKernel { alu_per_mem: 2, bytes_per_warp: 1 << 16, warps: 4 };
         let trace = Trace::record(&kernel, 4, 200);
-        let bin = BinaryTrace::decode(&trace_bin::encode(&trace)).expect("decodes");
+        let bin = Trace::decode(&trace_bin::encode(&trace)).expect("decodes");
         let replay = TraceKernel::from_binary(bin, "stream-replay");
         let cfg = GpuConfig::small();
         let mut sim = Simulator::new(cfg, &replay, |_, g| PassthroughBackend::from_config(g));

@@ -26,7 +26,7 @@ fn replay(path: &std::path::Path, gpu: &GpuConfig) -> (SimReport, usize) {
     let kernel = TraceKernel::from_file(path).expect("trace loads");
     let mut sim =
         Simulator::new(gpu.clone(), &kernel, |_, g| SecureBackend::new(SecureMemConfig::secure_mem(), g));
-    (sim.run(CYCLES), kernel.resident_bytes())
+    (sim.run(CYCLES), kernel.trace().resident_bytes())
 }
 
 fn main() {
