@@ -235,19 +235,20 @@ impl Drive for Checkpointing<'_> {
     }
 }
 
-/// The job `o` describes, running `kernel`. A secure configuration is
+/// The job `o` describes, running `kernel`. The secure flags are
 /// checked by building one partition's engine, so a bad flag value is
 /// the engine's typed error rather than a panic once the run starts.
+/// `baseline` checks them too (under `ctr_mac_bmt`): a bad value is an
+/// error there as well, not silently ignored.
 fn job_of(o: &Options, kernel: SyntheticKernel) -> Result<Job, String> {
     let scheme =
         SecurityScheme::from_label(&o.scheme).ok_or_else(|| format!("unknown scheme '{}'", o.scheme))?;
+    let checked = if scheme == SecurityScheme::Baseline { SecurityScheme::CtrMacBmt } else { scheme };
+    let cfg = SecureMemConfig { scheme: checked, ..o.cfg.clone() };
+    SecureBackend::try_new(cfg.clone(), &o.gpu).map_err(|e| e.to_string())?;
     let backend = match scheme {
         SecurityScheme::Baseline => BackendChoice::Baseline,
-        s => {
-            let cfg = SecureMemConfig { scheme: s, ..o.cfg.clone() };
-            SecureBackend::try_new(cfg.clone(), &o.gpu).map_err(|e| e.to_string())?;
-            BackendChoice::Secure(cfg)
-        }
+        _ => BackendChoice::Secure(cfg),
     };
     let telemetry = o
         .telemetry
@@ -427,10 +428,14 @@ mod tests {
             ("mdcache_bytes", SecureMemConfig { mdcache_bytes: 0, unified_bytes: 0, ..base.clone() }),
             ("protected_limit", SecureMemConfig { protected_limit: Some(0), ..base.clone() }),
         ] {
-            let o = Options { scheme: "ctr_mac_bmt".into(), cfg, ..options(&std::env::temp_dir()) };
-            let kernel = find_kernel(&o.bench).expect("suite workload");
-            let err = job_of(&o, kernel).err().unwrap_or_else(|| panic!("{field} = 0 accepted"));
-            assert!(err.contains(&format!("({field})")), "{field}: {err}");
+            // The baseline runs no engine, but a bad flag is still an error.
+            for scheme in ["ctr_mac_bmt", "baseline"] {
+                let o = Options { scheme: scheme.into(), cfg: cfg.clone(), ..options(&std::env::temp_dir()) };
+                let kernel = find_kernel(&o.bench).expect("suite workload");
+                let err =
+                    job_of(&o, kernel).err().unwrap_or_else(|| panic!("{scheme}: {field} = 0 accepted"));
+                assert!(err.contains(&format!("({field})")), "{scheme}: {field}: {err}");
+            }
         }
     }
 

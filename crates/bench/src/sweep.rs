@@ -257,7 +257,10 @@ impl SweepSpec {
     /// from and the report fingerprint that content-addresses the run.
     /// Jobs that produced no result (panicked twice) render as `FAILED`
     /// rows, so the table's shape is a function of the spec alone.
-    pub fn results_table(&self, results: &[RunResult]) -> ExpTable {
+    /// `results` is any sequence of borrowed results (a `&Vec`, or
+    /// `Arc`s mapped to references), so rendering clones none of them.
+    pub fn results_table<'a>(&self, results: impl IntoIterator<Item = &'a RunResult>) -> ExpTable {
+        let results: Vec<&RunResult> = results.into_iter().collect();
         let mut table = ExpTable::new(
             format!(
                 "Sweep — {} benchmarks x {} schemes (gpu={}, cycles={}, warmup={}, seed={:#x})",

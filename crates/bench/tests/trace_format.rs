@@ -238,7 +238,8 @@ const SECMTRC_PINS: [(&str, u64); 4] = [
 const KMEANS_TEXT_PIN: u64 = 0x8a5651c42b367ddf;
 
 /// Each pinned recording also loads to the same trace from its text and
-/// from its SECMTRC bytes, and decoding those bytes re-encodes to them.
+/// from its SECMTRC bytes, its parsed text survives encode and decode
+/// unchanged, and decoding those bytes re-encodes to them.
 #[test]
 fn recorded_traces_encode_to_their_pinned_bytes() {
     let gpu = GpuConfig::small();
@@ -258,6 +259,11 @@ fn recorded_traces_encode_to_their_pinned_bytes() {
                 drift.push(format!("{bench} text: {got:#018x}"));
             }
         }
+        // Parsed text encodes to bytes that decode back to the same trace,
+        // so loading text need not re-decode what the parser encoded.
+        let parsed = Trace::from_text(&text).unwrap_or_else(|e| panic!("{bench} text: {e}"));
+        let reparsed = Trace::decode(&trace_bin::encode(&parsed)).unwrap_or_else(|e| panic!("{bench}: {e}"));
+        assert!(reparsed == parsed, "{bench}: parsed text changed through encode and decode");
         let from_smtrc = trace::load(&bytes).unwrap_or_else(|e| panic!("{bench} SECMTRC: {e}"));
         let from_text = trace::load(text.as_bytes()).unwrap_or_else(|e| panic!("{bench} text: {e}"));
         assert!(from_text == from_smtrc, "{bench}: text and SECMTRC load to different traces");

@@ -476,9 +476,10 @@ impl Trace {
 
 /// Loads trace bytes in either on-disk format: bytes starting with the
 /// `SECMTRC` magic decode as a binary container; anything else parses
-/// as v1 text and is encoded to `SECMTRC` on the spot. This is the one
-/// place that picks a decoder, and every [`Trace`] it returns has
-/// passed [`Trace::decode`]'s full validation.
+/// as v1 text, each stream encoded to `SECMTRC` records as it is parsed.
+/// This is the one place that picks a decoder. Every [`Trace`] it
+/// returns holds only records [`Trace::decode`]'s full validation
+/// accepts: the text parser enforces the same field limits.
 ///
 /// # Errors
 ///
@@ -491,10 +492,8 @@ pub fn load(bytes: &[u8]) -> Result<Trace, TraceLoadError> {
     }
     let text = core::str::from_utf8(bytes)
         .map_err(|e| ParseTraceError { line: 1, message: format!("trace is not UTF-8: {e}") })?;
-    // The parsed `Trace` is dropped before decoding: peak memory holds
-    // at most two copies of the encoded bytes besides the text.
-    let bytes = trace_bin::encode(&Trace::from_text(text)?);
-    Ok(Trace::decode(&bytes)?)
+    // Not re-decoded: peak memory is the text plus one copy of the records.
+    Ok(Trace::from_text(text)?)
 }
 
 /// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its

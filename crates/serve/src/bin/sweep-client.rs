@@ -4,7 +4,8 @@
 //! sweep-client [--server HOST:PORT] <command>
 //!
 //! commands:
-//!   health [--retries N]      wait for the server to answer /health
+//!   health [--retries N]      wait for /health; print it (queue depth,
+//!                             sweeps retained and expired)
 //!   submit <spec.json|->      submit a sweep, print {"sweep":id,...}
 //!   status <id>               print sweep progress JSON
 //!   wait <id>                 poll until the sweep completes

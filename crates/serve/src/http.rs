@@ -401,6 +401,7 @@ fn reason(code: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        410 => "Gone",
         413 => "Payload Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",

@@ -16,7 +16,7 @@
 //!
 //! | method | path                  | purpose                          |
 //! |--------|-----------------------|----------------------------------|
-//! | GET    | `/health`             | liveness + queue depth           |
+//! | GET    | `/health`             | liveness, queue depth, sweeps    |
 //! | POST   | `/sweeps`             | submit a sweep spec (JSON)       |
 //! | GET    | `/sweeps/{id}`        | progress + cache-hit counters    |
 //! | GET    | `/sweeps/{id}/results`| final CSV (409 while running)    |
@@ -24,6 +24,10 @@
 //! | GET    | `/cache/stats`        | cache + simulation counters      |
 //! | POST   | `/drain`              | finish queued work, refuse new   |
 //! | POST   | `/shutdown`           | drain, then exit                 |
+//!
+//! The server keeps every running sweep and the last
+//! [`server::FINISHED_SWEEPS_KEPT`] finished ones; an evicted sweep's id
+//! answers 410, an id never issued 404.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

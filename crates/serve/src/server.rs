@@ -19,10 +19,15 @@
 //! repeated submission — or two clients racing the same spec — costs
 //! zero extra simulations; the `simulations` counter exposed by
 //! `GET /cache/stats` (the cache's misses) proves it.
+//!
+//! A finished sweep keeps only its rendered CSV and its progress events,
+//! and only the last [`FINISHED_SWEEPS_KEPT`] finished sweeps are kept,
+//! so the server's memory does not grow with the number of sweeps it
+//! has served. An evicted sweep's id answers 410.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use secmem_bench::sweep::SweepSpec;
@@ -32,6 +37,13 @@ use secmem_gpusim::kernel::Kernel;
 use crate::http;
 use crate::json;
 use crate::spec::{parse_sweep_spec, render_sweep_spec};
+
+/// Finished sweeps the server keeps. When one more finishes, the sweep
+/// that finished first is evicted and its id answers 410 from then on.
+/// A running sweep is never evicted. A finished sweep holds its CSV
+/// (about 2 KiB for the pinned 4x7 matrix) and one event line per job,
+/// so the retained sweeps take a few MiB at most.
+pub const FINISHED_SWEEPS_KEPT: usize = 256;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -93,10 +105,17 @@ struct SweepProgress {
     failed: usize,
     /// Jobs served from the cache (hit or coalesced) instead of computed.
     cache_hits: usize,
-    /// One slot per job, spec order; `None` until done (or failed).
-    results: Vec<Option<Arc<RunResult>>>,
+    results: SweepResults,
     /// One JSON line per completed job, appended in completion order.
     events: Vec<String>,
+}
+
+enum SweepResults {
+    /// One slot per job, spec order; `None` until done (or failed).
+    Running(Vec<Option<Arc<RunResult>>>),
+    /// The results CSV, rendered once when the last job was recorded;
+    /// the results themselves are dropped then.
+    Finished(Arc<str>),
 }
 
 impl SweepEntry {
@@ -105,19 +124,71 @@ impl SweepEntry {
     }
 }
 
+/// Every running sweep and the last [`FINISHED_SWEEPS_KEPT`] finished
+/// ones. Lock order: this table before any entry's progress, never the
+/// reverse.
+#[derive(Default)]
+struct SweepTable {
+    entries: BTreeMap<u64, Arc<SweepEntry>>,
+    /// Ids of the retained finished sweeps, the first to finish first.
+    finished: VecDeque<u64>,
+    /// Ids issued so far; ids run from 1, so the last one issued.
+    issued: u64,
+    /// Finished sweeps evicted so far.
+    expired: u64,
+}
+
+/// What a sweep id names.
+enum Lookup {
+    Live(Arc<SweepEntry>),
+    /// Issued, finished and evicted.
+    Expired,
+    /// Never issued.
+    Unknown,
+}
+
+impl SweepTable {
+    /// Records that sweep `id` finished, evicting the earliest-finished
+    /// sweeps beyond [`FINISHED_SWEEPS_KEPT`].
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > FINISHED_SWEEPS_KEPT {
+            if let Some(old) = self.finished.pop_front() {
+                self.entries.remove(&old);
+                self.expired += 1;
+            }
+        }
+    }
+
+    fn lookup(&self, id: u64) -> Lookup {
+        match self.entries.get(&id) {
+            Some(entry) => Lookup::Live(entry.clone()),
+            // Only eviction removes an issued id.
+            None if (1..=self.issued).contains(&id) => Lookup::Expired,
+            None => Lookup::Unknown,
+        }
+    }
+}
+
+fn lock_table(sweeps: &Mutex<SweepTable>) -> MutexGuard<'_, SweepTable> {
+    sweeps.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared server state: the job runner, the sweeps, and the flags.
 struct ServerState {
     runner: Runner,
-    sweeps: Mutex<BTreeMap<u64, Arc<SweepEntry>>>,
-    next_sweep: AtomicU64,
+    /// Shared with the job callbacks, which record finished sweeps. They
+    /// hold this table rather than the state, which owns the runner that
+    /// holds them.
+    sweeps: Arc<Mutex<SweepTable>>,
     draining: AtomicBool,
     shutdown: AtomicBool,
     addr: SocketAddr,
 }
 
 impl ServerState {
-    fn sweeps(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<SweepEntry>>> {
-        self.sweeps.lock().unwrap_or_else(PoisonError::into_inner)
+    fn sweeps(&self) -> MutexGuard<'_, SweepTable> {
+        lock_table(&self.sweeps)
     }
 }
 
@@ -141,8 +212,7 @@ impl Server {
         let addr = listener.local_addr().map_err(ServeError::Io)?;
         let state = Arc::new(ServerState {
             runner: Runner::try_new(cfg.sim_workers, cfg.cache_capacity).map_err(ServeError::Io)?,
-            sweeps: Mutex::new(BTreeMap::new()),
-            next_sweep: AtomicU64::new(1),
+            sweeps: Arc::default(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             addr,
@@ -183,8 +253,11 @@ impl Server {
     }
 }
 
-/// Records job `index`'s outcome on its sweep.
+/// Records job `index`'s outcome on its sweep. The last job renders the
+/// sweep's CSV, drops its results, and enters it in `sweeps`' finished
+/// sweeps (after releasing the entry, to keep the lock order).
 fn record_job(
+    sweeps: &Mutex<SweepTable>,
     entry: &SweepEntry,
     index: usize,
     bench: &str,
@@ -224,10 +297,20 @@ fn record_job(
         }
     }
     event.push('}');
-    progress.results[index] = result;
     progress.events.push(event);
+    let finished = progress.done == entry.total;
+    if let SweepResults::Running(slots) = &mut progress.results {
+        slots[index] = result;
+        if finished {
+            let csv = entry.spec.results_table(slots.iter().flatten().map(|r| &**r)).to_csv();
+            progress.results = SweepResults::Finished(csv.into());
+        }
+    }
     drop(progress);
     entry.cond.notify_all();
+    if finished {
+        lock_table(sweeps).finish(entry.id);
+    }
 }
 
 fn err_body(message: &str) -> Vec<u8> {
@@ -265,8 +348,12 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
 }
 
 fn get_health(state: &ServerState, stream: &mut TcpStream) -> Result<(), http::HttpError> {
+    let (sweeps, expired) = {
+        let table = state.sweeps();
+        (table.entries.len(), table.expired)
+    };
     let body = format!(
-        "{{\"status\":\"ok\",\"pending_jobs\":{},\"draining\":{}}}",
+        "{{\"status\":\"ok\",\"pending_jobs\":{},\"draining\":{},\"sweeps\":{sweeps},\"expired\":{expired}}}",
         state.runner.pending(),
         state.draining.load(Ordering::SeqCst)
     );
@@ -294,37 +381,57 @@ fn post_sweep(state: &ServerState, stream: &mut TcpStream, body: &[u8]) -> Resul
         Err(e) => return http::write_response(stream, 400, "application/json", &err_body(&e.to_string())),
     };
 
-    let id = state.next_sweep.fetch_add(1, Ordering::SeqCst);
-    let entry = Arc::new(SweepEntry {
-        id,
-        spec,
-        total: jobs.len(),
-        state: Mutex::new(SweepProgress {
-            done: 0,
-            failed: 0,
-            cache_hits: 0,
-            results: vec![None; jobs.len()],
-            events: Vec::new(),
-        }),
-        cond: Condvar::new(),
-    });
-    state.sweeps().insert(id, entry.clone());
-    let total = jobs.len();
+    let entry = {
+        // Issue the id and enter the sweep under one lock, so an issued
+        // id is never briefly absent (which would read as expired).
+        let mut sweeps = state.sweeps();
+        sweeps.issued += 1;
+        let entry = Arc::new(SweepEntry {
+            id: sweeps.issued,
+            spec,
+            total: jobs.len(),
+            state: Mutex::new(SweepProgress {
+                done: 0,
+                failed: 0,
+                cache_hits: 0,
+                results: SweepResults::Running(vec![None; jobs.len()]),
+                events: Vec::new(),
+            }),
+            cond: Condvar::new(),
+        });
+        sweeps.entries.insert(entry.id, entry.clone());
+        entry
+    };
+    let (id, total) = (entry.id, jobs.len());
     for (index, job) in jobs.into_iter().enumerate() {
-        let entry = entry.clone();
+        let (sweeps, entry) = (state.sweeps.clone(), entry.clone());
         let (bench, label) = (job.kernel.name().to_string(), job.label.clone());
         state.runner.submit(job, move |outcome, role| {
-            record_job(&entry, index, &bench, &label, outcome, role);
+            record_job(&sweeps, &entry, index, &bench, &label, outcome, role);
         });
     }
     let body = format!("{{\"sweep\":{id},\"jobs\":{total}}}");
     http::write_response(stream, 200, "application/json", body.as_bytes())
 }
 
-/// Looks up a sweep by its path segment.
-fn sweep_by_id(state: &ServerState, id: &str) -> Option<Arc<SweepEntry>> {
-    let id: u64 = id.parse().ok()?;
-    state.sweeps().get(&id).cloned()
+/// Looks up a sweep by its path segment, or writes the 404 (never
+/// issued) or 410 (evicted) answer and returns `Err` with its outcome.
+fn sweep_by_id(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    id: &str,
+) -> Result<Arc<SweepEntry>, Result<(), http::HttpError>> {
+    let lookup = id.parse().map_or(Lookup::Unknown, |id| state.sweeps().lookup(id));
+    match lookup {
+        Lookup::Live(entry) => Ok(entry),
+        Lookup::Expired => {
+            let body = err_body(&format!("sweep {id} expired"));
+            Err(http::write_response(stream, 410, "application/json", &body))
+        }
+        Lookup::Unknown => {
+            Err(http::write_response(stream, 404, "application/json", &err_body("no such sweep")))
+        }
+    }
 }
 
 fn status_body(entry: &SweepEntry) -> String {
@@ -342,31 +449,35 @@ fn status_body(entry: &SweepEntry) -> String {
 }
 
 fn get_sweep_status(state: &ServerState, stream: &mut TcpStream, id: &str) -> Result<(), http::HttpError> {
-    match sweep_by_id(state, id) {
-        Some(entry) => http::write_response(stream, 200, "application/json", status_body(&entry).as_bytes()),
-        None => http::write_response(stream, 404, "application/json", &err_body("no such sweep")),
-    }
+    let entry = match sweep_by_id(state, stream, id) {
+        Ok(entry) => entry,
+        Err(answered) => return answered,
+    };
+    http::write_response(stream, 200, "application/json", status_body(&entry).as_bytes())
 }
 
 fn get_sweep_results(state: &ServerState, stream: &mut TcpStream, id: &str) -> Result<(), http::HttpError> {
-    let Some(entry) = sweep_by_id(state, id) else {
-        return http::write_response(stream, 404, "application/json", &err_body("no such sweep"));
+    let entry = match sweep_by_id(state, stream, id) {
+        Ok(entry) => entry,
+        Err(answered) => return answered,
     };
-    let results: Vec<RunResult> = {
-        let progress = entry.lock();
-        if progress.done < entry.total {
+    let csv = match &entry.lock().results {
+        SweepResults::Finished(csv) => Some(csv.clone()),
+        SweepResults::Running(_) => None,
+    };
+    match csv {
+        Some(csv) => http::write_response(stream, 200, "text/csv", csv.as_bytes()),
+        None => {
             let body = err_body("sweep still running; poll status or use /stream");
-            return http::write_response(stream, 409, "application/json", &body);
+            http::write_response(stream, 409, "application/json", &body)
         }
-        progress.results.iter().flatten().map(|r| (**r).clone()).collect()
-    };
-    let csv = entry.spec.results_table(&results).to_csv();
-    http::write_response(stream, 200, "text/csv", csv.as_bytes())
+    }
 }
 
 fn get_sweep_stream(state: &ServerState, stream: &mut TcpStream, id: &str) -> Result<(), http::HttpError> {
-    let Some(entry) = sweep_by_id(state, id) else {
-        return http::write_response(stream, 404, "application/json", &err_body("no such sweep"));
+    let entry = match sweep_by_id(state, stream, id) {
+        Ok(entry) => entry,
+        Err(answered) => return answered,
     };
     http::start_chunked(stream, 200, "application/x-ndjson")?;
     let mut sent = 0;
