@@ -2,7 +2,8 @@
 //!
 //! The repository accepts six kinds of untrusted byte streams: text
 //! trace files (through [`secmem_gpusim::trace::load`], the front end
-//! replay uses: parse, encode to SECMTRC, decode), SECMTRC binary
+//! replay uses; whatever parses must also survive a SECMTRC encode and
+//! decode unchanged), SECMTRC binary
 //! traces ([`secmem_gpusim::trace::Trace::decode`]),
 //! the linter's `lint.toml` baseline ([`secmem_lint::Baseline::parse`]),
 //! JSON such as Chrome traces and sweep specs
@@ -23,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use secmem_checkpoint::Frame;
 use secmem_gpusim::rng::Rng64;
-use secmem_gpusim::trace::{self, Trace, TraceLoadError};
+use secmem_gpusim::trace::{self, Trace};
 use secmem_gpusim::trace_bin;
 use secmem_lint::Baseline;
 use secmem_telemetry::json;
@@ -213,12 +214,18 @@ pub fn parse_one(corpus: Corpus, input: &[u8]) {
     match corpus {
         Corpus::Trace => {
             // Lossy UTF-8 keeps mutated inputs reaching the line parser.
-            // Text that parses is encoded and re-decoded; a `Binary`
-            // error would mean the encoder wrote bytes its own decoder
-            // rejects.
+            // Text that parses must survive encode and decode unchanged:
+            // `load` hands the parser's records to replay without
+            // re-decoding them, so the parser's field limits must match
+            // `Trace::decode`'s.
             let text = String::from_utf8_lossy(input);
-            if let Err(TraceLoadError::Binary(e)) = trace::load(text.as_bytes()) {
-                assert!(text.as_bytes().starts_with(&trace_bin::BIN_MAGIC), "encoder output rejected: {e}");
+            if let Ok(parsed) = trace::load(text.as_bytes()) {
+                if !Trace::sniff(text.as_bytes()) {
+                    match Trace::decode(&trace_bin::encode(&parsed)) {
+                        Ok(back) => assert!(back == parsed, "parsed text changed through encode and decode"),
+                        Err(e) => panic!("encoder output rejected: {e}"),
+                    }
+                }
             }
         }
         Corpus::BinTrace => {
@@ -386,6 +393,33 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Trace text at and just past each limit the text parser shares
+    /// with [`Trace::decode`]. At the limit it parses and survives the
+    /// encode and decode round trip [`parse_one`] checks; past it the
+    /// parser must reject it, or `parse_one` panics because the decoder
+    /// rejects the encoded records.
+    #[test]
+    fn trace_text_limits_match_the_decoder() {
+        use secmem_gpusim::trace::{MAX_ACCESSES_PER_INST, MAX_TRACE_SM, MAX_TRACE_WARP};
+        let header = "# gpu-secure-memory trace v1\n";
+        let accesses = |n: usize| (0..n).map(|i| format!(" {:x}:1", i * 0x80)).collect::<String>();
+        let at_limit = format!(
+            "{header}warp {MAX_TRACE_SM} {MAX_TRACE_WARP}\nL 0{}\nS{}\nX\n",
+            accesses(MAX_ACCESSES_PER_INST),
+            accesses(MAX_ACCESSES_PER_INST)
+        );
+        Trace::from_text(&at_limit).unwrap_or_else(|e| panic!("text at the limits: {e}"));
+        parse_one(Corpus::Trace, at_limit.as_bytes());
+        for past_limit in [
+            format!("{header}warp {} 0\nX\n", MAX_TRACE_SM + 1),
+            format!("{header}warp 0 {}\nX\n", MAX_TRACE_WARP + 1),
+            format!("{header}warp 0 0\nL 0{}\nX\n", accesses(MAX_ACCESSES_PER_INST + 1)),
+            format!("{header}warp 0 0\nS{}\nX\n", accesses(MAX_ACCESSES_PER_INST + 1)),
+        ] {
+            parse_one(Corpus::Trace, past_limit.as_bytes());
         }
     }
 
