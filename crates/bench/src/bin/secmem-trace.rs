@@ -12,10 +12,10 @@
 //! schemes: baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt
 //! ```
 //!
-//! Every command reads its input through `gpusim::trace::load`, which
-//! sniffs the SECMTRC magic and encodes text input to SECMTRC, so
-//! `stats`, `verify` and `run` see the same validated container for
-//! either format. Output format is chosen by extension (`.smtrc` →
+//! Every command reads its input through `gpusim::trace::load_file`,
+//! which sniffs the SECMTRC magic and encodes text input to SECMTRC
+//! records line by line, so `stats`, `verify` and `run` see the same
+//! validated trace for either format and never hold a text file whole. Output format is chosen by extension (`.smtrc` →
 //! binary, anything else → text). `run` replays through the full
 //! simulator and prints the same report JSON as `simulate --json`, so
 //! CI can diff the two ingestion paths byte-for-byte.
@@ -53,8 +53,7 @@ fn find_kernel(name: &str) -> Option<SyntheticKernel> {
 
 /// Loads and fully validates a trace file in either format.
 fn load_trace(path: &Path) -> Result<Trace, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    trace::load(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+    trace::load_file(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Writes a trace in the format the output extension asks for.

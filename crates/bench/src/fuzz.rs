@@ -1,11 +1,10 @@
 //! Seeded mutation fuzzing for the workspace's hand-written parsers.
 //!
-//! The repository accepts six kinds of untrusted byte streams: text
+//! The repository accepts five kinds of untrusted byte streams: text
 //! trace files (through [`secmem_gpusim::trace::load`], the front end
 //! replay uses; whatever parses must also survive a SECMTRC encode and
 //! decode unchanged), SECMTRC binary
 //! traces ([`secmem_gpusim::trace::Trace::decode`]),
-//! the linter's `lint.toml` baseline ([`secmem_lint::Baseline::parse`]),
 //! JSON such as Chrome traces and sweep specs
 //! ([`secmem_telemetry::json::parse`]),
 //! checkpoint frames ([`secmem_checkpoint::Frame::decode`]) and Rust
@@ -26,7 +25,6 @@ use secmem_checkpoint::Frame;
 use secmem_gpusim::rng::Rng64;
 use secmem_gpusim::trace::{self, Trace};
 use secmem_gpusim::trace_bin;
-use secmem_lint::Baseline;
 use secmem_telemetry::json;
 
 /// A parser under fuzz.
@@ -36,8 +34,6 @@ pub enum Corpus {
     Trace,
     /// The SECMTRC binary trace container.
     BinTrace,
-    /// The linter's `lint.toml` subset.
-    LintBaseline,
     /// JSON documents through the workspace's one parser.
     Json,
     /// Binary checkpoint frames.
@@ -49,21 +45,14 @@ pub enum Corpus {
 
 impl Corpus {
     /// Every corpus, for smoke sweeps.
-    pub const ALL: [Corpus; 6] = [
-        Corpus::Trace,
-        Corpus::BinTrace,
-        Corpus::LintBaseline,
-        Corpus::Json,
-        Corpus::Checkpoint,
-        Corpus::LintSource,
-    ];
+    pub const ALL: [Corpus; 5] =
+        [Corpus::Trace, Corpus::BinTrace, Corpus::Json, Corpus::Checkpoint, Corpus::LintSource];
 
     /// Short display name.
     pub fn label(self) -> &'static str {
         match self {
             Corpus::Trace => "trace",
             Corpus::BinTrace => "bin-trace",
-            Corpus::LintBaseline => "lint-baseline",
             Corpus::Json => "json",
             Corpus::Checkpoint => "checkpoint",
             Corpus::LintSource => "lint-source",
@@ -139,7 +128,6 @@ impl Mutator {
                         b"\n",
                         b"\"",
                         b"warp ",
-                        b"[[baseline]]",
                         b"{",
                         b"0x",
                     ];
@@ -172,16 +160,12 @@ pub fn seed_inputs(corpus: Corpus) -> Vec<Vec<u8>> {
             seed_inputs(Corpus::Trace)
                 .iter()
                 .map(|text| {
-                    let trace = Trace::from_text(&String::from_utf8_lossy(text))
+                    let trace = Trace::from_text(text.as_slice())
                         .expect("text exemplars are valid");
                     trace_bin::encode(&trace)
                 })
                 .collect()
         }
-        Corpus::LintBaseline => vec![
-            b"disabled = [\"hot-format\"]\n[[baseline]]\nfile = \"crates/core/src/engine.rs\"\nlint = \"long-fn\"\ncount = 2\n".to_vec(),
-            b"[[baseline]]\nfile = \"a.rs\" # comment\nlint = \"x\"\ncount = 1\n".to_vec(),
-        ],
         Corpus::Json => vec![
             br#"{"traceEvents":[{"name":"dram","ph":"C","ts":12,"pid":1,"args":{"v":3.5}}],"displayTimeUnit":"ns"}"#.to_vec(),
             br#"[1,2.5e-3,"s",true,false,null,{"k":[{}]}]"#.to_vec(),
@@ -213,12 +197,16 @@ pub fn seed_inputs(corpus: Corpus) -> Vec<Vec<u8>> {
 pub fn parse_one(corpus: Corpus, input: &[u8]) {
     match corpus {
         Corpus::Trace => {
-            // Lossy UTF-8 keeps mutated inputs reaching the line parser.
+            // Invalid UTF-8 goes in raw to reach the per-line UTF-8
+            // check, then lossy so it also reaches the line parser.
             // Text that parses must survive encode and decode unchanged:
             // `load` hands the parser's records to replay without
             // re-decoding them, so the parser's field limits must match
             // `Trace::decode`'s.
             let text = String::from_utf8_lossy(input);
+            if matches!(text, std::borrow::Cow::Owned(_)) {
+                let _ = trace::load(input);
+            }
             if let Ok(parsed) = trace::load(text.as_bytes()) {
                 if !Trace::sniff(text.as_bytes()) {
                     match Trace::decode(&trace_bin::encode(&parsed)) {
@@ -234,9 +222,6 @@ pub fn parse_one(corpus: Corpus, input: &[u8]) {
                 // file must also convert back to text without panicking.
                 let _ = trace.to_text();
             }
-        }
-        Corpus::LintBaseline => {
-            let _ = Baseline::parse(&String::from_utf8_lossy(input));
         }
         Corpus::Json => {
             let _ = json::parse(&String::from_utf8_lossy(input));
@@ -365,15 +350,11 @@ mod tests {
                 // mutation only explores the error paths.
                 match corpus {
                     Corpus::Trace => {
-                        Trace::from_text(&String::from_utf8_lossy(input))
+                        Trace::from_text(input.as_slice())
                             .unwrap_or_else(|e| panic!("trace exemplar {i}: {e}"));
                     }
                     Corpus::BinTrace => {
                         Trace::decode(input).unwrap_or_else(|e| panic!("bin-trace exemplar {i}: {e}"));
-                    }
-                    Corpus::LintBaseline => {
-                        Baseline::parse(&String::from_utf8_lossy(input))
-                            .unwrap_or_else(|e| panic!("baseline exemplar {i}: {e}"));
                     }
                     Corpus::Json => {
                         json::parse(&String::from_utf8_lossy(input))
@@ -411,7 +392,7 @@ mod tests {
             accesses(MAX_ACCESSES_PER_INST),
             accesses(MAX_ACCESSES_PER_INST)
         );
-        Trace::from_text(&at_limit).unwrap_or_else(|e| panic!("text at the limits: {e}"));
+        Trace::from_text(at_limit.as_bytes()).unwrap_or_else(|e| panic!("text at the limits: {e}"));
         parse_one(Corpus::Trace, at_limit.as_bytes());
         for past_limit in [
             format!("{header}warp {} 0\nX\n", MAX_TRACE_SM + 1),
@@ -432,6 +413,14 @@ mod tests {
         }
     }
 
+    /// The line of the parse error `load` reports for trace text.
+    fn trace_error_line(text: &str) -> Option<usize> {
+        match trace::load(text.as_bytes()) {
+            Err(trace::TraceLoadError::Parse(e)) => Some(e.line),
+            _ => None,
+        }
+    }
+
     /// Regression fixtures: inputs that exercise the parser paths the
     /// fuzzer reaches most often (truncated frames, giant counts,
     /// malformed numerics). Each must stay a typed rejection.
@@ -448,19 +437,16 @@ mod tests {
         assert!(Frame::decode(&frame).is_err());
         // Trace: u32 overflow in the warp directive.
         let t = "# gpu-secure-memory trace v1\nwarp 99999999999999999999 0\nX\n";
-        assert!(Trace::from_text(t).is_err());
+        assert!(Trace::from_text(t.as_bytes()).is_err());
         // Trace: numbers in a spelling the serializer never writes, and
         // an address that is not line aligned (the top of the u64 range
         // included), are typed errors at their line, not normalized.
         for bad in ["A +1", "A 01", "L 1 ffffffffffffffff:f", "S 1a81:3", "L 0 080:f"] {
             let t = format!("# gpu-secure-memory trace v1\nwarp 0 0\n{bad}\nX\n");
-            assert_eq!(Trace::from_text(&t).expect_err(bad).line, 3, "{bad}");
+            assert_eq!(trace_error_line(&t), Some(3), "{bad}");
         }
         let t = "# gpu-secure-memory trace v1\nwarp 0 07\nX\n";
-        assert_eq!(Trace::from_text(t).expect_err("leading zero").line, 2);
-        // Baseline: count too large for usize.
-        let b = "[[baseline]]\nfile = \"a\"\nlint = \"x\"\ncount = 99999999999999999999\n";
-        assert!(Baseline::parse(b).is_err());
+        assert_eq!(trace_error_line(t), Some(2), "leading zero");
         // JSON: deep nesting is a typed rejection, not a stack overflow.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert_eq!(json::parse(&deep).expect_err("bounded").message, "nesting too deep");

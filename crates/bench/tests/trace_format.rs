@@ -87,7 +87,7 @@ fn random_traces_roundtrip_both_formats_and_across_them() {
 
         // Text round-trip.
         let text = trace.to_text();
-        let reparsed = Trace::from_text(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let reparsed = Trace::from_text(text.as_bytes()).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(reparsed, trace, "case {case}: text round-trip");
 
         // Cross-format: text -> binary -> text is the identity.
@@ -238,11 +238,14 @@ const SECMTRC_PINS: [(&str, u64); 4] = [
 const KMEANS_TEXT_PIN: u64 = 0x8a5651c42b367ddf;
 
 /// Each pinned recording also loads to the same trace from its text and
-/// from its SECMTRC bytes, its parsed text survives encode and decode
-/// unchanged, and decoding those bytes re-encodes to them.
+/// from its SECMTRC bytes (in memory, from files, and from a CRLF copy
+/// of the text), its parsed text survives encode and decode unchanged,
+/// and decoding those bytes re-encodes to them.
 #[test]
 fn recorded_traces_encode_to_their_pinned_bytes() {
     let gpu = GpuConfig::small();
+    let dir = std::env::temp_dir().join(format!("secmem_trace_pins_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let mut drift = Vec::new();
     for (bench, want) in SECMTRC_PINS {
         let kernel = suite::by_name(bench).expect("suite workload");
@@ -261,14 +264,25 @@ fn recorded_traces_encode_to_their_pinned_bytes() {
         }
         // Parsed text encodes to bytes that decode back to the same trace,
         // so loading text need not re-decode what the parser encoded.
-        let parsed = Trace::from_text(&text).unwrap_or_else(|e| panic!("{bench} text: {e}"));
+        let parsed = Trace::from_text(text.as_bytes()).unwrap_or_else(|e| panic!("{bench} text: {e}"));
         let reparsed = Trace::decode(&trace_bin::encode(&parsed)).unwrap_or_else(|e| panic!("{bench}: {e}"));
         assert!(reparsed == parsed, "{bench}: parsed text changed through encode and decode");
         let from_smtrc = trace::load(&bytes).unwrap_or_else(|e| panic!("{bench} SECMTRC: {e}"));
         let from_text = trace::load(text.as_bytes()).unwrap_or_else(|e| panic!("{bench} text: {e}"));
         assert!(from_text == from_smtrc, "{bench}: text and SECMTRC load to different traces");
+        let crlf = text.replace('\n', "\r\n");
+        let from_crlf = trace::load(crlf.as_bytes()).unwrap_or_else(|e| panic!("{bench} CRLF text: {e}"));
+        assert!(from_crlf == from_smtrc, "{bench}: CRLF text loads to a different trace");
+        let (smtrc_path, text_path) = (dir.join("rec.smtrc"), dir.join("rec.trace"));
+        std::fs::write(&smtrc_path, &bytes).expect("write SECMTRC");
+        std::fs::write(&text_path, &text).expect("write text");
+        for path in [&smtrc_path, &text_path] {
+            let loaded = trace::load_file(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(loaded == from_smtrc, "{bench}: {} loads to a different trace", path.display());
+        }
         let decoded = Trace::decode(&bytes).unwrap_or_else(|e| panic!("{bench}: {e}"));
         assert!(trace_bin::encode(&decoded) == bytes, "{bench}: decode then encode changed the bytes");
     }
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(drift.is_empty(), "recorded traces moved from their pins:\n{}", drift.join("\n"));
 }

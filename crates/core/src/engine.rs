@@ -402,11 +402,6 @@ impl SecureBackend {
         &self.layout
     }
 
-    /// The configuration in use.
-    pub fn secure_config(&self) -> &SecureMemConfig {
-        &self.cfg
-    }
-
     /// FNV-1a of the configuration's `Debug` rendering: the stamp a
     /// checkpoint must carry to restore into this backend.
     fn config_fingerprint(&self) -> u64 {

@@ -172,20 +172,9 @@ impl Interconnect {
         self.to_partition[partition as usize].try_push(now, req)
     }
 
-    /// True if the request path toward `partition` is full.
-    pub fn request_full(&self, partition: u32) -> bool {
-        self.to_partition[partition as usize].is_full()
-    }
-
     /// Receives the next request at `partition`, if any is ready.
     pub fn pop_request(&mut self, now: Cycle, partition: u32) -> Option<MemRequest> {
         self.to_partition[partition as usize].pop(now)
-    }
-
-    /// Peeks the next deliverable request at `partition` without
-    /// consuming it (used to stall without losing the request).
-    pub fn peek_request(&self, now: Cycle, partition: u32) -> Option<&MemRequest> {
-        self.to_partition[partition as usize].ready(now)
     }
 
     /// Sends a response toward its SM (responses are never refused).

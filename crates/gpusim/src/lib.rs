@@ -46,7 +46,6 @@
 
 pub mod backend;
 pub mod cache;
-pub mod coalesce;
 pub mod config;
 pub mod dram;
 pub mod error;

@@ -7,9 +7,10 @@
 //! result.
 //!
 //! Text is a load-time front end to the `SECMTRC` container
-//! ([`crate::trace_bin`]): [`load`] parses a text file and encodes it,
-//! so both formats replay through the same streaming cursor and save
-//! the same checkpoint state.
+//! ([`crate::trace_bin`]): [`load`] and [`load_file`] parse text line
+//! by line and encode each stream as it is read, so both formats replay
+//! through the same streaming cursor and save the same checkpoint
+//! state.
 //!
 //! # Format (`gpu-secure-memory trace v1`)
 //!
@@ -33,6 +34,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read as _};
+use std::path::Path;
+use std::str::SplitWhitespace;
 use std::sync::Arc;
 
 use crate::kernel::{Kernel, WarpProgram};
@@ -174,85 +178,76 @@ fn hex_field(tok: &str) -> Option<u64> {
     canonical.then(|| u64::from_str_radix(tok, 16).ok()).flatten()
 }
 
-fn parse_accesses(parts: &[&str], line: usize) -> Result<Vec<Access>, ParseTraceError> {
-    if parts.is_empty() {
+fn parse_accesses(parts: SplitWhitespace<'_>, line: usize) -> Result<Vec<Access>, ParseTraceError> {
+    let count = parts.clone().count();
+    if count == 0 {
         return Err(ParseTraceError { line, message: "memory instruction with no accesses".into() });
     }
-    if parts.len() > MAX_ACCESSES_PER_INST {
+    if count > MAX_ACCESSES_PER_INST {
         return Err(ParseTraceError {
             line,
             message: format!(
-                "{} accesses on one instruction exceeds the limit of {MAX_ACCESSES_PER_INST}",
-                parts.len()
+                "{count} accesses on one instruction exceeds the limit of {MAX_ACCESSES_PER_INST}"
             ),
         });
     }
-    parts
-        .iter()
-        .map(|p| {
-            let (addr, mask) = p
-                .split_once(':')
-                .ok_or_else(|| ParseTraceError { line, message: format!("access '{p}' is not addr:mask") })?;
-            let addr: Addr = hex_field(addr)
-                .ok_or_else(|| ParseTraceError { line, message: format!("bad address '{addr}'") })?;
-            if !addr.is_multiple_of(128) {
-                return Err(ParseTraceError {
-                    line,
-                    message: format!("address {addr:x} is not 128-byte line aligned"),
-                });
-            }
-            let mask = hex_field(mask)
-                .ok_or_else(|| ParseTraceError { line, message: format!("bad sector mask '{mask}'") })?;
-            if mask == 0 || mask > 0xF {
-                return Err(ParseTraceError { line, message: format!("mask {mask:#x} out of range") });
-            }
-            Ok(Access { line_addr: addr, sectors: SectorMask(mask as u8) })
-        })
-        .collect()
+    let mut accesses = Vec::with_capacity(count);
+    for p in parts {
+        let (addr, mask) = p
+            .split_once(':')
+            .ok_or_else(|| ParseTraceError { line, message: format!("access '{p}' is not addr:mask") })?;
+        let addr: Addr = hex_field(addr)
+            .ok_or_else(|| ParseTraceError { line, message: format!("bad address '{addr}'") })?;
+        if !addr.is_multiple_of(128) {
+            return Err(ParseTraceError {
+                line,
+                message: format!("address {addr:x} is not 128-byte line aligned"),
+            });
+        }
+        let mask = hex_field(mask)
+            .ok_or_else(|| ParseTraceError { line, message: format!("bad sector mask '{mask}'") })?;
+        if mask == 0 || mask > 0xF {
+            return Err(ParseTraceError { line, message: format!("mask {mask:#x} out of range") });
+        }
+        accesses.push(Access { line_addr: addr, sectors: SectorMask(mask as u8) });
+    }
+    Ok(accesses)
 }
 
-/// Parses one instruction line.
+/// Parses one instruction line. Tokens are taken straight from the
+/// line, so bulk ingestion ([`Trace::from_text`]) needs no token buffer.
 pub fn parse_inst(text: &str, line: usize) -> Result<Inst, ParseTraceError> {
-    parse_inst_with_buf(text, line, &mut Vec::new())
-}
-
-/// [`parse_inst`] with a caller-owned token buffer, so bulk ingestion
-/// ([`Trace::from_text`]) tokenizes millions of lines without a heap
-/// allocation per line. The buffer is cleared on entry.
-fn parse_inst_with_buf<'a>(
-    text: &'a str,
-    line: usize,
-    buf: &mut Vec<&'a str>,
-) -> Result<Inst, ParseTraceError> {
-    buf.clear();
-    buf.extend(text.split_whitespace());
-    let Some((&op, rest)) = buf.split_first() else {
+    let mut tokens = text.split_whitespace();
+    let Some(op) = tokens.next() else {
         return Err(ParseTraceError { line, message: "empty line".into() });
     };
     // Tokens the serializer would not write back are rejected, not
     // dropped, so a text -> SECMTRC -> text round trip cannot lose them.
-    let trailing = |extra: &[&str]| match extra {
-        [] => Ok(()),
-        _ => Err(ParseTraceError {
-            line,
-            message: format!("trailing tokens after '{op}': '{}'", extra.join(" ")),
-        }),
+    let trailing = |extra: SplitWhitespace<'_>| {
+        let extra: Vec<&str> = extra.collect();
+        match extra.as_slice() {
+            [] => Ok(()),
+            _ => Err(ParseTraceError {
+                line,
+                message: format!("trailing tokens after '{op}': '{}'", extra.join(" ")),
+            }),
+        }
     };
-    let stall = |rest: &[&str]| -> Result<u32, ParseTraceError> {
-        let stall = rest.first().and_then(|s| dec_field(s)).ok_or_else(|| ParseTraceError {
+    let stall = |mut rest: SplitWhitespace<'_>| -> Result<u32, ParseTraceError> {
+        let stall = rest.next().and_then(dec_field).ok_or_else(|| ParseTraceError {
             line,
             message: "ALU needs a stall count (decimal, no sign or leading zero)".into(),
         })?;
-        trailing(&rest[1..])?;
+        trailing(rest)?;
         Ok(stall)
     };
     match op {
-        "A" => Ok(Inst::Alu { stall: stall(rest)?, wait_mem: false }),
-        "U" => Ok(Inst::Alu { stall: stall(rest)?, wait_mem: true }),
+        "A" => Ok(Inst::Alu { stall: stall(tokens)?, wait_mem: false }),
+        "U" => Ok(Inst::Alu { stall: stall(tokens)?, wait_mem: true }),
         "L" => {
-            let dependent = match rest.first() {
-                Some(&"0") => false,
-                Some(&"1") => true,
+            let dependent = match tokens.next() {
+                Some("0") => false,
+                Some("1") => true,
                 _ => {
                     return Err(ParseTraceError {
                         line,
@@ -260,10 +255,10 @@ fn parse_inst_with_buf<'a>(
                     })
                 }
             };
-            Ok(Inst::Load { accesses: parse_accesses(&rest[1..], line)?, dependent })
+            Ok(Inst::Load { accesses: parse_accesses(tokens, line)?, dependent })
         }
-        "S" => Ok(Inst::Store { accesses: parse_accesses(rest, line)? }),
-        "X" => trailing(rest).map(|()| Inst::Exit),
+        "S" => Ok(Inst::Store { accesses: parse_accesses(tokens, line)? }),
+        "X" => trailing(tokens).map(|()| Inst::Exit),
         other => Err(ParseTraceError { line, message: format!("unknown opcode '{other}'") }),
     }
 }
@@ -399,25 +394,38 @@ impl Trace {
         String::from_utf8(out).expect("trace text is ASCII")
     }
 
-    /// Parses the v1 text format, encoding each instruction line as it
-    /// is parsed.
+    /// Parses the v1 text format from `reader` line by line, encoding
+    /// each instruction line as it is parsed. One line buffer is reused
+    /// for the whole run, so parsing holds the records and the longest
+    /// line, never the whole text. Lines end at `\n`; a `\r` before it
+    /// is whitespace like any other.
     ///
     /// # Errors
     ///
-    /// Returns the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, ParseTraceError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, l)) if l.trim() == TRACE_HEADER => {}
-            _ => {
-                return Err(ParseTraceError { line: 1, message: format!("missing header '{TRACE_HEADER}'") })
-            }
-        }
+    /// [`TraceLoadError::Parse`] for the first malformed line (a line
+    /// that is not UTF-8 included), [`TraceLoadError::Io`] if reading
+    /// fails.
+    pub fn from_text(mut reader: impl BufRead) -> Result<Self, TraceLoadError> {
         let mut trace = Self::new();
         let mut current: Option<((u32, u32), StreamEncoder)> = None;
-        let mut tokens: Vec<&str> = Vec::new();
-        for (i, raw) in lines {
-            let line_no = i + 1;
+        let missing_header =
+            || ParseTraceError { line: 1, message: format!("missing header '{TRACE_HEADER}'") };
+        let mut buf = Vec::new();
+        let mut line_no = 0;
+        loop {
+            buf.clear();
+            if reader.read_until(b'\n', &mut buf)? == 0 {
+                break;
+            }
+            line_no += 1;
+            let raw = core::str::from_utf8(&buf)
+                .map_err(|e| ParseTraceError { line: line_no, message: format!("line is not UTF-8: {e}") })?;
+            if line_no == 1 {
+                if raw.trim() != TRACE_HEADER {
+                    return Err(missing_header().into());
+                }
+                continue;
+            }
             let text = raw.split('#').next().unwrap_or("").trim();
             if text.is_empty() {
                 continue;
@@ -435,7 +443,8 @@ impl Trace {
                                     "stream 'warp {sm} {warp}' exceeds limits \
                                      ({MAX_TRACE_SM} SMs, {MAX_TRACE_WARP} warps)"
                                 ),
-                            });
+                            }
+                            .into());
                         }
                         if let Some((key, encoder)) = current.take() {
                             trace.streams.insert(key, encoder.finish());
@@ -446,7 +455,8 @@ impl Trace {
                             return Err(ParseTraceError {
                                 line: line_no,
                                 message: format!("duplicate stream 'warp {sm} {warp}'"),
-                            });
+                            }
+                            .into());
                         }
                         current = Some(((sm, warp), StreamEncoder::default()));
                     }
@@ -454,7 +464,8 @@ impl Trace {
                         return Err(ParseTraceError {
                             line: line_no,
                             message: format!("bad warp directive '{text}'"),
-                        })
+                        }
+                        .into())
                     }
                 }
                 continue;
@@ -463,9 +474,13 @@ impl Trace {
                 return Err(ParseTraceError {
                     line: line_no,
                     message: "instruction before any 'warp' directive".into(),
-                });
+                }
+                .into());
             };
-            encoder.push(&parse_inst_with_buf(text, line_no, &mut tokens)?);
+            encoder.push(&parse_inst(text, line_no)?);
+        }
+        if line_no == 0 {
+            return Err(missing_header().into());
         }
         if let Some((key, encoder)) = current {
             trace.streams.insert(key, encoder.finish());
@@ -477,23 +492,45 @@ impl Trace {
 /// Loads trace bytes in either on-disk format: bytes starting with the
 /// `SECMTRC` magic decode as a binary container; anything else parses
 /// as v1 text, each stream encoded to `SECMTRC` records as it is parsed.
-/// This is the one place that picks a decoder. Every [`Trace`] it
-/// returns holds only records [`Trace::decode`]'s full validation
-/// accepts: the text parser enforces the same field limits.
+/// This and [`load_file`] are the only places that pick a decoder.
+/// Every [`Trace`] they return holds only records [`Trace::decode`]'s
+/// full validation accepts: the text parser enforces the same field
+/// limits.
 ///
 /// # Errors
 ///
 /// [`TraceLoadError::Binary`] for a malformed container,
-/// [`TraceLoadError::Parse`] for text that is not UTF-8 (line 1) or not
-/// a valid v1 trace.
+/// [`TraceLoadError::Parse`] for text that is not a valid v1 trace
+/// (with the number of the first bad line, a non-UTF-8 one included).
 pub fn load(bytes: &[u8]) -> Result<Trace, TraceLoadError> {
     if Trace::sniff(bytes) {
         return Ok(Trace::decode(bytes)?);
     }
-    let text = core::str::from_utf8(bytes)
-        .map_err(|e| ParseTraceError { line: 1, message: format!("trace is not UTF-8: {e}") })?;
-    // Not re-decoded: peak memory is the text plus one copy of the records.
-    Ok(Trace::from_text(text)?)
+    Trace::from_text(bytes)
+}
+
+/// Loads a trace file in either format, picked by its first 8 bytes
+/// the way [`load`] picks. A `SECMTRC` file is read whole, once, and
+/// decoded (its checksums cover whole sections). A text file is parsed
+/// line by line through a buffered reader, so its text is never
+/// resident: loading holds the encoded records and one line.
+///
+/// # Errors
+///
+/// [`TraceLoadError::Io`] if the file cannot be read, otherwise what
+/// [`load`] reports for the same bytes.
+pub fn load_file(path: &Path) -> Result<Trace, TraceLoadError> {
+    let mut file = std::fs::File::open(path)?;
+    let mut head = Vec::new();
+    (&mut file).take(trace_bin::BIN_MAGIC.len() as u64).read_to_end(&mut head)?;
+    if !Trace::sniff(&head) {
+        return Trace::from_text(BufReader::new(head.as_slice().chain(file)));
+    }
+    // Size the buffer from the metadata, as `std::fs::read` does.
+    let size = file.metadata().ok().and_then(|m| usize::try_from(m.len()).ok()).unwrap_or(0);
+    head.reserve_exact(size.saturating_sub(head.len()));
+    file.read_to_end(&mut head)?;
+    Ok(Trace::decode(&head)?)
 }
 
 /// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its
@@ -515,14 +552,13 @@ impl TraceKernel {
         Self { trace: Arc::new(trace), name: name.into() }
     }
 
-    /// Loads a trace file in either format through [`load`].
+    /// Loads a trace file in either format through [`load_file`].
     ///
     /// # Errors
     ///
-    /// [`TraceLoadError::Io`] if the file cannot be read, otherwise any
-    /// error from [`load`].
-    pub fn from_file(path: &std::path::Path) -> Result<Self, TraceLoadError> {
-        let trace = load(&std::fs::read(path)?)?;
+    /// Any error from [`load_file`].
+    pub fn from_file(path: &Path) -> Result<Self, TraceLoadError> {
+        let trace = load_file(path)?;
         let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
         Ok(Self::from_binary(trace, name))
     }
@@ -567,6 +603,14 @@ mod tests {
     use crate::sim::Simulator;
     use crate::types::FULL_SECTOR_MASK;
 
+    /// The parse error `from_text` reports for `text`.
+    fn parse_error(text: &str) -> ParseTraceError {
+        match Trace::from_text(text.as_bytes()) {
+            Err(TraceLoadError::Parse(e)) => e,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     fn sample_insts() -> Vec<Inst> {
         vec![
             Inst::Alu { stall: 3, wait_mem: false },
@@ -590,8 +634,12 @@ mod tests {
         trace.insert(1, 3, vec![Inst::alu(), Inst::Exit]);
         let text = trace.to_text();
         assert!(text.starts_with(TRACE_HEADER));
-        let back = Trace::from_text(&text).expect("parses");
+        let back = Trace::from_text(text.as_bytes()).expect("parses");
         assert_eq!(back, trace);
+        // CRLF line endings, with and without a final one, load alike.
+        let crlf = text.replace('\n', "\r\n");
+        assert_eq!(Trace::from_text(crlf.as_bytes()).expect("CRLF parses"), trace);
+        assert_eq!(Trace::from_text(crlf.trim_end().as_bytes()).expect("parses"), trace);
     }
 
     #[test]
@@ -606,23 +654,23 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(Trace::from_text("not a trace").is_err());
+        assert!(Trace::from_text("not a trace".as_bytes()).is_err());
         let bad_op = format!("{TRACE_HEADER}\nwarp 0 0\nZ 1\n");
-        let err = Trace::from_text(&bad_op).expect_err("bad opcode");
+        let err = parse_error(&bad_op);
         assert_eq!(err.line, 3);
         let bad_mask = format!("{TRACE_HEADER}\nwarp 0 0\nL 0 80:ff\n");
-        assert!(Trace::from_text(&bad_mask).is_err());
+        assert!(Trace::from_text(bad_mask.as_bytes()).is_err());
         let orphan = format!("{TRACE_HEADER}\nA 1\n");
-        assert!(Trace::from_text(&orphan).is_err());
+        assert!(Trace::from_text(orphan.as_bytes()).is_err());
     }
 
     #[test]
     fn oversized_indices_and_counts_rejected() {
         let huge_sm = format!("{TRACE_HEADER}\nwarp 4000000000 0\nX\n");
-        let err = Trace::from_text(&huge_sm).expect_err("absurd SM index");
+        let err = parse_error(&huge_sm);
         assert!(err.message.contains("exceeds limits"), "message: {}", err.message);
         let huge_warp = format!("{TRACE_HEADER}\nwarp 0 999999\nX\n");
-        assert!(Trace::from_text(&huge_warp).is_err());
+        assert!(Trace::from_text(huge_warp.as_bytes()).is_err());
         let wide = (0..=MAX_ACCESSES_PER_INST).map(|i| format!("{:x}:f", i * 128)).collect::<Vec<_>>();
         let line = format!("L 0 {}", wide.join(" "));
         let err = parse_inst(&line, 1).expect_err("too many accesses");
@@ -636,7 +684,7 @@ mod tests {
     fn truncated_records_rejected() {
         for bad in ["A", "U", "L", "L 0", "S", "L 1 80", "L 7 80:f", "L 01 80:f"] {
             let text = format!("{TRACE_HEADER}\nwarp 0 0\n{bad}\n");
-            assert!(Trace::from_text(&text).is_err(), "'{bad}' should not parse");
+            assert!(Trace::from_text(text.as_bytes()).is_err(), "'{bad}' should not parse");
         }
     }
 
@@ -656,7 +704,7 @@ mod tests {
             "L 1 0:f 100:F",
         ] {
             let text = format!("{TRACE_HEADER}\nwarp 0 0\nA 1\n{bad}\nX\n");
-            let err = Trace::from_text(&text).expect_err(bad);
+            let err = parse_error(&text);
             assert_eq!(err.line, 4, "'{bad}': {}", err.message);
             assert!(matches!(
                 load(text.as_bytes()),
@@ -665,20 +713,20 @@ mod tests {
         }
         for bad in ["warp 0 07", "warp +1 0", "warp 00 0", "warp 0 1e1"] {
             let text = format!("{TRACE_HEADER}\nwarp 2 0\nX\n{bad}\nX\n");
-            let err = Trace::from_text(&text).expect_err(bad);
+            let err = parse_error(&text);
             assert_eq!(err.line, 4, "'{bad}': {}", err.message);
             assert!(err.message.contains("warp directive"), "'{bad}': {}", err.message);
         }
         // Zero itself is canonical.
         let zero = format!("{TRACE_HEADER}\nwarp 0 0\nA 0\nL 0 0:1\nX\n");
-        assert!(Trace::from_text(&zero).is_ok());
+        assert!(Trace::from_text(zero.as_bytes()).is_ok());
     }
 
     #[test]
     fn unaligned_addresses_are_rejected() {
         for bad in ["L 0 1a81:3", "S 3c90:f", "L 1 100:f 17f:1", "L 0 ffffffffffffffff:f"] {
             let text = format!("{TRACE_HEADER}\nwarp 0 0\n{bad}\nX\n");
-            let err = Trace::from_text(&text).expect_err(bad);
+            let err = parse_error(&text);
             assert_eq!(err.line, 3, "'{bad}': {}", err.message);
             assert!(err.message.contains("aligned"), "'{bad}': {}", err.message);
         }
@@ -739,29 +787,29 @@ mod tests {
     #[test]
     fn duplicate_warp_header_rejected() {
         let text = format!("{TRACE_HEADER}\nwarp 0 0\nA 1\nwarp 0 0\nA 2\nX\n");
-        let err = Trace::from_text(&text).expect_err("duplicate stream");
+        let err = parse_error(&text);
         assert_eq!(err.line, 4);
         assert!(err.message.contains("duplicate"), "message: {}", err.message);
         // Distinct warps on the same SM are of course still fine.
         let ok = format!("{TRACE_HEADER}\nwarp 0 0\nX\nwarp 0 1\nX\n");
-        assert_eq!(Trace::from_text(&ok).expect("parses").warp_count(), 2);
+        assert_eq!(Trace::from_text(ok.as_bytes()).expect("parses").warp_count(), 2);
     }
 
     #[test]
     fn trailing_tokens_after_exit_rejected() {
         let text = format!("{TRACE_HEADER}\nwarp 0 0\nX 1\n");
-        let err = Trace::from_text(&text).expect_err("garbage after X");
+        let err = parse_error(&text);
         assert_eq!(err.line, 3);
         assert!(err.message.contains("trailing"), "message: {}", err.message);
         assert!(parse_inst("X junk", 1).is_err());
         for bad in ["warp 0 0 extra", "A 1 junk", "U 2 3"] {
             let text = format!("{TRACE_HEADER}\nwarp 1 0\n{bad}\nX\n");
-            let err = Trace::from_text(&text).expect_err("trailing tokens");
+            let err = parse_error(&text);
             assert_eq!(err.line, 3, "'{bad}': {}", err.message);
         }
         // A trailing comment is stripped before parsing and stays legal.
         let commented = format!("{TRACE_HEADER}\nwarp 0 0\nX # done\n");
-        assert!(Trace::from_text(&commented).is_ok());
+        assert!(Trace::from_text(commented.as_bytes()).is_ok());
     }
 
     #[test]
@@ -771,7 +819,7 @@ mod tests {
         let kernel = StreamKernel { alu_per_mem: 1, bytes_per_warp: 4096, warps: 3 };
         let trace = Trace::record(&kernel, 2, 32);
         let text = trace.to_text();
-        let back = Trace::from_text(&text).expect("valid text parses");
+        let back = Trace::from_text(text.as_bytes()).expect("valid text parses");
         assert_eq!(back, trace);
         assert_eq!(back.to_text(), text);
     }
@@ -779,7 +827,7 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_ignored() {
         let text = format!("{TRACE_HEADER}\n\nwarp 0 0  # first warp\nA 4 # compute\nX\n");
-        let trace = Trace::from_text(&text).expect("parses");
+        let trace = Trace::from_text(text.as_bytes()).expect("parses");
         assert_eq!(
             trace.stream(0, 0).expect("warp recorded"),
             &[Inst::Alu { stall: 4, wait_mem: false }, Inst::Exit]
@@ -898,7 +946,7 @@ mod tests {
                 text.push('\n');
             }
         }
-        let parsed = Trace::from_text(&text).expect("parses");
+        let parsed = Trace::from_text(text.as_bytes()).expect("parses");
         assert_eq!(recorded.to_text(), text);
         for (how, trace) in [("insert", &inserted), ("from_text", &parsed)] {
             assert_eq!(trace, &recorded, "{how}");
@@ -915,7 +963,7 @@ mod tests {
         let mut inserted = Trace::new();
         inserted.insert(0, 0, []);
         let text = format!("{TRACE_HEADER}\nwarp 0 0\n");
-        let parsed = Trace::from_text(&text).expect("parses");
+        let parsed = Trace::from_text(text.as_bytes()).expect("parses");
         for (how, trace) in [("insert", &inserted), ("from_text", &parsed)] {
             assert_eq!(trace, &recorded, "{how}");
             assert_eq!(trace_bin::encode(trace), trace_bin::encode(&recorded), "{how}");
@@ -949,8 +997,43 @@ mod tests {
             Err(TraceLoadError::Parse(ParseTraceError { line: 3, .. }))
         ));
         assert!(matches!(load(b"\xff\xfe"), Err(TraceLoadError::Parse(ParseTraceError { line: 1, .. }))));
+        // Each line is decoded on its own: a non-UTF-8 line fails at its
+        // own number, in a comment too.
+        for bad in [&b"\xff\n"[..], b"X # \xc3\n"] {
+            let mut text = format!("{TRACE_HEADER}\nwarp 0 0\n").into_bytes();
+            text.extend_from_slice(bad);
+            assert!(matches!(load(&text), Err(TraceLoadError::Parse(ParseTraceError { line: 3, .. }))));
+        }
         let mut garbage = trace_bin::BIN_MAGIC.to_vec();
         garbage.extend_from_slice(b"garbage");
         assert!(matches!(load(&garbage), Err(TraceLoadError::Binary(_))));
+    }
+
+    /// `load_file` picks the format from the file's first bytes, as
+    /// `load` does from a slice, and reads text through a reader.
+    #[test]
+    fn load_file_matches_load_for_both_formats() {
+        let mut trace = Trace::new();
+        trace.insert(0, 0, sample_insts());
+        trace.insert(1, 3, vec![Inst::use_mem(), Inst::Exit]);
+        let dir = std::env::temp_dir().join(format!("secmem_trace_load_file_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let cases: [(&str, Vec<u8>); 4] = [
+            ("t.trace", trace.to_text().into_bytes()),
+            ("t.smtrc", trace_bin::encode(&trace)),
+            // Shorter than the SECMTRC magic, and only its first bytes.
+            ("short.trace", b"SECM".to_vec()),
+            ("empty.trace", Vec::new()),
+        ];
+        for (name, bytes) in cases {
+            let path = dir.join(name);
+            std::fs::write(&path, &bytes).expect("write");
+            match (load_file(&path), load(&bytes)) {
+                (Ok(a), Ok(b)) => assert!(a == b && a == trace, "{name}"),
+                (Err(TraceLoadError::Parse(a)), Err(TraceLoadError::Parse(b))) => assert_eq!(a, b, "{name}"),
+                (a, b) => panic!("{name}: load_file gave {a:?}, load gave {b:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,15 +1,13 @@
 //! Diagnostics: the finding record, the lint catalogue, and the text /
 //! JSON renderers.
 
-/// How a finding is disposed after allow/baseline filtering.
+/// How a finding is disposed after inline-allow filtering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Fails the run.
     Active,
     /// Suppressed by an inline `lint:allow` with justification.
     Allowed,
-    /// Suppressed by a `lint.toml` baseline budget.
-    Baselined,
 }
 
 /// One finding.
@@ -115,7 +113,6 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     let mut active = 0usize;
     let mut allowed = 0usize;
-    let mut baselined = 0usize;
     for d in diags {
         match d.disposition {
             Disposition::Active => {
@@ -126,12 +123,9 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
                 ));
             }
             Disposition::Allowed => allowed += 1,
-            Disposition::Baselined => baselined += 1,
         }
     }
-    out.push_str(&format!(
-        "secmem-lint: {active} finding(s), {allowed} allowed inline, {baselined} baselined\n"
-    ));
+    out.push_str(&format!("secmem-lint: {active} finding(s), {allowed} allowed inline\n"));
     out
 }
 
@@ -146,7 +140,6 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         let disp = match d.disposition {
             Disposition::Active => "active",
             Disposition::Allowed => "allowed",
-            Disposition::Baselined => "baselined",
         };
         out.push_str(&format!(
             "\n    {{\"lint\": \"{}\", \"name\": \"{}\", \"file\": \"{}\", \"line\": {}, \
@@ -162,10 +155,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     }
     let active = diags.iter().filter(|d| d.disposition == Disposition::Active).count();
     let allowed = diags.iter().filter(|d| d.disposition == Disposition::Allowed).count();
-    let baselined = diags.iter().filter(|d| d.disposition == Disposition::Baselined).count();
-    out.push_str(&format!(
-        "\n  ],\n  \"summary\": {{\"active\": {active}, \"allowed\": {allowed}, \"baselined\": {baselined}}}\n}}\n"
-    ));
+    out.push_str(&format!("\n  ],\n  \"summary\": {{\"active\": {active}, \"allowed\": {allowed}}}\n}}\n"));
     out
 }
 
@@ -205,15 +195,15 @@ mod tests {
     fn text_lists_active_only() {
         let text = render_text(&[sample(Disposition::Active), sample(Disposition::Allowed)]);
         assert!(text.contains("crates/x/src/a.rs:3:9: D1 no-wallclock"));
-        assert!(text.contains("1 finding(s), 1 allowed inline, 0 baselined"));
+        assert!(text.contains("1 finding(s), 1 allowed inline\n"));
     }
 
     #[test]
     fn json_escapes() {
-        let mut d = sample(Disposition::Baselined);
+        let mut d = sample(Disposition::Allowed);
         d.message = "quote \" and\nnewline".into();
         let json = render_json(&[d]);
         assert!(json.contains("quote \\\" and\\nnewline"));
-        assert!(json.contains("\"baselined\": 1"));
+        assert!(json.contains("\"allowed\": 1"));
     }
 }

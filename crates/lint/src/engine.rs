@@ -1,9 +1,9 @@
 //! The lint engine: walks the workspace, runs every lint over every
-//! file, then applies inline allows and the `lint.toml` baseline.
+//! file, then applies inline allows.
 
 use std::path::{Path, PathBuf};
 
-use crate::config::{Baseline, BaselineEntry, Policy};
+use crate::config::Policy;
 use crate::diag::{Diagnostic, Disposition};
 use crate::lints::{run_all, FileCtx};
 use crate::model::WorkspaceModel;
@@ -29,30 +29,6 @@ impl Report {
     /// Findings that fail the run.
     pub fn active(&self) -> usize {
         self.diags.iter().filter(|d| d.disposition == Disposition::Active).count()
-    }
-
-    /// A regenerated baseline covering every currently-active finding
-    /// (the `--fix-baseline` payload). Keeps the existing disabled
-    /// list. Prior entries whose (file, lint) has no current findings
-    /// are carried forward only while the file still exists
-    /// (`existing_files`); entries for deleted files are pruned.
-    pub fn to_baseline(&self, prior: &Baseline, existing_files: &[String]) -> Baseline {
-        let mut entries: Vec<BaselineEntry> = Vec::new();
-        for d in self.diags.iter().filter(|d| d.disposition != Disposition::Allowed) {
-            match entries.iter_mut().find(|e| e.file == d.file && e.lint == d.lint) {
-                Some(e) => e.count += 1,
-                None => {
-                    entries.push(BaselineEntry { file: d.file.clone(), lint: d.lint.to_string(), count: 1 })
-                }
-            }
-        }
-        for e in &prior.entries {
-            let covered = entries.iter().any(|n| n.file == e.file && n.lint == e.lint);
-            if !covered && existing_files.iter().any(|f| f == &e.file) {
-                entries.push(e.clone());
-            }
-        }
-        Baseline { disabled: prior.disabled.clone(), entries }
     }
 }
 
@@ -85,7 +61,7 @@ impl std::error::Error for ScanError {}
 ///
 /// Fails when `root` has no `crates/` directory or a directory read
 /// fails mid-walk.
-pub fn workspace_files(root: &Path) -> Result<Vec<String>, ScanError> {
+fn workspace_files(root: &Path) -> Result<Vec<String>, ScanError> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(ScanError::BadRoot(root.to_path_buf()));
@@ -162,36 +138,17 @@ pub fn lint_sources(files: &[(String, String)], policy: &Policy) -> Vec<Diagnost
     out
 }
 
-/// Scans the whole workspace under `root`, applying `baseline`.
+/// Scans the whole workspace under `root`.
 ///
 /// # Errors
 ///
 /// Propagates tree-walk and file-read failures.
-pub fn scan_workspace(root: &Path, policy: &Policy, baseline: &Baseline) -> Result<Report, ScanError> {
-    let mut report = Report::default();
+pub fn scan_workspace(root: &Path, policy: &Policy) -> Result<Report, ScanError> {
     let mut sources: Vec<(String, String)> = Vec::new();
     for rel in workspace_files(root)? {
         let path = root.join(&rel);
         let src = std::fs::read_to_string(&path).map_err(|e| ScanError::Io(path.clone(), e))?;
         sources.push((rel, src));
     }
-    report.files_scanned = sources.len();
-    report.diags = lint_sources(&sources, policy);
-    // Disabled lints vanish entirely.
-    report.diags.retain(|d| !baseline.disabled.iter().any(|id| id == d.lint));
-    // Baseline budgets: the first N active findings per (file, lint)
-    // become Baselined.
-    for entry in &baseline.entries {
-        let mut budget = entry.count;
-        for d in report.diags.iter_mut() {
-            if budget == 0 {
-                break;
-            }
-            if d.disposition == Disposition::Active && d.file == entry.file && d.lint == entry.lint {
-                d.disposition = Disposition::Baselined;
-                budget -= 1;
-            }
-        }
-    }
-    Ok(report)
+    Ok(Report { files_scanned: sources.len(), diags: lint_sources(&sources, policy) })
 }

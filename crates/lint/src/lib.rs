@@ -18,14 +18,18 @@
 //! graph ([`model`]), on which the semantic lints S1/T1 run
 //! ([`semantic`]). No `syn`, matching the workspace's zero-dependency
 //! policy. See DESIGN.md §11 and §16 for the lint catalogue with
-//! per-lint origin PRs, and `lint.toml` for the baseline.
+//! per-lint origin PRs.
+//!
+//! A finding is suppressed only inline, next to the code it excuses:
+//! `// lint:allow(ID): <why>` on or above the line, or
+//! `// lint:allow-file(ID): <why>` for a whole file. There is no
+//! baseline file and no way to disable a lint outside the source.
 //!
 //! Run it as:
 //!
 //! ```text
 //! cargo run -p secmem-lint --            # human-readable report
 //! cargo run -p secmem-lint -- --json     # CI artifact
-//! cargo run -p secmem-lint -- --fix-baseline
 //! ```
 
 pub mod config;
@@ -38,8 +42,8 @@ pub mod parser;
 pub mod scanner;
 pub mod semantic;
 
-pub use config::{Baseline, BaselineEntry, Policy};
+pub use config::Policy;
 pub use diag::{Diagnostic, Disposition, CATALOGUE};
-pub use engine::{lint_source, lint_sources, scan_workspace, workspace_files, Report};
+pub use engine::{lint_source, lint_sources, scan_workspace, Report};
 pub use model::WorkspaceModel;
 pub use parser::{parse_file, ParsedFile};

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use secmem_lint::{diag, engine, Baseline, Policy};
+use secmem_lint::{diag, engine, Policy};
 
 const USAGE: &str = "\
 secmem-lint — workspace static checks (determinism, hot path, error hygiene)
@@ -13,8 +13,6 @@ USAGE:
 
 OPTIONS:
     --json            emit findings as JSON (CI artifact) instead of text
-    --fix-baseline    rewrite lint.toml so every current finding is baselined
-                      (entries for files that left the workspace are pruned)
     --root <path>     workspace root (default: nearest ancestor with crates/)
     --max-ms <n>      fail if the scan takes longer than n milliseconds
                       (CI keeps the pass cheap enough to stay in tier-1)
@@ -22,26 +20,24 @@ OPTIONS:
     --help            this message
 
 EXIT STATUS:
-    0  no active findings (allows and baseline may have suppressed some)
-    1  at least one non-baselined, non-allowed finding, or --max-ms exceeded
+    0  no active findings (inline allows may have suppressed some)
+    1  at least one finding without an inline allow, or --max-ms exceeded
     2  usage or I/O error
 ";
 
 struct Args {
     json: bool,
-    fix_baseline: bool,
     list: bool,
     root: Option<PathBuf>,
     max_ms: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { json: false, fix_baseline: false, list: false, root: None, max_ms: None };
+    let mut args = Args { json: false, list: false, root: None, max_ms: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => args.json = true,
-            "--fix-baseline" => args.fix_baseline = true,
             "--list" => args.list = true,
             "--root" => {
                 let v = it.next().ok_or("--root needs a path")?;
@@ -93,19 +89,12 @@ fn main() -> ExitCode {
         eprintln!("secmem-lint: cannot locate workspace root (looked for crates/ + Cargo.toml)");
         return ExitCode::from(2);
     };
-    let baseline = match Baseline::load(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("secmem-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
     let policy = Policy::default();
     // Wall-clock here is fine: the lint crate is host tooling, outside
     // the D1 determinism domain (see the "lint crate itself may time"
     // scoping test).
     let started = std::time::Instant::now();
-    let report = match engine::scan_workspace(&root, &policy, &baseline) {
+    let report = match engine::scan_workspace(&root, &policy) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("secmem-lint: {e}");
@@ -113,27 +102,6 @@ fn main() -> ExitCode {
         }
     };
     let elapsed_ms = started.elapsed().as_millis() as u64;
-    if args.fix_baseline {
-        let existing = match engine::workspace_files(&root) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("secmem-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let next = report.to_baseline(&baseline, &existing);
-        let path = root.join("lint.toml");
-        if let Err(e) = std::fs::write(&path, next.render()) {
-            eprintln!("secmem-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "secmem-lint: baselined {} finding(s) into {}",
-            report.diags.iter().filter(|d| d.disposition != diag::Disposition::Allowed).count(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
     if args.json {
         print!("{}", diag::render_json(&report.diags));
     } else {

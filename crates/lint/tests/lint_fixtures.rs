@@ -1,5 +1,5 @@
-//! Fixture-driven tests for the lint rules, the allow directives, the
-//! baseline mechanics, and an end-to-end workspace scan. Each fixture
+//! Fixture-driven tests for the lint rules, the allow directives and
+//! an end-to-end workspace scan. Each fixture
 //! under `tests/fixtures/src/` is linted as if it sat at a policy-scoped
 //! path (hot file, report file, lib crate), so every lint is exercised
 //! with exact `file:line:col` expectations.
@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use secmem_lint::diag::Disposition;
-use secmem_lint::{lint_source, scan_workspace, Baseline, Diagnostic, Policy};
+use secmem_lint::{lint_source, scan_workspace, Diagnostic, Policy};
 
 fn lint(rel: &str, src: &str) -> Vec<Diagnostic> {
     lint_source(rel, src, &Policy::default())
@@ -125,36 +125,6 @@ fn file_level_allow_covers_the_whole_file() {
     assert!(active(&diags).is_empty());
 }
 
-#[test]
-fn baseline_parses_renders_and_budgets() {
-    let text = "\
-disabled = [\"E1\"]
-
-[[baseline]]
-file = \"crates/gpusim/src/cache.rs\"
-lint = \"H1\"
-count = 2
-";
-    let b = Baseline::parse(text).expect("parses");
-    assert_eq!(b.disabled, vec!["E1"]);
-    assert_eq!(b.entries.len(), 1);
-    assert_eq!(b.budget("crates/gpusim/src/cache.rs", "H1"), 2);
-    assert_eq!(b.budget("crates/gpusim/src/cache.rs", "H2"), 0);
-    assert_eq!(b.budget("crates/gpusim/src/mshr.rs", "H1"), 0);
-    let roundtrip = Baseline::parse(&b.render()).expect("rendered baseline reparses");
-    assert_eq!(roundtrip.disabled, b.disabled);
-    assert_eq!(roundtrip.entries.len(), b.entries.len());
-}
-
-#[test]
-fn baseline_rejects_malformed_entries() {
-    assert!(Baseline::parse("[[baseline]]\nlint = \"H1\"\ncount = 1\n").is_err(), "missing file");
-    assert!(
-        Baseline::parse("[[baseline]]\nfile = \"a.rs\"\nlint = \"H1\"\ncount = 0\n").is_err(),
-        "zero count"
-    );
-}
-
 /// Builds a throwaway mini-workspace containing one hot file with three
 /// H1 violations, returning its root.
 fn mini_workspace(tag: &str) -> PathBuf {
@@ -167,42 +137,12 @@ fn mini_workspace(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn scan_workspace_applies_baseline_budgets_first_n() {
-    let root = mini_workspace("budget");
-    let policy = Policy::default();
-
-    let report = scan_workspace(&root, &policy, &Baseline::default()).expect("scan");
+fn scan_workspace_reports_every_unallowed_finding() {
+    let root = mini_workspace("scan");
+    let report = scan_workspace(&root, &Policy::default()).expect("scan");
     assert_eq!(report.files_scanned, 1);
     assert_eq!(report.active(), 3);
     assert!(!report.is_clean());
-
-    let baseline =
-        Baseline::parse("[[baseline]]\nfile = \"crates/gpusim/src/mshr.rs\"\nlint = \"H1\"\ncount = 2\n")
-            .expect("baseline");
-    let report = scan_workspace(&root, &policy, &baseline).expect("scan");
-    assert_eq!(report.active(), 1, "third finding exceeds the budget");
-    assert_eq!(report.diags.iter().filter(|d| d.disposition == Disposition::Baselined).count(), 2);
-
-    let existing = vec!["crates/gpusim/src/mshr.rs".to_string()];
-    let fixed = report.to_baseline(&baseline, &existing);
-    assert_eq!(fixed.budget("crates/gpusim/src/mshr.rs", "H1"), 3, "--fix-baseline covers all");
-
-    // Satellite (PR 10): entries for files that left the workspace are
-    // pruned, entries for still-existing files are carried forward.
-    let stale = Baseline::parse(
-        "[[baseline]]\nfile = \"crates/gpusim/src/deleted.rs\"\nlint = \"H1\"\ncount = 5\n\
-         [[baseline]]\nfile = \"crates/gpusim/src/mshr.rs\"\nlint = \"D1\"\ncount = 4\n",
-    )
-    .expect("baseline");
-    let fixed = report.to_baseline(&stale, &existing);
-    assert_eq!(fixed.budget("crates/gpusim/src/deleted.rs", "H1"), 0, "stale file entry pruned");
-    assert_eq!(fixed.budget("crates/gpusim/src/mshr.rs", "D1"), 4, "existing file entry carried");
-    assert_eq!(fixed.budget("crates/gpusim/src/mshr.rs", "H1"), 3, "current findings win");
-
-    let disabled = Baseline::parse("disabled = [\"H1\"]\n").expect("baseline");
-    let report = scan_workspace(&root, &policy, &disabled).expect("scan");
-    assert!(report.diags.is_empty(), "disabled lints vanish entirely");
-
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -211,7 +151,7 @@ fn scan_workspace_rejects_a_non_workspace_root() {
     let bogus = std::env::temp_dir().join(format!("secmem-lint-bogus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&bogus);
     std::fs::create_dir_all(&bogus).expect("mkdir");
-    assert!(scan_workspace(&bogus, &Policy::default(), &Baseline::default()).is_err());
+    assert!(scan_workspace(&bogus, &Policy::default()).is_err());
     let _ = std::fs::remove_dir_all(&bogus);
 }
 
@@ -221,8 +161,7 @@ fn scan_workspace_rejects_a_non_workspace_root() {
 #[test]
 fn the_actual_workspace_is_lint_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline = Baseline::load(&root).expect("lint.toml, if present, parses");
-    let report = scan_workspace(&root, &Policy::default(), &baseline).expect("scan");
+    let report = scan_workspace(&root, &Policy::default()).expect("scan");
     let failing: Vec<String> = report
         .diags
         .iter()

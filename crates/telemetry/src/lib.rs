@@ -18,8 +18,8 @@
 //!    phases, watchdog stalls, fault injections/detections, metadata-cache
 //!    thrash episodes found by the [`ThrashDetector`] hysteresis rule) in
 //!    a bounded buffer.
-//! 3. **Exporters** — Chrome `trace_event` JSON ([`chrome`]), per-metric
-//!    CSV time series ([`csvout`]) and terminal sparklines ([`spark`]).
+//! 3. **Exporters** — Chrome `trace_event` JSON ([`chrome`]) and
+//!    terminal sparklines ([`spark`]).
 //!    The emitted JSON is checked by [`json`], the workspace's one JSON
 //!    parser, which `secmem-serve` also reads sweep specs with.
 //!
@@ -50,7 +50,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod chrome;
-pub mod csvout;
 pub mod event;
 pub mod json;
 pub mod series;

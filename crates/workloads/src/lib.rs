@@ -26,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod ml;
-pub mod phased;
 pub mod program;
 pub mod spec;
 pub mod suite;
 
-pub use phased::{Phase, PhasedKernel};
 pub use program::SyntheticKernel;
 pub use spec::{AccessPattern, BenchSpec, Category};
