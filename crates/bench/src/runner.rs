@@ -2,7 +2,9 @@
 //! and a [`Runner`] answers batches and streams of jobs on one worker
 //! pool through one fingerprint-keyed result cache. `reproduce`,
 //! [`crate::SweepSpec::run`] and the `secmem-serve` sweep server all run
-//! their jobs through a [`Runner`].
+//! their jobs through a [`Runner`], except that a one-thread
+//! [`crate::SweepSpec::run`] answers its jobs on the calling thread
+//! (`run_batch_inline`) through the same cache lookup.
 
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -320,22 +322,8 @@ impl Runner {
         for (index, outcome) in rx {
             slots[index] = Some(outcome);
         }
-        let mut results = Vec::with_capacity(slots.len());
-        let mut failures = Vec::new();
-        for (slot, out) in slots.into_iter().zip(&outputs) {
-            match slot.expect("every queued job answers") {
-                Ok(r) => {
-                    if let (Some(path), Some(snap)) = (out, &r.telemetry) {
-                        if let Err(err) = std::fs::write(path, chrome::chrome_trace(snap)) {
-                            eprintln!("[runner] failed to write trace {}: {err}", path.display());
-                        }
-                    }
-                    results.push(Arc::unwrap_or_clone(r));
-                }
-                Err(f) => failures.push(f),
-            }
-        }
-        (results, failures)
+        let outcomes = slots.into_iter().map(|slot| slot.expect("every queued job answers"));
+        finish_batch(outcomes, &outputs)
     }
 
     /// The result cache's counters. Every answered job is one hit or one
@@ -354,6 +342,48 @@ impl Runner {
     pub fn drain(&self) {
         self.pool.drain();
     }
+}
+
+/// Runs a batch of jobs in order on the calling thread, with the same
+/// answers as [`Runner::run_batch`]: each job goes through a result
+/// cache that lives for this call (so a repeated job is simulated once
+/// and relabelled), through [`run_job_isolated`]'s retry, and failures
+/// come back separately. No thread is spawned, so a one-thread batch
+/// leaves no idle pool worker (and its malloc arena) behind.
+pub(crate) fn run_batch_inline(jobs: Vec<Job>) -> (Vec<RunResult>, Vec<JobFailure>) {
+    let memo = ResultCache::new(0);
+    let outcomes: Vec<JobOutcome> = jobs.iter().map(|job| answer(&memo, job).0).collect();
+    // The cache's references go first, so each result moves out of its
+    // `Arc` instead of being cloned.
+    drop(memo);
+    let outputs: Vec<Option<PathBuf>> = jobs.into_iter().map(|j| j.telemetry_out).collect();
+    finish_batch(outcomes, &outputs)
+}
+
+/// Splits a batch's outcomes, in job order, into results and failures,
+/// writing each result's telemetry trace to its job's output path from
+/// the calling thread: only one thread touches the filesystem, so jobs
+/// with overlapping output paths cannot interleave writes.
+fn finish_batch(
+    outcomes: impl IntoIterator<Item = JobOutcome>,
+    outputs: &[Option<PathBuf>],
+) -> (Vec<RunResult>, Vec<JobFailure>) {
+    let mut results = Vec::with_capacity(outputs.len());
+    let mut failures = Vec::new();
+    for (outcome, out) in outcomes.into_iter().zip(outputs) {
+        match outcome {
+            Ok(r) => {
+                if let (Some(path), Some(snap)) = (out, &r.telemetry) {
+                    if let Err(err) = std::fs::write(path, chrome::chrome_trace(snap)) {
+                        eprintln!("[runner] failed to write trace {}: {err}", path.display());
+                    }
+                }
+                results.push(Arc::unwrap_or_clone(r));
+            }
+            Err(f) => failures.push(f),
+        }
+    }
+    (results, failures)
 }
 
 #[cfg(test)]
@@ -457,6 +487,40 @@ mod tests {
             "failure carries the panic message: {}",
             failures[0].error
         );
+    }
+
+    #[test]
+    fn inline_batch_answers_like_the_pool() {
+        let mut bad_gpu = tiny_gpu();
+        bad_gpu.issue_width = 0;
+        let job = |name: &str, gpu: GpuConfig, label: &str| Job {
+            kernel: suite::by_name(name).expect("exists"),
+            gpu,
+            backend: BackendChoice::Baseline,
+            cycles: 1_000,
+            warmup: 0,
+            label: label.into(),
+            telemetry: None,
+            telemetry_out: None,
+        };
+        // The repeated job is answered from the cache under its own label.
+        let jobs = vec![
+            job("fdtd2d", tiny_gpu(), "first"),
+            job("kmeans", bad_gpu, "broken"),
+            job("fdtd2d", tiny_gpu(), "again"),
+        ];
+        let key = |(results, failures): (Vec<RunResult>, Vec<JobFailure>)| {
+            let results: Vec<_> = results.into_iter().map(|r| (r.bench, r.label, r.report_fp)).collect();
+            let failures: Vec<_> = failures.into_iter().map(|f| (f.bench, f.label, f.error)).collect();
+            (results, failures)
+        };
+        let inline = key(run_batch_inline(jobs.clone()));
+        assert_eq!(inline, key(Runner::new(2, 0).run_batch(jobs)));
+        let labels: Vec<&str> = inline.0.iter().map(|r| r.1.as_str()).collect();
+        assert_eq!(labels, ["first", "again"]);
+        assert_eq!(inline.0[0].2, inline.0[1].2, "a repeated job has the same report");
+        assert_eq!(inline.1.len(), 1);
+        assert_eq!(inline.1[0].1, "broken");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use secmem_gpusim::stats::SimReport;
 use secmem_telemetry::TelemetryConfig;
 use secmem_workloads::suite;
 
-use crate::runner::{BackendChoice, Job, JobFailure, RunResult, Runner};
+use crate::runner::{run_batch_inline, BackendChoice, Job, JobFailure, RunResult, Runner};
 use crate::table::ExpTable;
 
 /// The GPU configurations a sweep spec can name. Specs travel over the
@@ -240,7 +240,8 @@ impl SweepSpec {
 
     /// Runs the whole sweep as one batch on a fresh [`Runner`] with
     /// `threads` workers (0 = all cores), so nothing is memoized across
-    /// calls.
+    /// calls. One thread means the calling thread: the jobs run there in
+    /// order, with the same results and failures.
     ///
     /// # Errors
     ///
@@ -249,7 +250,7 @@ impl SweepSpec {
     /// sweep.
     pub fn run(&self, threads: usize) -> Result<(Vec<RunResult>, Vec<JobFailure>), SweepError> {
         let jobs = self.jobs()?;
-        Ok(Runner::new(threads, 0).run_batch(jobs))
+        Ok(if threads == 1 { run_batch_inline(jobs) } else { Runner::new(threads, 0).run_batch(jobs) })
     }
 
     /// The canonical result rendering: one row per (benchmark, scheme)
@@ -436,6 +437,20 @@ mod tests {
         assert_eq!(table.rows[1][6], "FAILED");
         // Same results, same bytes.
         assert_eq!(spec.results_table(&results).to_csv(), table.to_csv());
+    }
+
+    #[test]
+    fn one_thread_run_matches_the_pool() {
+        let spec = tiny_spec();
+        let key = |(results, failures): (Vec<RunResult>, Vec<JobFailure>)| {
+            let results: Vec<_> = results.into_iter().map(|r| (r.bench, r.label, r.report_fp)).collect();
+            let failures: Vec<_> = failures.into_iter().map(|f| (f.bench, f.label, f.error)).collect();
+            (results, failures)
+        };
+        let inline = key(spec.run(1).expect("valid spec"));
+        assert_eq!(inline.0.len(), spec.job_count());
+        assert_eq!(inline.0[1], ("nw".to_string(), "ctr_mac_bmt".to_string(), inline.0[1].2));
+        assert_eq!(inline, key(spec.run(2).expect("valid spec")));
     }
 
     #[test]

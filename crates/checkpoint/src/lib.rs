@@ -40,7 +40,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a hash `hash` over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`, so a section written
+/// piece by piece is hashed from `fnv1a(&[])` as its pieces go out.
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -677,6 +684,16 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_extends_piece_by_piece() {
+        let whole = b"SECMTRC sections hashed as they go out";
+        for split in 0..=whole.len() {
+            let (a, b) = whole.split_at(split);
+            assert_eq!(fnv1a_extend(fnv1a(a), b), fnv1a(whole), "split at {split}");
+        }
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C, "the FNV-1a test vector");
+    }
 
     #[test]
     fn primitives_roundtrip() {

@@ -69,15 +69,6 @@ impl<T> DelayQueue<T> {
         self.head_ready = self.q.front().map_or(Cycle::MAX, |(ready, _)| *ready);
     }
 
-    /// Returns a reference to the front element if a [`DelayQueue::pop`]
-    /// at `now` would succeed, without consuming rate.
-    pub fn ready(&self, now: Cycle) -> Option<&T> {
-        if self.head_ready > now || (self.drained_at == now && self.drained_count >= self.rate) {
-            return None;
-        }
-        self.q.front().map(|(_, item)| item)
-    }
-
     /// Pops the front element if it is ready at `now` and the per-cycle
     /// rate has not been exhausted.
     pub fn pop(&mut self, now: Cycle) -> Option<T> {
@@ -305,26 +296,6 @@ mod tests {
         assert_eq!(q.try_push(0, 3), Err(3));
     }
 
-    #[test]
-    fn ready_peeks_without_consuming_rate() {
-        let mut q: DelayQueue<u32> = DelayQueue::new(0, 1, 8);
-        q.try_push(0, 7).unwrap();
-        assert_eq!(q.ready(0), Some(&7));
-        assert_eq!(q.ready(0), Some(&7), "peeking is repeatable");
-        assert_eq!(q.pop(0), Some(7));
-        assert_eq!(q.ready(0), None);
-    }
-
-    #[test]
-    fn ready_respects_exhausted_rate() {
-        let mut q: DelayQueue<u32> = DelayQueue::new(0, 1, 8);
-        q.try_push(0, 1).unwrap();
-        q.try_push(0, 2).unwrap();
-        assert_eq!(q.pop(5), Some(1));
-        assert_eq!(q.ready(5), None, "rate used up this cycle");
-        assert_eq!(q.ready(6), Some(&2));
-    }
-
     /// The queue without a cached head: every poll reads `q.front()`.
     struct FrontQueue {
         latency: Cycle,
@@ -342,13 +313,6 @@ mod tests {
             }
             self.q.push_back((now + self.latency, item));
             Ok(())
-        }
-
-        fn ready(&self, now: Cycle) -> Option<&u32> {
-            if self.drained_at == now && self.drained_count >= self.rate {
-                return None;
-            }
-            self.q.front().filter(|(ready, _)| *ready <= now).map(|(_, item)| item)
         }
 
         fn pop(&mut self, now: Cycle) -> Option<u32> {
@@ -376,8 +340,8 @@ mod tests {
         w.into_bytes()
     }
 
-    /// A seeded mix of pushes, rate-limited pops, peeks and checkpoint
-    /// round trips: the cached head must answer exactly as a queue that
+    /// A seeded mix of pushes, rate-limited pops and checkpoint round
+    /// trips: the cached head must answer exactly as a queue that
     /// reads its front on every poll, and save the same bytes.
     #[test]
     fn cached_head_matches_reading_the_front() {
@@ -400,7 +364,6 @@ mod tests {
                 match rng.gen_range(10) {
                     0..=3 => assert_eq!(q.try_push(now, step), reference.push(now, step), "{ctx}: push"),
                     4..=6 => assert_eq!(q.pop(now), reference.pop(now), "{ctx}: pop"),
-                    7 => assert_eq!(q.ready(now), reference.ready(now), "{ctx}: ready"),
                     8 => {
                         let bytes = saved(|w| q.save_state(w));
                         assert_eq!(bytes, saved(|w| reference.save_state(w)), "{ctx}: saved state");

@@ -5,8 +5,9 @@
 //! `SECMTRC` records are the one in-memory form. A [`Trace`] holds each
 //! `(sm, warp)` stream as its delta/varint-coded records in an
 //! immutable, shared `Arc<[u8]>`, written by the one `StreamEncoder` as
-//! instructions arrive, so [`encode`] only lays those bytes out between
-//! checksummed sections and [`Trace::decode`] validates a file and
+//! instructions arrive, so [`write_file`] and [`encode`] only write
+//! those bytes out between checksummed sections, straight from the
+//! trace, and [`Trace::decode`] validates a file and
 //! copies each stream's records out. Every read of a stream — the
 //! load-time validation walk, [`Trace::stream`], [`Trace::write_text`]
 //! and each warp's replay cursor (`BinCursor`) — goes through one
@@ -61,11 +62,11 @@
 //! ([`WarpProgram::next_inst`] is infallible by signature) never need
 //! an error path. See DESIGN.md §15.
 
-use std::io::Write as _;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use secmem_checkpoint::{fnv1a, unzigzag, zigzag, CheckpointError, Reader, Writer};
+use secmem_checkpoint::{fnv1a, fnv1a_extend, unzigzag, zigzag, CheckpointError, Reader, Writer};
 
 use crate::kernel::{StateError, WarpProgram};
 use crate::trace::{Trace, MAX_ACCESSES_PER_INST, MAX_TRACE_SM, MAX_TRACE_WARP};
@@ -197,10 +198,39 @@ impl From<CheckpointError> for BinTraceError {
     }
 }
 
-/// Serializes a [`Trace`] into `SECMTRC` bytes. The trace already holds
-/// every stream's records, so this only writes the index and lays the
-/// stored bytes out between the checksummed section headers.
+/// Serializes a [`Trace`] into `SECMTRC` bytes: the writer behind
+/// [`write_file`], aimed at a `Vec`.
 pub fn encode(trace: &Trace) -> Vec<u8> {
+    let mut out = Vec::new();
+    let written = write_container(trace, &mut out);
+    debug_assert!(written.is_ok(), "writing to a Vec cannot fail");
+    out
+}
+
+/// Writes `trace` to `path` atomically (temporary file in the same
+/// directory, then rename — the same crash discipline as checkpoint
+/// frames). The container goes out through a buffered writer section
+/// by section, so no assembled copy of it is ever held.
+///
+/// # Errors
+///
+/// [`BinTraceError::Io`] on any filesystem failure.
+pub fn write_file(trace: &Trace, path: &Path) -> Result<(), BinTraceError> {
+    let tmp = path.with_extension("smtrc.tmp");
+    let io = |e: std::io::Error| BinTraceError::Io(format!("{}: {e}", path.display()));
+    let mut out = BufWriter::new(std::fs::File::create(&tmp).map_err(io)?);
+    write_container(trace, &mut out).map_err(io)?;
+    let f = out.into_inner().map_err(|e| io(e.into_error()))?;
+    f.sync_all().map_err(io)?;
+    drop(f);
+    std::fs::rename(&tmp, path).map_err(io)
+}
+
+/// Writes `trace`'s `SECMTRC` container to `out`. The trace already
+/// holds every stream's records, so this writes the header and index,
+/// then each stream's stored bytes as they are, hashing the data
+/// section as it goes out.
+fn write_container(trace: &Trace, out: &mut impl Write) -> std::io::Result<()> {
     let mut index = Writer::new();
     index.put_varint(trace.warp_count() as u64);
     let mut data_len = 0;
@@ -212,38 +242,18 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
         data_len += stream.bytes.len();
     }
     let index = index.into_bytes();
-    let mut out = Vec::with_capacity(BIN_MAGIC.len() + 4 + 16 + 16 + index.len() + data_len);
-    out.extend_from_slice(&BIN_MAGIC);
-    out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    out.extend_from_slice(&index);
-    out.extend_from_slice(&fnv1a(&index).to_le_bytes());
-    out.extend_from_slice(&(data_len as u64).to_le_bytes());
-    let data_start = out.len();
+    out.write_all(&BIN_MAGIC)?;
+    out.write_all(&BIN_FORMAT_VERSION.to_le_bytes())?;
+    out.write_all(&(index.len() as u64).to_le_bytes())?;
+    out.write_all(&index)?;
+    out.write_all(&fnv1a(&index).to_le_bytes())?;
+    out.write_all(&(data_len as u64).to_le_bytes())?;
+    let mut data_sum = fnv1a(&[]);
     for stream in trace.streams.values() {
-        out.extend_from_slice(&stream.bytes);
+        out.write_all(&stream.bytes)?;
+        data_sum = fnv1a_extend(data_sum, &stream.bytes);
     }
-    let data_sum = fnv1a(&out[data_start..]);
-    out.extend_from_slice(&data_sum.to_le_bytes());
-    out
-}
-
-/// Encodes `trace` and writes it to `path` atomically (temporary file
-/// in the same directory, then rename — the same crash discipline as
-/// checkpoint frames).
-///
-/// # Errors
-///
-/// [`BinTraceError::Io`] on any filesystem failure.
-pub fn write_file(trace: &Trace, path: &Path) -> Result<(), BinTraceError> {
-    let bytes = encode(trace);
-    let tmp = path.with_extension("smtrc.tmp");
-    let io = |e: std::io::Error| BinTraceError::Io(format!("{}: {e}", path.display()));
-    let mut f = std::fs::File::create(&tmp).map_err(io)?;
-    f.write_all(&bytes).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(io)
+    out.write_all(&data_sum.to_le_bytes())
 }
 
 /// One warp's stream in record form: exactly the bytes the container's

@@ -20,19 +20,22 @@
 //! zero extra simulations; the `simulations` counter exposed by
 //! `GET /cache/stats` (the cache's misses) proves it.
 //!
-//! A finished sweep keeps only its rendered CSV and its progress events,
-//! and only the last [`FINISHED_SWEEPS_KEPT`] finished sweeps are kept,
-//! so the server's memory does not grow with the number of sweeps it
-//! has served. An evicted sweep's id answers 410.
+//! A finished sweep keeps only its rendered CSV, shared with the sweep
+//! that finished before it when the bytes are the same, and one small
+//! fixed-size record per progress event, rendered to its JSON line only
+//! when `/stream` sends it. Only the last [`FINISHED_SWEEPS_KEPT`]
+//! finished sweeps are kept, so the server's memory does not grow with
+//! the number of sweeps it has served. An evicted sweep's id answers
+//! 410.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use secmem_bench::sweep::SweepSpec;
 use secmem_bench::{CacheRole, JobOutcome, RunResult, Runner, WorkPool};
-use secmem_gpusim::kernel::Kernel;
 
 use crate::http;
 use crate::json;
@@ -40,9 +43,10 @@ use crate::spec::{parse_sweep_spec, render_sweep_spec};
 
 /// Finished sweeps the server keeps. When one more finishes, the sweep
 /// that finished first is evicted and its id answers 410 from then on.
-/// A running sweep is never evicted. A finished sweep holds its CSV
-/// (about 2 KiB for the pinned 4x7 matrix) and one event line per job,
-/// so the retained sweeps take a few MiB at most.
+/// A running sweep is never evicted. A finished sweep holds its spec,
+/// one 48-byte event record per job (1.3 KiB for the pinned 4x7
+/// matrix) and a reference to its CSV (about 2.5 KiB for that matrix),
+/// which repeated identical sweeps share.
 pub const FINISHED_SWEEPS_KEPT: usize = 256;
 
 /// Server tuning knobs.
@@ -106,8 +110,31 @@ struct SweepProgress {
     /// Jobs served from the cache (hit or coalesced) instead of computed.
     cache_hits: usize,
     results: SweepResults,
-    /// One JSON line per completed job, appended in completion order.
-    events: Vec<String>,
+    /// One record per completed job, appended in completion order.
+    events: Vec<JobEvent>,
+}
+
+/// A completed job's progress event. `/stream` renders its JSON line
+/// ([`event_line`]) from this and the sweep's spec as it sends it, so a
+/// sweep keeps a few words per job rather than a string.
+#[derive(Debug, Clone, Copy)]
+struct JobEvent {
+    /// The job's index in [`SweepSpec::jobs`] order.
+    job: usize,
+    /// Jobs recorded so far, this one included.
+    done: usize,
+    /// Answered from the result cache (hit or coalesced).
+    cached: bool,
+    /// What the job produced; `None` when it failed.
+    result: Option<JobDigest>,
+}
+
+/// The parts of a job's result its progress event reports.
+#[derive(Debug, Clone, Copy)]
+struct JobDigest {
+    report_fp: u64,
+    /// Total DRAM data bytes, when the job sampled telemetry.
+    dram_bytes: Option<u64>,
 }
 
 enum SweepResults {
@@ -174,13 +201,38 @@ fn lock_table(sweeps: &Mutex<SweepTable>) -> MutexGuard<'_, SweepTable> {
     sweeps.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What the job callbacks share with the server. They hold this rather
+/// than the state, which owns the runner that holds them.
+#[derive(Default)]
+struct Sweeps {
+    table: Mutex<SweepTable>,
+    /// The CSV the last sweep to finish keeps. Taken after any entry's
+    /// progress, and no other lock is taken while it is held.
+    last_csv: Mutex<Option<Arc<str>>>,
+}
+
+impl Sweeps {
+    /// `csv` as the last finished sweep's shared string when the bytes
+    /// are the same (an identical spec answered from the cache renders
+    /// the same CSV), else as a new string later sweeps can share.
+    fn share_csv(&self, csv: String) -> Arc<str> {
+        let mut last = self.last_csv.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*last {
+            Some(kept) if **kept == *csv => kept.clone(),
+            _ => {
+                let csv: Arc<str> = csv.into();
+                *last = Some(csv.clone());
+                csv
+            }
+        }
+    }
+}
+
 /// Shared server state: the job runner, the sweeps, and the flags.
 struct ServerState {
     runner: Runner,
-    /// Shared with the job callbacks, which record finished sweeps. They
-    /// hold this table rather than the state, which owns the runner that
-    /// holds them.
-    sweeps: Arc<Mutex<SweepTable>>,
+    /// Shared with the job callbacks, which record finished sweeps.
+    sweeps: Arc<Sweeps>,
     draining: AtomicBool,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -188,7 +240,7 @@ struct ServerState {
 
 impl ServerState {
     fn sweeps(&self) -> MutexGuard<'_, SweepTable> {
-        lock_table(&self.sweeps)
+        lock_table(&self.sweeps.table)
     }
 }
 
@@ -254,17 +306,9 @@ impl Server {
 }
 
 /// Records job `index`'s outcome on its sweep. The last job renders the
-/// sweep's CSV, drops its results, and enters it in `sweeps`' finished
+/// sweep's CSV, drops its results, and enters it in the table's finished
 /// sweeps (after releasing the entry, to keep the lock order).
-fn record_job(
-    sweeps: &Mutex<SweepTable>,
-    entry: &SweepEntry,
-    index: usize,
-    bench: &str,
-    label: &str,
-    outcome: JobOutcome,
-    role: CacheRole,
-) {
+fn record_job(sweeps: &Sweeps, entry: &SweepEntry, index: usize, outcome: JobOutcome, role: CacheRole) {
     let result = outcome.ok();
     let mut progress = entry.lock();
     progress.done += 1;
@@ -272,45 +316,61 @@ fn record_job(
     if cached {
         progress.cache_hits += 1;
     }
-    let mut event = format!(
-        "{{\"sweep\":{},\"job\":{},\"bench\":\"{}\",\"scheme\":\"{}\",\"done\":{},\"total\":{},\"cached\":{}",
-        entry.id,
-        index,
-        json::escape(bench),
-        json::escape(label),
-        progress.done,
-        entry.total,
-        cached
-    );
-    match &result {
-        Some(r) => {
-            event.push_str(&format!(",\"ok\":true,\"fp\":\"{:016x}\"", r.report_fp));
-            if let Some(snap) = &r.telemetry {
-                if let Some(series) = snap.series("dram.data_bytes") {
-                    event.push_str(&format!(",\"dram_bytes\":{}", series.total() as u64));
-                }
-            }
-        }
-        None => {
-            progress.failed += 1;
-            event.push_str(",\"ok\":false");
-        }
+    let digest = result.as_ref().map(|r| JobDigest {
+        report_fp: r.report_fp,
+        dram_bytes: r
+            .telemetry
+            .as_ref()
+            .and_then(|snap| snap.series("dram.data_bytes"))
+            .map(|series| series.total() as u64),
+    });
+    if digest.is_none() {
+        progress.failed += 1;
     }
-    event.push('}');
-    progress.events.push(event);
-    let finished = progress.done == entry.total;
+    let done = progress.done;
+    progress.events.push(JobEvent { job: index, done, cached, result: digest });
+    let finished = done == entry.total;
     if let SweepResults::Running(slots) = &mut progress.results {
         slots[index] = result;
         if finished {
             let csv = entry.spec.results_table(slots.iter().flatten().map(|r| &**r)).to_csv();
-            progress.results = SweepResults::Finished(csv.into());
+            progress.results = SweepResults::Finished(sweeps.share_csv(csv));
         }
     }
     drop(progress);
     entry.cond.notify_all();
     if finished {
-        lock_table(sweeps).finish(entry.id);
+        lock_table(&sweeps.table).finish(entry.id);
     }
+}
+
+/// The JSON line, newline included, that `/stream` sends for `event`.
+fn event_line(entry: &SweepEntry, event: &JobEvent) -> String {
+    let spec = &entry.spec;
+    // `SweepSpec::jobs` nests the schemes inside the benchmarks.
+    let bench = &spec.benches[event.job / spec.schemes.len()];
+    let scheme = spec.schemes[event.job % spec.schemes.len()].label();
+    let mut line = format!(
+        "{{\"sweep\":{},\"job\":{},\"bench\":\"{}\",\"scheme\":\"{}\",\"done\":{},\"total\":{},\"cached\":{}",
+        entry.id,
+        event.job,
+        json::escape(bench),
+        json::escape(scheme),
+        event.done,
+        entry.total,
+        event.cached
+    );
+    match event.result {
+        Some(JobDigest { report_fp, dram_bytes }) => {
+            let _ = write!(line, ",\"ok\":true,\"fp\":\"{report_fp:016x}\"");
+            if let Some(bytes) = dram_bytes {
+                let _ = write!(line, ",\"dram_bytes\":{bytes}");
+            }
+        }
+        None => line.push_str(",\"ok\":false"),
+    }
+    line.push_str("}\n");
+    line
 }
 
 fn err_body(message: &str) -> Vec<u8> {
@@ -395,7 +455,7 @@ fn post_sweep(state: &ServerState, stream: &mut TcpStream, body: &[u8]) -> Resul
                 failed: 0,
                 cache_hits: 0,
                 results: SweepResults::Running(vec![None; jobs.len()]),
-                events: Vec::new(),
+                events: Vec::with_capacity(jobs.len()),
             }),
             cond: Condvar::new(),
         });
@@ -405,10 +465,7 @@ fn post_sweep(state: &ServerState, stream: &mut TcpStream, body: &[u8]) -> Resul
     let (id, total) = (entry.id, jobs.len());
     for (index, job) in jobs.into_iter().enumerate() {
         let (sweeps, entry) = (state.sweeps.clone(), entry.clone());
-        let (bench, label) = (job.kernel.name().to_string(), job.label.clone());
-        state.runner.submit(job, move |outcome, role| {
-            record_job(&sweeps, &entry, index, &bench, &label, outcome, role);
-        });
+        state.runner.submit(job, move |outcome, role| record_job(&sweeps, &entry, index, outcome, role));
     }
     let body = format!("{{\"sweep\":{id},\"jobs\":{total}}}");
     http::write_response(stream, 200, "application/json", body.as_bytes())
@@ -487,12 +544,13 @@ fn get_sweep_stream(state: &ServerState, stream: &mut TcpStream, id: &str) -> Re
             while progress.events.len() == sent && progress.done < entry.total {
                 progress = entry.cond.wait(progress).unwrap_or_else(PoisonError::into_inner);
             }
-            let batch: Vec<String> = progress.events[sent..].to_vec();
-            (batch, progress.done == entry.total)
+            (progress.events[sent..].to_vec(), progress.done == entry.total)
         };
         sent += batch.len();
-        for line in &batch {
-            http::write_chunk(stream, format!("{line}\n").as_bytes())?;
+        // Rendered after the sweep's lock is released; one chunk per
+        // event, so a client can time each job by its chunk.
+        for event in &batch {
+            http::write_chunk(stream, event_line(&entry, event).as_bytes())?;
         }
         if complete {
             return http::finish_chunked(stream);

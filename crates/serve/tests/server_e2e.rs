@@ -403,3 +403,78 @@ fn finished_sweeps_beyond_the_bound_expire_and_running_ones_stay() {
     assert_eq!(field(&health, "sweeps"), FINISHED_SWEEPS_KEPT as u64 + 1, "{health}");
     assert_eq!(field(&health, "expired"), 3, "{health}");
 }
+
+/// The events of a finished sweep, replayed: `/stream` sends the same
+/// bytes after the sweep finished as it did while it ran, and a cached
+/// resubmission reports the same jobs with the same CSV.
+#[test]
+fn finished_stream_replays_the_live_bytes_and_cached_resubmission_matches() {
+    let spec = SweepSpec {
+        benches: vec!["nw".into(), "kmeans".into()],
+        schemes: vec![secmem_core::SecurityScheme::CtrMacBmt, secmem_core::SecurityScheme::Baseline],
+        gpu: secmem_bench::sweep::GpuPreset::Small,
+        // Long enough that the first stream starts while the sweep runs.
+        cycles: 20_000,
+        warmup: 0,
+        seed: secmem_workloads::suite::DEFAULT_SEED,
+        sample_interval: Some(256),
+        l2_bytes_per_bank: None,
+        l2_assoc: None,
+    };
+    // One worker answers the jobs in order, so each job's `done` count
+    // is the same in both sweeps.
+    let server = TestServer::start_with(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        sim_workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr.as_str();
+    let first = submit(addr, &spec);
+    let (code, live) = stream_to_end(addr, first);
+    assert_eq!(code, 200);
+    assert_eq!(stream_to_end(addr, first), (200, live.clone()), "a finished sweep replays its stream");
+
+    let second = submit(addr, &spec);
+    let (code, cached) = stream_to_end(addr, second);
+    assert_eq!(code, 200);
+    assert_eq!(fetch_csv(addr, second), fetch_csv(addr, first), "cached CSV is byte-identical");
+
+    // Each sweep's events by job index, without the fields that must
+    // differ; `sweep` and `cached` are checked on their own.
+    let by_job = |text: &str, id: u64, cached: bool| {
+        let mut events: Vec<(u64, String)> = text
+            .lines()
+            .map(|line| {
+                let event = json::parse(line).unwrap_or_else(|e| panic!("bad event {line:?}: {e}"));
+                assert_eq!(event.get("sweep").and_then(Json::as_u64), Some(id), "{line}");
+                assert_eq!(event.get("cached").and_then(Json::as_bool), Some(cached), "{line}");
+                assert_eq!(event.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+                assert!(event.get("dram_bytes").and_then(Json::as_u64).is_some_and(|b| b > 0), "{line}");
+                let job = event.get("job").and_then(Json::as_u64).expect("job index");
+                let rest = line
+                    .replace(&format!("\"sweep\":{id},"), "")
+                    .replace(&format!(",\"cached\":{cached}"), "");
+                (job, rest)
+            })
+            .collect();
+        events.sort();
+        events
+    };
+    let first_events = by_job(&live, first, false);
+    assert_eq!(first_events.len(), spec.job_count());
+    let jobs: Vec<u64> = first_events.iter().map(|(job, _)| *job).collect();
+    assert_eq!(jobs, [0, 1, 2, 3]);
+    assert!(first_events[1].1.contains("\"bench\":\"nw\",\"scheme\":\"baseline\""), "{:?}", first_events[1]);
+    assert!(first_events[2].1.contains("\"bench\":\"kmeans\",\"scheme\":\"ctr_mac_bmt\""));
+    assert_eq!(by_job(&cached, second, true), first_events);
+
+    // A different spec finishing next keeps its own CSV, not the one the
+    // identical sweeps share.
+    let other = SweepSpec { benches: vec!["nw".into()], ..spec };
+    let (results, failures) = other.run(1).expect("valid spec");
+    assert!(failures.is_empty(), "batch jobs failed: {failures:?}");
+    let third = submit(addr, &other);
+    assert_eq!(stream_to_end(addr, third).0, 200);
+    assert_eq!(fetch_csv(addr, third), other.results_table(&results).to_csv().into_bytes());
+    server.shutdown();
+}
