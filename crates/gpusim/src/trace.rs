@@ -282,22 +282,23 @@ impl Trace {
     }
 
     /// Records the first `max_insts` instructions of every warp of
-    /// `kernel` (stopping early at `Exit`).
+    /// `kernel` (stopping early at `Exit`), encoding each as the kernel
+    /// yields it.
     pub fn record(kernel: &dyn Kernel, sms: u32, max_insts: usize) -> Self {
         let mut trace = Self::new();
         let active = kernel.active_sms(sms);
         for sm in 0..active {
             for warp in 0..kernel.warps_per_sm(sm) {
                 let mut program = kernel.spawn(sm, warp);
-                let mut exited = false;
-                let insts = std::iter::from_fn(|| {
-                    (!exited).then(|| {
-                        let inst = program.next_inst();
-                        exited = matches!(inst, Inst::Exit);
-                        inst
-                    })
-                });
-                trace.insert(sm, warp, insts.take(max_insts));
+                let mut encoder = StreamEncoder::default();
+                for _ in 0..max_insts {
+                    let inst = program.next_inst();
+                    encoder.push(&inst);
+                    if matches!(inst, Inst::Exit) {
+                        break;
+                    }
+                }
+                trace.streams.insert((sm, warp), encoder.finish());
             }
         }
         trace
@@ -510,15 +511,20 @@ pub fn load(bytes: &[u8]) -> Result<Trace, TraceLoadError> {
 }
 
 /// Loads a trace file in either format, picked by its first 8 bytes
-/// the way [`load`] picks. A `SECMTRC` file is read whole, once, and
-/// decoded (its checksums cover whole sections). A text file is parsed
-/// line by line through a buffered reader, so its text is never
-/// resident: loading holds the encoded records and one line.
+/// the way [`load`] picks. A `SECMTRC` file goes through the one
+/// decode routine behind [`Trace::decode`], reading the index and then
+/// each stream's records straight into that stream's own buffer, so
+/// loading holds one copy of the records, never the file whole. A text
+/// file is parsed line by line through a buffered reader, so its text
+/// is never resident either: loading holds the encoded records and one
+/// line.
 ///
 /// # Errors
 ///
-/// [`TraceLoadError::Io`] if the file cannot be read, otherwise what
-/// [`load`] reports for the same bytes.
+/// [`TraceLoadError::Io`] if the file cannot be opened, its first bytes
+/// read or its length found; a `SECMTRC` read that fails part-way is a
+/// [`trace_bin::BinTraceError::Io`]. Otherwise what [`load`] reports
+/// for the same bytes.
 pub fn load_file(path: &Path) -> Result<Trace, TraceLoadError> {
     let mut file = std::fs::File::open(path)?;
     let mut head = Vec::new();
@@ -526,11 +532,15 @@ pub fn load_file(path: &Path) -> Result<Trace, TraceLoadError> {
     if !Trace::sniff(&head) {
         return Trace::from_text(BufReader::new(head.as_slice().chain(file)));
     }
-    // Size the buffer from the metadata, as `std::fs::read` does.
-    let size = file.metadata().ok().and_then(|m| usize::try_from(m.len()).ok()).unwrap_or(0);
-    head.reserve_exact(size.saturating_sub(head.len()));
-    file.read_to_end(&mut head)?;
-    Ok(Trace::decode(&head)?)
+    let meta = file.metadata()?;
+    if !meta.is_file() {
+        // A pipe or device gives no length to check the sections
+        // against up front: read it whole.
+        file.read_to_end(&mut head)?;
+        return Ok(Trace::decode(&head)?);
+    }
+    let len = usize::try_from(meta.len()).unwrap_or(usize::MAX);
+    Ok(trace_bin::decode_from(head.as_slice().chain(file), len)?)
 }
 
 /// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its
@@ -857,6 +867,24 @@ mod tests {
         assert_eq!(report.warp_instructions, 4 * 4 * 200);
     }
 
+    /// A pipe has no length to read a SECMTRC file by, so `load_file`
+    /// reads it whole and decodes it like a regular file.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn load_file_reads_a_pipe() {
+        use std::io::Write as _;
+        use std::os::fd::AsRawFd as _;
+        let mut trace = Trace::new();
+        trace.insert(0, 0, sample_insts());
+        for bytes in [trace_bin::encode(&trace), trace.to_text().into_bytes()] {
+            let (reader, mut writer) = std::io::pipe().expect("pipe");
+            writer.write_all(&bytes).expect("fits the pipe buffer");
+            drop(writer);
+            let path = std::path::PathBuf::from(format!("/proc/self/fd/{}", reader.as_raw_fd()));
+            assert_eq!(load_file(&path).expect("loads from the pipe"), trace);
+        }
+    }
+
     /// Replays fixed instruction lists, one per warp of SM 0, then
     /// `Exit` forever; a list that ends in an ALU op repeats it forever
     /// instead, so only `max_insts` can cut it.
@@ -971,6 +999,48 @@ mod tests {
         }
         assert_eq!(recorded.stream(0, 0), Some(Vec::new()));
         assert_eq!(recorded.total_insts(), 0);
+    }
+
+    /// `record` ends a warp's stream at its `Exit` or after `max_insts`
+    /// instructions, whichever comes first. Warps exiting before the
+    /// budget, exactly at it, one past it and never, and a zero budget,
+    /// all give the bytes of `insert` of the instructions taken one by
+    /// one up to and including the first `Exit`.
+    #[test]
+    fn record_stops_at_exit_or_max_insts() {
+        const MAX: usize = 5;
+        let alus = |n: usize| vec![Inst::Alu { stall: 2, wait_mem: false }; n];
+        let kernel = ListKernel(vec![
+            [alus(2), vec![Inst::Exit]].concat(),
+            [alus(MAX - 1), vec![Inst::Exit]].concat(),
+            [alus(MAX), vec![Inst::Exit]].concat(),
+            vec![Inst::Load { accesses: wide(3), dependent: true }, Inst::Alu { stall: 7, wait_mem: true }],
+        ]);
+        for max_insts in [0, 1, MAX - 1, MAX, MAX + 1, 3 * MAX] {
+            let mut expected = Trace::new();
+            for warp in 0..kernel.warps_per_sm(0) {
+                let mut program = kernel.spawn(0, warp);
+                let mut exited = false;
+                let insts = std::iter::from_fn(|| {
+                    (!exited).then(|| {
+                        let inst = program.next_inst();
+                        exited = matches!(inst, Inst::Exit);
+                        inst
+                    })
+                });
+                expected.insert(0, warp, insts.take(max_insts));
+            }
+            let recorded = Trace::record(&kernel, 8, max_insts);
+            assert_eq!(trace_bin::encode(&recorded), trace_bin::encode(&expected), "max_insts {max_insts}");
+            assert_eq!(recorded.warp_count(), 4, "max_insts {max_insts}");
+        }
+        let recorded = Trace::record(&kernel, 8, MAX);
+        let lens: Vec<u64> = recorded.streams().map(|s| s.insts).collect();
+        assert_eq!(lens, [3, 5, 5, 5]);
+        let last = |warp| recorded.stream(0, warp).and_then(|s| s.last().cloned());
+        assert_eq!((last(0), last(1)), (Some(Inst::Exit), Some(Inst::Exit)));
+        assert_eq!(last(2), Some(Inst::Alu { stall: 2, wait_mem: false }));
+        assert_eq!(last(3), Some(Inst::Alu { stall: 7, wait_mem: true }));
     }
 
     #[test]

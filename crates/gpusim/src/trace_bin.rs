@@ -7,11 +7,13 @@
 //! immutable, shared `Arc<[u8]>`, written by the one `StreamEncoder` as
 //! instructions arrive, so [`write_file`] and [`encode`] only write
 //! those bytes out between checksummed sections, straight from the
-//! trace, and [`Trace::decode`] validates a file and
-//! copies each stream's records out. Every read of a stream — the
-//! load-time validation walk, [`Trace::stream`], [`Trace::write_text`]
-//! and each warp's replay cursor (`BinCursor`) — goes through one
-//! `Records` walker, one record at a time.
+//! trace. One decode routine reads a container from a byte source — a
+//! slice for [`Trace::decode`], the file itself for
+//! [`crate::trace::load_file`] — and reads each stream's records
+//! straight into their own shared buffer before validating them. Every
+//! read of a stream — the load-time validation walk, [`Trace::stream`],
+//! [`Trace::write_text`] and each warp's replay cursor (`BinCursor`) —
+//! goes through one `Records` walker, one record at a time.
 //!
 //! # Wire format (version 1)
 //!
@@ -62,7 +64,7 @@
 //! ([`WarpProgram::next_inst`] is infallible by signature) never need
 //! an error path. See DESIGN.md §15.
 
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -311,21 +313,41 @@ impl<B: AsRef<[u8]>> Records<B> {
         Self { bytes, at: 0, prev_block: 0, left: insts }
     }
 
-    /// Decodes the next `n` records (or as many as are left) through
-    /// one `Reader`, handing each to `each`.
+    /// Decodes the next record, its accesses (if any) collected into an
+    /// `A`. The caller checks that a record is left. An ALU record whose
+    /// stall fits its tag byte is that byte alone, and about nine
+    /// records in ten of a recorded benchmark are one, so it is decoded
+    /// here; every other record, and any error, goes through
+    /// [`decode_inst`].
+    #[inline(always)]
+    fn decode_next<A: Accesses>(&mut self) -> Result<Record<A>, BinTraceError> {
+        let bytes = self.bytes.as_ref();
+        if let Some(&t) = bytes.get(self.at) {
+            let (kind, arg) = (t & KIND_MASK, t >> 3);
+            if (kind == KIND_ALU || kind == KIND_ALU_WAIT) && arg < TAG_ARG_SPILL {
+                self.at += 1;
+                self.left -= 1;
+                return Ok(Record::Alu { stall: u32::from(arg), wait_mem: kind == KIND_ALU_WAIT });
+            }
+        }
+        let mut r = Reader::new(bytes.get(self.at..).unwrap_or_default());
+        let record = decode_inst(&mut r, &mut self.prev_block)?;
+        self.at = bytes.len() - r.remaining();
+        self.left -= 1;
+        Ok(record)
+    }
+
+    /// Decodes and checks the next `n` records (or as many as are
+    /// left), keeping none of them and building no access list.
     ///
     /// # Errors
     ///
     /// The first malformed record, with the number of records walked
     /// before it.
-    fn walk(&mut self, n: u64, mut each: impl FnMut(Inst)) -> Result<(), (u64, BinTraceError)> {
-        let bytes = self.bytes.as_ref();
-        let mut r = Reader::new(bytes.get(self.at..).unwrap_or_default());
+    fn walk(&mut self, n: u64) -> Result<(), (u64, BinTraceError)> {
         for i in 0..n.min(self.left) {
-            each(decode_inst(&mut r, &mut self.prev_block).map_err(|err| (i, err))?);
-            self.left -= 1;
+            self.decode_next::<()>().map_err(|err| (i, err))?;
         }
-        self.at = bytes.len() - r.remaining();
         Ok(())
     }
 }
@@ -337,12 +359,64 @@ impl<B: AsRef<[u8]>> Iterator for Records<B> {
     /// validated by [`Trace::decode`], so a decode error is impossible
     /// and ends the walk early in release builds.
     fn next(&mut self) -> Option<Inst> {
-        let mut inst = None;
-        if self.walk(1, |decoded| inst = Some(decoded)).is_err() {
-            debug_assert!(false, "encoded stream failed to decode");
-            self.left = 0;
+        if self.left == 0 {
+            return None;
         }
-        inst
+        match self.decode_next::<Vec<Access>>() {
+            Ok(record) => Some(record.into()),
+            Err(_) => {
+                debug_assert!(false, "encoded stream failed to decode");
+                self.left = 0;
+                None
+            }
+        }
+    }
+}
+
+/// What the record decoder collects a load's or store's accesses into:
+/// a `Vec` when the caller wants the instruction, `()` when it only
+/// checks the record (the load-time validation walk and cursor
+/// restore).
+trait Accesses {
+    /// An empty list with room for `n` accesses.
+    fn with_capacity(n: usize) -> Self;
+    /// Appends one decoded access.
+    fn push(&mut self, access: Access);
+}
+
+impl Accesses for Vec<Access> {
+    fn with_capacity(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+
+    fn push(&mut self, access: Access) {
+        Vec::push(self, access);
+    }
+}
+
+impl Accesses for () {
+    fn with_capacity(_n: usize) -> Self {}
+
+    fn push(&mut self, _access: Access) {}
+}
+
+/// A decoded record, shaped like [`Inst`] with its access lists
+/// collected into an `A`.
+enum Record<A> {
+    Alu { stall: u32, wait_mem: bool },
+    Load { accesses: A, dependent: bool },
+    Store { accesses: A },
+    Exit,
+}
+
+impl From<Record<Vec<Access>>> for Inst {
+    fn from(record: Record<Vec<Access>>) -> Self {
+        match record {
+            Record::Alu { stall, wait_mem } => Inst::Alu { stall, wait_mem },
+            Record::Load { accesses, dependent } => Inst::Load { accesses, dependent },
+            Record::Store { accesses } => Inst::Store { accesses },
+            Record::Exit => Inst::Exit,
+        }
     }
 }
 
@@ -386,14 +460,15 @@ fn encode_mem(w: &mut Writer, kind: u8, accesses: &[Access], prev_block: &mut u6
     }
 }
 
-/// Decodes the record at the reader's position. `prev_block` is the
-/// per-stream delta state (callers reset it to 0 at each stream start).
-/// Only [`Records`] calls it. Inlined there so the validation walk,
-/// which drops every record it decodes, compiles to a tighter loop:
-/// left to the compiler, decoding a 9.6 MB SECMTRC file took ~1.4x as
-/// long (2-vCPU x86-64 host).
+/// Decodes the record at the reader's position, its accesses (if any)
+/// collected into an `A`. `prev_block` is the per-stream delta state
+/// (callers reset it to 0 at each stream start). Only
+/// [`Records::decode_next`] calls it. Inlined there so the validation
+/// walk, which keeps no record, compiles to a tighter loop: left to the
+/// compiler, validating the four benchmark replay recordings took ~10%
+/// longer (2-vCPU x86-64 host).
 #[inline(always)]
-fn decode_inst(r: &mut Reader<'_>, prev_block: &mut u64) -> Result<Inst, BinTraceError> {
+fn decode_inst<A: Accesses>(r: &mut Reader<'_>, prev_block: &mut u64) -> Result<Record<A>, BinTraceError> {
     let t = r.get_u8()?;
     let kind = t & KIND_MASK;
     let arg = t >> 3;
@@ -411,7 +486,7 @@ fn decode_inst(r: &mut Reader<'_>, prev_block: &mut u64) -> Result<Inst, BinTrac
                 }
                 stall
             };
-            Ok(Inst::Alu { stall, wait_mem: kind == KIND_ALU_WAIT })
+            Ok(Record::Alu { stall, wait_mem: kind == KIND_ALU_WAIT })
         }
         KIND_LOAD | KIND_LOAD_DEP | KIND_STORE => {
             let n = if arg == 0 {
@@ -425,7 +500,7 @@ fn decode_inst(r: &mut Reader<'_>, prev_block: &mut u64) -> Result<Inst, BinTrac
             } else {
                 u64::from(arg)
             };
-            let mut accesses = Vec::with_capacity(n as usize);
+            let mut accesses = A::with_capacity(n as usize);
             for _ in 0..n {
                 let v = r.get_varint()?;
                 let mask = crate::narrow::u64_to_u8(v & 0xF, "masked to four bits");
@@ -443,16 +518,16 @@ fn decode_inst(r: &mut Reader<'_>, prev_block: &mut u64) -> Result<Inst, BinTrac
                 accesses.push(Access { line_addr: block << LINE_SHIFT, sectors: SectorMask(mask) });
             }
             if kind == KIND_STORE {
-                Ok(Inst::Store { accesses })
+                Ok(Record::Store { accesses })
             } else {
-                Ok(Inst::Load { accesses, dependent: kind == KIND_LOAD_DEP })
+                Ok(Record::Load { accesses, dependent: kind == KIND_LOAD_DEP })
             }
         }
         KIND_EXIT => {
             if arg != 0 {
                 return Err(BinTraceError::Malformed(format!("exit record with payload bits {arg}")));
             }
-            Ok(Inst::Exit)
+            Ok(Record::Exit)
         }
         other => Err(BinTraceError::Malformed(format!("unknown record kind {other}"))),
     }
@@ -482,7 +557,8 @@ impl Trace {
     /// checksums, index ordering and limits, and a complete walk of
     /// every stream's records, each copied into its own shared buffer.
     /// After a successful decode the replay cursors cannot encounter a
-    /// malformed record.
+    /// malformed record. [`crate::trace::load_file`] runs the same
+    /// routine over the file, so both fail alike on the same bytes.
     ///
     /// # Errors
     ///
@@ -490,78 +566,7 @@ impl Trace {
     /// every byte of the file is either validated structure or covered
     /// by a section checksum.
     pub fn decode(bytes: &[u8]) -> Result<Self, BinTraceError> {
-        if bytes.len() < BIN_MAGIC.len() {
-            return Err(BinTraceError::Truncated { needed: BIN_MAGIC.len(), available: bytes.len() });
-        }
-        if !Self::sniff(bytes) {
-            return Err(BinTraceError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[BIN_MAGIC.len()..]);
-        let version = r.get_u32()?;
-        if version != BIN_FORMAT_VERSION {
-            return Err(BinTraceError::BadVersion { found: version, expected: BIN_FORMAT_VERSION });
-        }
-        let index_body = checked_section(&mut r, "index")?;
-        let data_body = checked_section(&mut r, "data")?;
-        r.expect_end()?;
-
-        let mut ir = Reader::new(index_body);
-        let streams = ir.get_varint()?;
-        // Every index entry costs at least four bytes, so a count beyond
-        // the body length is corruption, not a request to allocate.
-        if streams > index_body.len() as u64 {
-            return Err(BinTraceError::CountTooLarge { count: streams, remaining: index_body.len() });
-        }
-        let mut trace = Self::new();
-        let mut offset = 0usize;
-        for _ in 0..streams {
-            let sm = u32::try_from(ir.get_varint()?)
-                .ok()
-                .filter(|v| *v <= MAX_TRACE_SM)
-                .ok_or_else(|| BinTraceError::Malformed(format!("SM index exceeds {MAX_TRACE_SM}")))?;
-            let warp = u32::try_from(ir.get_varint()?)
-                .ok()
-                .filter(|v| *v <= MAX_TRACE_WARP)
-                .ok_or_else(|| BinTraceError::Malformed(format!("warp index exceeds {MAX_TRACE_WARP}")))?;
-            if trace.streams.last_key_value().is_some_and(|(&prev, _)| prev >= (sm, warp)) {
-                return Err(BinTraceError::Malformed(format!(
-                    "index entry (sm {sm}, warp {warp}) out of order or duplicated"
-                )));
-            }
-            let insts = ir.get_varint()?;
-            let len = usize::try_from(ir.get_varint()?)
-                .map_err(|_| BinTraceError::Malformed("stream length overflows usize".into()))?;
-            // Every record costs at least one byte.
-            if insts > len as u64 {
-                return Err(BinTraceError::Malformed(format!(
-                    "stream (sm {sm}, warp {warp}) claims {insts} instructions in {len} bytes"
-                )));
-            }
-            let end = offset.checked_add(len).filter(|e| *e <= data_body.len()).ok_or(
-                BinTraceError::CountTooLarge { count: len as u64, remaining: data_body.len() - offset },
-            )?;
-            let body = &data_body[offset..end];
-            // Walk every record once so replay never sees a malformed one.
-            let mut records = Records::new(body, insts);
-            records.walk(insts, drop).map_err(|(i, err)| {
-                BinTraceError::Malformed(format!("stream (sm {sm}, warp {warp}) record {i}: {err}"))
-            })?;
-            if records.at != body.len() {
-                return Err(BinTraceError::Malformed(format!(
-                    "stream (sm {sm}, warp {warp}) has trailing record bytes"
-                )));
-            }
-            trace.streams.insert((sm, warp), EncodedStream { insts, bytes: Arc::from(body) });
-            offset = end;
-        }
-        ir.expect_end()?;
-        if offset != data_body.len() {
-            return Err(BinTraceError::Malformed(format!(
-                "data section holds {} bytes but the index accounts for {offset}",
-                data_body.len()
-            )));
-        }
-        Ok(trace)
+        decode_from(bytes, bytes.len())
     }
 
     /// A streaming replay cursor for one warp. Unrecorded warps get an
@@ -572,15 +577,177 @@ impl Trace {
     }
 }
 
-/// Reads one length-prefixed, checksummed section body.
-fn checked_section<'a>(r: &mut Reader<'a>, section: &'static str) -> Result<&'a [u8], BinTraceError> {
-    let body = r.get_bytes()?;
-    let stored = r.get_u64()?;
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(BinTraceError::BadChecksum { section, stored, computed });
+/// Decodes and validates the `len`-byte `SECMTRC` container `read`
+/// yields: the one routine behind [`Trace::decode`] and
+/// [`crate::trace::load_file`]. The index is read and checked first, so
+/// each stream's records are read straight into their own exactly
+/// sized buffer and the container is never held whole; the data
+/// checksum is checked before any record is walked.
+///
+/// # Errors
+///
+/// As [`Trace::decode`]; [`BinTraceError::Io`] if reading fails.
+pub(crate) fn decode_from(read: impl Read, len: usize) -> Result<Trace, BinTraceError> {
+    let mut src = Source { read, left: len };
+    if src.fixed_field()? != BIN_MAGIC {
+        return Err(BinTraceError::BadMagic);
     }
-    Ok(body)
+    let version = u32::from_le_bytes(src.fixed_field()?);
+    if version != BIN_FORMAT_VERSION {
+        return Err(BinTraceError::BadVersion { found: version, expected: BIN_FORMAT_VERSION });
+    }
+    let index_len = src.section_len()?;
+    let index_body = src.shared_bytes(index_len)?;
+    let stored = u64::from_le_bytes(src.fixed_field()?);
+    let computed = fnv1a(&index_body);
+    if stored != computed {
+        return Err(BinTraceError::BadChecksum { section: "index", stored, computed });
+    }
+    let data_len = src.section_len()?;
+    let index = parse_index(&index_body, data_len);
+    // Each stream's records go to their own buffer. An index that does
+    // not parse cuts nothing: the data is read whole, only to be hashed,
+    // so a damaged data section is still reported first.
+    let lens: Vec<usize> = match &index {
+        Ok(entries) => entries.iter().map(|e| e.len).collect(),
+        Err(_) => vec![data_len],
+    };
+    let mut bodies = Vec::with_capacity(lens.len());
+    let mut computed = fnv1a(&[]);
+    for len in lens {
+        let body = src.shared_bytes(len)?;
+        computed = fnv1a_extend(computed, &body);
+        bodies.push(body);
+    }
+    let stored = u64::from_le_bytes(src.fixed_field()?);
+    if stored != computed {
+        return Err(BinTraceError::BadChecksum { section: "data", stored, computed });
+    }
+    if src.left != 0 {
+        return Err(BinTraceError::Malformed(format!("{} trailing bytes", src.left)));
+    }
+    let mut trace = Trace::new();
+    for (IndexEntry { sm, warp, insts, .. }, bytes) in index?.into_iter().zip(bodies) {
+        // Walk every record once so replay never sees a malformed one.
+        let mut records = Records::new(&*bytes, insts);
+        records.walk(insts).map_err(|(i, err)| {
+            BinTraceError::Malformed(format!("stream (sm {sm}, warp {warp}) record {i}: {err}"))
+        })?;
+        if records.at != bytes.len() {
+            return Err(BinTraceError::Malformed(format!(
+                "stream (sm {sm}, warp {warp}) has trailing record bytes"
+            )));
+        }
+        trace.streams.insert((sm, warp), EncodedStream { insts, bytes });
+    }
+    Ok(trace)
+}
+
+/// One stream's index entry.
+struct IndexEntry {
+    sm: u32,
+    warp: u32,
+    insts: u64,
+    /// Bytes of the stream's records in the data section.
+    len: usize,
+}
+
+/// Parses and checks the index body against a `data_len`-byte data
+/// section: ids in range and strictly ascending, no stream claiming
+/// more records than bytes, and lengths that add up to `data_len`.
+fn parse_index(body: &[u8], data_len: usize) -> Result<Vec<IndexEntry>, BinTraceError> {
+    let mut ir = Reader::new(body);
+    let streams = ir.get_varint()?;
+    // Every index entry costs at least four bytes, so a count beyond
+    // the body length is corruption, not a request to allocate.
+    if streams > body.len() as u64 {
+        return Err(BinTraceError::CountTooLarge { count: streams, remaining: body.len() });
+    }
+    let mut entries: Vec<IndexEntry> = Vec::with_capacity(streams as usize);
+    let mut offset = 0usize;
+    for _ in 0..streams {
+        let sm = u32::try_from(ir.get_varint()?)
+            .ok()
+            .filter(|v| *v <= MAX_TRACE_SM)
+            .ok_or_else(|| BinTraceError::Malformed(format!("SM index exceeds {MAX_TRACE_SM}")))?;
+        let warp = u32::try_from(ir.get_varint()?)
+            .ok()
+            .filter(|v| *v <= MAX_TRACE_WARP)
+            .ok_or_else(|| BinTraceError::Malformed(format!("warp index exceeds {MAX_TRACE_WARP}")))?;
+        if entries.last().is_some_and(|prev| (prev.sm, prev.warp) >= (sm, warp)) {
+            return Err(BinTraceError::Malformed(format!(
+                "index entry (sm {sm}, warp {warp}) out of order or duplicated"
+            )));
+        }
+        let insts = ir.get_varint()?;
+        let len = usize::try_from(ir.get_varint()?)
+            .map_err(|_| BinTraceError::Malformed("stream length overflows usize".into()))?;
+        // Every record costs at least one byte.
+        if insts > len as u64 {
+            return Err(BinTraceError::Malformed(format!(
+                "stream (sm {sm}, warp {warp}) claims {insts} instructions in {len} bytes"
+            )));
+        }
+        offset = offset
+            .checked_add(len)
+            .filter(|end| *end <= data_len)
+            .ok_or(BinTraceError::CountTooLarge { count: len as u64, remaining: data_len - offset })?;
+        entries.push(IndexEntry { sm, warp, insts, len });
+    }
+    ir.expect_end()?;
+    if offset != data_len {
+        return Err(BinTraceError::Malformed(format!(
+            "data section holds {data_len} bytes but the index accounts for {offset}"
+        )));
+    }
+    Ok(entries)
+}
+
+/// The bytes [`decode_from`] reads, and how many are left: known up
+/// front, so a slice and a file report truncation and impossible
+/// lengths alike, the way [`Reader`] does for a slice.
+struct Source<R> {
+    read: R,
+    /// Bytes not yet read.
+    left: usize,
+}
+
+impl<R: Read> Source<R> {
+    /// Fills `buf` with the next bytes.
+    fn read_into(&mut self, buf: &mut [u8]) -> Result<(), BinTraceError> {
+        if buf.len() > self.left {
+            return Err(BinTraceError::Truncated { needed: buf.len(), available: self.left });
+        }
+        self.read.read_exact(buf).map_err(|e| BinTraceError::Io(e.to_string()))?;
+        self.left -= buf.len();
+        Ok(())
+    }
+
+    /// The next `N` bytes, for a fixed-width field.
+    fn fixed_field<const N: usize>(&mut self) -> Result<[u8; N], BinTraceError> {
+        let mut buf = [0; N];
+        self.read_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// A section's `u64` length prefix, refused when it exceeds the
+    /// bytes left ([`Reader::get_count`]'s rule).
+    fn section_len(&mut self) -> Result<usize, BinTraceError> {
+        let count = u64::from_le_bytes(self.fixed_field()?);
+        usize::try_from(count)
+            .ok()
+            .filter(|n| *n <= self.left)
+            .ok_or(BinTraceError::CountTooLarge { count, remaining: self.left })
+    }
+
+    /// The next `n` bytes in their own exactly sized shared buffer,
+    /// read straight into it.
+    fn shared_bytes(&mut self, n: usize) -> Result<Arc<[u8]>, BinTraceError> {
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, n).collect();
+        // The buffer has no other owner yet, so this borrows it in place.
+        self.read_into(Arc::make_mut(&mut buf))?;
+        Ok(buf)
+    }
 }
 
 /// Streaming replay over one stream of a [`Trace`]: walks the stream's
@@ -600,7 +767,7 @@ pub(crate) struct BinCursor {
 impl WarpProgram for BinCursor {
     fn next_inst(&mut self) -> Inst {
         self.pos += 1;
-        // lint:allow(T1): decoding a load or store allocates its access list, once per replayed memory instruction
+        // lint:allow(T1): a load or store allocates its access list, once per replayed memory instruction; ALU records, about nine in ten, decode without allocating
         self.records.next().unwrap_or(Inst::Exit)
     }
 
@@ -623,7 +790,7 @@ impl WarpProgram for BinCursor {
         // once per checkpoint restore, not per cycle.
         self.records = Records::new(Arc::clone(&self.records.bytes), self.total);
         self.records
-            .walk(pos, drop)
+            .walk(pos)
             .map_err(|_| StateError::new("trace replay", "stream undecodable at restore"))?;
         self.pos = pos;
         Ok(())
@@ -634,6 +801,7 @@ impl WarpProgram for BinCursor {
 mod tests {
     use super::*;
     use crate::kernel::StreamKernel;
+    use crate::trace::{load, load_file, serialize_inst, TraceLoadError, TRACE_HEADER};
     use crate::types::FULL_SECTOR_MASK;
 
     fn sample_trace() -> Trace {
@@ -810,6 +978,110 @@ mod tests {
         assert_eq!(bin, trace);
         assert!(!path.with_extension("smtrc.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `load_file` runs `decode`'s routine over the file itself: every
+    /// prefix and every single-bit flip of a container fails through
+    /// both with the same error, and the intact file loads. Bytes that
+    /// lose the magic are text to both front ends, so they fail as
+    /// `load` fails.
+    #[test]
+    fn load_file_fails_exactly_like_decode() {
+        let good = encode(&sample_trace());
+        let dir = std::env::temp_dir().join(format!("secmem_bintrace_load_file_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("case.smtrc");
+        let from_file = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write");
+            load_file(&path)
+        };
+        assert_eq!(from_file(&good).expect("intact file loads"), sample_trace());
+        let mut cases: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for i in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[i] ^= 1 << bit;
+                cases.push(bad);
+            }
+        }
+        let mut binary = 0;
+        for (case, bad) in cases.iter().enumerate() {
+            match from_file(bad) {
+                Err(TraceLoadError::Binary(err)) if Trace::sniff(bad) => {
+                    assert_eq!(Trace::decode(bad), Err(err), "case {case}");
+                    binary += 1;
+                }
+                Err(TraceLoadError::Parse(err)) if !Trace::sniff(bad) => {
+                    assert!(matches!(load(bad), Err(TraceLoadError::Parse(e)) if e == err), "case {case}");
+                }
+                other => panic!("case {case}: load_file gave {other:?}"),
+            }
+        }
+        assert!(binary * 10 > cases.len() * 8, "most cases keep the magic ({binary} of {})", cases.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// ALU records whose stall fits the tag byte take the walker's
+    /// one-byte path, everything else the general decoder. A stream
+    /// mixing every inline and spilled stall of both ALU kinds with
+    /// loads and stores reads back identically through each reader, and
+    /// a spilled stall that would fit the tag byte is still refused.
+    #[test]
+    fn alu_fast_path_reads_back_through_every_reader() {
+        let mut insts = Vec::new();
+        for stall in 0..=40u32 {
+            insts.push(Inst::Alu { stall, wait_mem: false });
+            insts.push(Inst::Alu { stall, wait_mem: true });
+            if stall % 3 == 0 {
+                let line_addr = u64::from(40 - stall) * 0x1_0080;
+                let sectors = SectorMask(1 + (stall % 15) as u8);
+                insts.push(Inst::Load {
+                    accesses: vec![Access { line_addr, sectors }],
+                    dependent: stall % 2 == 0,
+                });
+            }
+            if stall % 7 == 0 {
+                let accesses = (0..u64::from(stall % 5) + 1)
+                    .map(|i| Access { line_addr: i * 0x80, sectors: FULL_SECTOR_MASK })
+                    .collect();
+                insts.push(Inst::Store { accesses });
+            }
+        }
+        insts.push(Inst::Exit);
+        let mut written = Trace::new();
+        written.insert(0, 0, insts.clone());
+        let trace = Trace::decode(&encode(&written)).expect("the validation walk accepts it");
+
+        assert_eq!(trace.stream(0, 0).as_ref(), Some(&insts));
+        let lines: String = insts.iter().map(|inst| serialize_inst(inst) + "\n").collect();
+        assert_eq!(trace.to_text(), format!("{TRACE_HEADER}\nwarp 0 0\n{lines}"));
+        let mut cursor = trace.cursor(0, 0);
+        for (i, want) in insts.iter().enumerate() {
+            assert_eq!(&cursor.next_inst(), want, "inst {i}");
+        }
+        assert_eq!(cursor.next_inst(), Inst::Exit);
+        for pos in 0..=insts.len() {
+            let mut restored = trace.cursor(0, 0);
+            restored.restore_state(&[pos as u64]).expect("restores");
+            for (i, want) in insts.iter().enumerate().skip(pos) {
+                assert_eq!(&restored.next_inst(), want, "restored at {pos}, inst {i}");
+            }
+            assert_eq!(restored.next_inst(), Inst::Exit);
+        }
+
+        for kind in [KIND_ALU, KIND_ALU_WAIT] {
+            for stall in [0, 1, 30] {
+                let mut bad = Trace::new();
+                let bytes = Arc::from(&[tag(kind, TAG_ARG_SPILL), stall][..]);
+                bad.streams.insert((0, 0), EncodedStream { insts: 1, bytes });
+                match Trace::decode(&encode(&bad)) {
+                    Err(BinTraceError::Malformed(msg)) => {
+                        assert!(msg.contains(&format!("spilled stall {stall} fits the tag byte")), "{msg}");
+                    }
+                    other => panic!("kind {kind}, spilled stall {stall}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
