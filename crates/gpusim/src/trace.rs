@@ -513,8 +513,11 @@ pub fn load(bytes: &[u8]) -> Result<Trace, TraceLoadError> {
 /// Loads a trace file in either format, picked by its first 8 bytes
 /// the way [`load`] picks. A `SECMTRC` file goes through the one
 /// decode routine behind [`Trace::decode`], reading the index and then
-/// each stream's records straight into that stream's own buffer, so
-/// loading holds one copy of the records, never the file whole. A text
+/// each stream's records into that stream's own buffer, so loading
+/// holds one copy of the records, never the file whole. The file is
+/// read through a small buffer, so fixed fields and short streams cost
+/// no system call each; a stream longer than it is read straight into
+/// its own buffer. A text
 /// file is parsed line by line through a buffered reader, so its text
 /// is never resident either: loading holds the encoded records and one
 /// line.
@@ -540,7 +543,7 @@ pub fn load_file(path: &Path) -> Result<Trace, TraceLoadError> {
         return Ok(Trace::decode(&head)?);
     }
     let len = usize::try_from(meta.len()).unwrap_or(usize::MAX);
-    Ok(trace_bin::decode_from(head.as_slice().chain(file), len)?)
+    Ok(trace_bin::decode_from(head.as_slice().chain(BufReader::new(file)), len)?)
 }
 
 /// Replays a [`Trace`] as a [`Kernel`]: each recorded warp runs its
@@ -1088,19 +1091,34 @@ mod tests {
         trace.insert(1, 3, vec![Inst::use_mem(), Inst::Exit]);
         let dir = std::env::temp_dir().join(format!("secmem_trace_load_file_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let cases: [(&str, Vec<u8>); 4] = [
-            ("t.trace", trace.to_text().into_bytes()),
-            ("t.smtrc", trace_bin::encode(&trace)),
+        let bin = trace_bin::encode(&trace);
+        let mut cases = vec![
+            ("t.trace".to_string(), trace.to_text().into_bytes()),
+            ("t.smtrc".to_string(), bin.clone()),
             // Shorter than the SECMTRC magic, and only its first bytes.
-            ("short.trace", b"SECM".to_vec()),
-            ("empty.trace", Vec::new()),
+            ("short.trace".to_string(), b"SECM".to_vec()),
+            ("empty.trace".to_string(), Vec::new()),
         ];
+        // Every prefix and every single-bit flip of the SECMTRC file:
+        // `load_file` reads the file through the routine `decode` runs on
+        // a slice, so each must fail the same way through both.
+        cases.extend((0..bin.len()).map(|cut| (format!("prefix {cut}"), bin[..cut].to_vec())));
+        for i in 0..bin.len() {
+            for bit in 0..8 {
+                let mut bad = bin.clone();
+                bad[i] ^= 1 << bit;
+                cases.push((format!("bit {bit} of byte {i}"), bad));
+            }
+        }
+        let path = dir.join("case");
         for (name, bytes) in cases {
-            let path = dir.join(name);
             std::fs::write(&path, &bytes).expect("write");
             match (load_file(&path), load(&bytes)) {
                 (Ok(a), Ok(b)) => assert!(a == b && a == trace, "{name}"),
                 (Err(TraceLoadError::Parse(a)), Err(TraceLoadError::Parse(b))) => assert_eq!(a, b, "{name}"),
+                (Err(TraceLoadError::Binary(a)), Err(TraceLoadError::Binary(b))) => {
+                    assert_eq!(a, b, "{name}")
+                }
                 (a, b) => panic!("{name}: load_file gave {a:?}, load gave {b:?}"),
             }
         }
