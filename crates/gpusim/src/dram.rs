@@ -102,6 +102,72 @@ struct InFlight<T> {
     req: DramRequest<T>,
 }
 
+/// In-flight completions keyed `(done_at, slot)`, retired in key order.
+///
+/// A serviced request's `done_at` never decreases in service order (see
+/// DESIGN.md §10, "DRAM completions in service order"), so nearly every
+/// key lands behind the last one and retires from the front of a FIFO.
+/// A key that would not extend the FIFO's strictly increasing run goes to
+/// a small side heap: a fault-delayed retry, a sub-cycle request tying
+/// the back with a lower (LIFO-reused) slot, or a restored entry beyond
+/// the last serviced completion. The next key is the smaller of the two
+/// heads, so the pop order is exactly a single min-heap's.
+#[derive(Debug, Default)]
+struct Completions {
+    /// Strictly increasing keys.
+    fifo: VecDeque<(Cycle, u64)>,
+    /// Every key that did not extend `fifo`.
+    side: BinaryHeap<Reverse<(Cycle, u64)>>,
+}
+
+impl Completions {
+    /// Queues a serviced request's completion.
+    fn push_serviced(&mut self, key: (Cycle, u64)) {
+        if self.fifo.back().is_none_or(|&back| back < key) {
+            self.fifo.push_back(key);
+        } else {
+            self.side.push(Reverse(key));
+        }
+    }
+
+    /// Queues a completion that is out of service order (a fault delay).
+    fn push_side(&mut self, key: (Cycle, u64)) {
+        self.side.push(Reverse(key));
+    }
+
+    /// The smallest key, if any.
+    fn peek(&self) -> Option<(Cycle, u64)> {
+        match (self.fifo.front(), self.side.peek()) {
+            (Some(&f), Some(&Reverse(s))) => Some(f.min(s)),
+            (f, s) => f.copied().or(s.map(|&Reverse(k)| k)),
+        }
+    }
+
+    /// Removes and returns the smallest key if it is due by `now`.
+    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, u64)> {
+        let key = self.peek().filter(|&(done_at, _)| done_at <= now)?;
+        if self.fifo.front() == Some(&key) {
+            self.fifo.pop_front();
+        } else {
+            self.side.pop();
+        }
+        debug_assert!(
+            self.iter().all(|k| k >= key),
+            "retired {key:?} while a smaller completion is still in flight"
+        );
+        Some(key)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.fifo.is_empty() && self.side.is_empty()
+    }
+
+    /// Every key, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
+        self.fifo.iter().copied().chain(self.side.iter().map(|&Reverse(k)| k))
+    }
+}
+
 /// The DRAM channel.
 #[derive(Debug)]
 pub struct Dram<T> {
@@ -114,7 +180,7 @@ pub struct Dram<T> {
     queue: VecDeque<DramRequest<T>>,
     queue_cap: usize,
     next_free_fp: u64,
-    inflight: BinaryHeap<Reverse<(Cycle, u64)>>,
+    inflight: Completions,
     inflight_store: Vec<Option<InFlight<T>>>,
     free_slots: Vec<usize>,
     ready: VecDeque<(DramRequest<T>, Option<FaultKind>)>,
@@ -166,7 +232,7 @@ impl<T> Dram<T> {
             queue: VecDeque::new(),
             queue_cap: queue_cap.max(1),
             next_free_fp: 0,
-            inflight: BinaryHeap::new(),
+            inflight: Completions::default(),
             inflight_store: Vec::new(),
             free_slots: Vec::new(),
             ready: VecDeque::new(),
@@ -277,9 +343,14 @@ impl<T> Dram<T> {
                 }
             }
             let end_fp = start_fp + service_fp;
+            let done_at = end_fp.div_ceil(FP) + self.latency;
+            // `next_free_fp` is the previous serviced request's `end_fp`.
+            debug_assert!(
+                done_at >= self.next_free_fp.div_ceil(FP) + self.latency,
+                "a serviced completion went back in time"
+            );
             self.next_free_fp = end_fp;
             self.stats.busy_fp += service_fp;
-            let done_at = end_fp.div_ceil(FP) + self.latency;
             let Some(req) = self.queue.pop_front() else {
                 debug_assert!(false, "loop condition guarantees a front request");
                 break;
@@ -291,7 +362,7 @@ impl<T> Dram<T> {
                 self.inflight_store.push(Some(InFlight { req }));
                 self.inflight_store.len() - 1
             };
-            self.inflight.push(Reverse((done_at, slot as u64)));
+            self.inflight.push_serviced((done_at, slot as u64));
             if self.no_refault.len() < self.inflight_store.len() {
                 self.no_refault.resize(self.inflight_store.len(), false);
             }
@@ -299,11 +370,7 @@ impl<T> Dram<T> {
         }
         // Retire completions, consulting the fault injector (at most
         // once per transaction) as each one leaves the channel.
-        while let Some(Reverse((done_at, slot))) = self.inflight.peek().copied() {
-            if done_at > now {
-                break;
-            }
-            self.inflight.pop();
+        while let Some((_, slot)) = self.inflight.pop_due(now) {
             let slot = slot as usize;
             let already_delayed = std::mem::replace(&mut self.no_refault[slot], false);
             let fault = match (&mut self.injector, already_delayed, self.inflight_store[slot].as_ref()) {
@@ -325,11 +392,11 @@ impl<T> Dram<T> {
                 }
                 Some(FaultKind::Delay(d)) => {
                     self.no_refault[slot] = true;
-                    self.inflight.push(Reverse((now + Cycle::from(d.max(1)), slot as u64)));
+                    self.inflight.push_side((now + Cycle::from(d.max(1)), slot as u64));
                 }
                 other => {
                     let Some(inflight) = self.inflight_store[slot].take() else {
-                        debug_assert!(false, "retiring heap entry without a stored request");
+                        debug_assert!(false, "retiring a completion without a stored request");
                         continue;
                     };
                     self.free_slots.push(slot);
@@ -373,8 +440,8 @@ impl<T> Dram<T> {
         if !self.queue.is_empty() {
             merge((self.next_free_fp / FP).max(now));
         }
-        if let Some(Reverse((done_at, _))) = self.inflight.peek() {
-            merge((*done_at).max(now));
+        if let Some((done_at, _)) = self.inflight.peek() {
+            merge(done_at.max(now));
         }
         next
     }
@@ -427,14 +494,14 @@ impl<T: Snapshot> Dram<T> {
     /// Serializes the channel's dynamic state. The in-flight slot store is
     /// saved **index-preserving** and the free list verbatim: slot reuse
     /// pops the free list LIFO, so the exact layout determines the slot
-    /// ids (and thus heap ordering) of future requests. The completion
-    /// heap is stored as a sorted list — its pop order is total on
+    /// ids (and thus retire order) of future requests. The completions
+    /// are stored as one sorted list — their pop order is total on
     /// `(done_at, slot)`, so rebuilding from sorted entries is exact.
     pub fn save_state(&self, w: &mut Writer) {
         self.open_rows.save(w);
         self.queue.save(w);
         w.put_u64(self.next_free_fp);
-        let mut inflight: Vec<(Cycle, u64)> = self.inflight.iter().map(|Reverse(e)| *e).collect();
+        let mut inflight: Vec<(Cycle, u64)> = self.inflight.iter().collect();
         inflight.sort_unstable();
         inflight.save(w);
         w.put_usize(self.inflight_store.len());
@@ -507,7 +574,7 @@ impl<T: Snapshot> Dram<T> {
             let occupied = store.get(slot as usize).is_some_and(Option::is_some);
             if !occupied {
                 return Err(CheckpointError::Malformed(format!(
-                    "in-flight heap references empty or out-of-range slot {slot}"
+                    "in-flight completion references empty or out-of-range slot {slot}"
                 )));
             }
         }
@@ -520,7 +587,18 @@ impl<T: Snapshot> Dram<T> {
                 )));
             }
         }
-        self.inflight = inflight.into_iter().map(Reverse).collect();
+        // Entries up to the last serviced completion extend the FIFO
+        // (the list is sorted); later ones are fault delays, which a new
+        // serviced request may precede.
+        let last_serviced = self.next_free_fp.div_ceil(FP) + self.latency;
+        self.inflight = Completions::default();
+        for key in inflight {
+            if key.0 <= last_serviced {
+                self.inflight.push_serviced(key);
+            } else {
+                self.inflight.push_side(key);
+            }
+        }
         self.inflight_store = store;
         self.free_slots = free_slots;
         self.ready = VecDeque::load(r)?;
@@ -734,6 +812,174 @@ mod tests {
         let d = dram();
         assert_eq!(d.stats().utilization(100), 0.0);
         assert_eq!(d.stats().utilization(0), 0.0);
+    }
+
+    mod completion_order {
+        use super::*;
+        use crate::fault::{FaultPlan, FaultSpec, FaultTrigger};
+        use crate::rng::Rng64;
+
+        /// 100 B/cycle: 8–32 B requests take under a cycle, so several
+        /// share a `done_at`, and LIFO slot reuse hands them slots out of
+        /// service order.
+        fn channel(plan: Option<&FaultPlan>) -> Dram<u32> {
+            let mut d = Dram::new(100 * FP, 3, 16);
+            if let Some(plan) = plan {
+                d.install_faults(plan.injector_for(0));
+            }
+            d
+        }
+
+        fn delay_plan() -> FaultPlan {
+            FaultPlan::new(11)
+                .with(FaultSpec::new(FaultKind::Delay(2), FaultTrigger::OneIn(4)))
+                .with(FaultSpec::new(FaultKind::Delay(9), FaultTrigger::EveryNth(7)))
+        }
+
+        /// Queues up to three requests of 8–128 B, tokens counting up.
+        fn feed(d: &mut Dram<u32>, rng: &mut Rng64, token: &mut u32) {
+            for _ in 0..rng.gen_range(4) {
+                let bytes = [8, 16, 32, 64, 128][rng.gen_range(5) as usize];
+                if d.try_push(req(bytes, rng.gen_range(4) == 0, *token)).is_err() {
+                    break;
+                }
+                *token += 1;
+            }
+        }
+
+        /// Facts about the completions in flight.
+        #[derive(Default)]
+        struct Seen {
+            /// A cycle retired tokens out of service (token) order.
+            slot_order_differs: bool,
+            /// A fault-delayed completion waited in the side heap.
+            delayed: bool,
+            /// A serviced completion waited in the side heap.
+            tie: bool,
+        }
+
+        impl Seen {
+            fn note(&mut self, d: &Dram<u32>) {
+                for Reverse((_, slot)) in d.inflight.side.iter() {
+                    if d.no_refault[*slot as usize] {
+                        self.delayed = true;
+                    } else {
+                        self.tie = true;
+                    }
+                }
+            }
+        }
+
+        /// Runs one cycle and checks its retirements against a reference:
+        /// the in-flight completions due by `now`, sorted by
+        /// `(done_at, slot)`, less those a fault delayed. Returns the
+        /// retired tokens.
+        fn checked_cycle(d: &mut Dram<u32>, now: Cycle, seen: &mut Seen) -> Vec<u32> {
+            let token =
+                |d: &Dram<u32>, slot: u64| d.inflight_store[slot as usize].as_ref().map(|f| f.req.token);
+            let mut due: Vec<(Cycle, u64, Option<u32>)> = d
+                .inflight
+                .iter()
+                .filter(|k| k.0 <= now)
+                .map(|(at, slot)| (at, slot, token(d, slot)))
+                .collect();
+            due.sort_unstable();
+            d.cycle(now);
+            // A retired slot is vacant (none is reused before the next
+            // cycle's service); a delayed one still holds its request.
+            let expected: Vec<u32> = due
+                .iter()
+                .filter(|&&(_, slot, _)| token(d, slot).is_none())
+                .filter_map(|&(_, _, t)| t)
+                .collect();
+            let mut got = Vec::new();
+            while let Some(r) = d.pop_completed() {
+                got.push(r.token);
+            }
+            assert_eq!(got, expected, "cycle {now}: retire order is not (done_at, slot)");
+            seen.slot_order_differs |= got.windows(2).any(|w| w[0] > w[1]);
+            seen.note(d);
+            got
+        }
+
+        #[test]
+        fn sub_cycle_ties_retire_in_slot_order() {
+            let mut d = channel(None);
+            let mut rng = Rng64::new(0x71E5);
+            let (mut token, mut retired, mut seen) = (0, 0, Seen::default());
+            for now in 0..4000 {
+                feed(&mut d, &mut rng, &mut token);
+                retired += checked_cycle(&mut d, now, &mut seen).len();
+            }
+            assert!(seen.tie && seen.slot_order_differs, "the run exercises out-of-order slot ties");
+            assert!(!seen.delayed);
+            for now in 4000..4100 {
+                retired += checked_cycle(&mut d, now, &mut seen).len();
+            }
+            assert_eq!(retired, token as usize, "every request retires once");
+            assert!(d.is_idle());
+        }
+
+        #[test]
+        fn delays_interleave_with_serviced_completions() {
+            let plan = delay_plan();
+            let mut d = channel(Some(&plan));
+            let mut rng = Rng64::new(0xDE1A);
+            let (mut token, mut retired, mut seen) = (0, 0, Seen::default());
+            for now in 0..4000 {
+                feed(&mut d, &mut rng, &mut token);
+                retired += checked_cycle(&mut d, now, &mut seen).len();
+            }
+            for now in 4000..4100 {
+                retired += checked_cycle(&mut d, now, &mut seen).len();
+            }
+            assert!(seen.delayed && seen.tie);
+            assert!(d.fault_stats().class(TrafficClass::Data).delayed > 100);
+            assert_eq!(retired, token as usize, "a delay postpones a completion, never loses it");
+            assert!(d.is_idle());
+        }
+
+        fn state_bytes(d: &Dram<u32>) -> Vec<u8> {
+            let mut w = Writer::new();
+            d.save_state(&mut w);
+            w.into_bytes()
+        }
+
+        #[test]
+        fn checkpoint_holding_a_tie_and_a_delay_resumes_identically() {
+            let plan = delay_plan();
+            let mut d = channel(Some(&plan));
+            let mut rng = Rng64::new(0xC4EC);
+            let mut token = 0;
+            let mut now = 0;
+            loop {
+                feed(&mut d, &mut rng, &mut token);
+                let mut seen = Seen::default();
+                checked_cycle(&mut d, now, &mut seen);
+                now += 1;
+                if seen.tie && seen.delayed {
+                    break;
+                }
+                assert!(now < 10_000, "no cycle held both a tie and a delayed completion");
+            }
+            let bytes = state_bytes(&d);
+            let mut resumed = channel(Some(&plan));
+            let mut r = Reader::new(&bytes);
+            resumed.restore_state(&mut r).expect("restores");
+            r.expect_end().expect("whole state consumed");
+            assert!(state_bytes(&resumed) == bytes, "restore then save changes the bytes");
+            let mut twin_rng = rng.clone();
+            let mut twin_token = token;
+            let mut seen = Seen::default();
+            for now in now..now + 2000 {
+                feed(&mut d, &mut rng, &mut token);
+                feed(&mut resumed, &mut twin_rng, &mut twin_token);
+                let a = checked_cycle(&mut d, now, &mut seen);
+                let b = checked_cycle(&mut resumed, now, &mut seen);
+                assert_eq!(a, b, "cycle {now}: resumed channel retires differently");
+            }
+            assert!(state_bytes(&resumed) == state_bytes(&d));
+        }
     }
 
     mod faults {

@@ -163,6 +163,11 @@ impl Interconnect {
         self.to_partition[partition as usize].try_push(now, req)
     }
 
+    /// True if `partition`'s request queue cannot accept another request.
+    pub fn request_full(&self, partition: u32) -> bool {
+        self.to_partition[partition as usize].is_full()
+    }
+
     /// Receives the next request at `partition`, if any is ready.
     pub fn pop_request(&mut self, now: Cycle, partition: u32) -> Option<MemRequest> {
         self.to_partition[partition as usize].pop(now)

@@ -15,13 +15,13 @@
 //! entries. Slots are materialized lazily in index order and freed slots
 //! are handed out lowest-index first, so the slot layout (and with it the
 //! checkpoint bytes) is the one a first-free scan over a fully built array
-//! would give, while an unused 2^20-entry file costs nothing. Per-slot
+//! would give, while an unused 2^20-entry file costs nothing. Freed slots
+//! are found through a bitset with a hint at its lowest possibly nonzero
+//! word: `trailing_zeros` of the first nonzero word from the hint is the
+//! lowest free slot, so an allocation touches a word or two. Per-slot
 //! target vectors keep their capacity across reuse, and fill progress is
 //! tracked in the entry itself (`filled` mask), see
 //! [`MshrFile::note_fill`].
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
@@ -116,16 +116,18 @@ impl<T> Slot<T> {
 /// Slots are materialized lazily, lowest index first: `slots` holds the
 /// prefix of the file that has ever been allocated, and every slot at
 /// `slots.len()..capacity` is pristine and free. Freed slots below
-/// `slots.len()` wait in `free`, so allocation always takes the lowest
-/// free slot index — the same layout a first-free scan of a fully built
-/// array would produce.
+/// `slots.len()` are set bits in `free`, so allocation always takes the
+/// lowest free slot index — the same layout a first-free scan of a fully
+/// built array would produce.
 #[derive(Debug)]
 pub struct MshrFile<T> {
     slots: Vec<Slot<T>>,
     /// Line → slot of every live entry.
     index: FastHashMap<Addr, usize>,
-    /// Free slot indices below `slots.len()`, lowest on top.
-    free: BinaryHeap<Reverse<usize>>,
+    /// One bit per materialized slot, set while the slot is free.
+    free: Vec<u64>,
+    /// No word of `free` below this index has a bit set.
+    free_hint: usize,
     capacity: usize,
     max_merge: usize,
     stats: MshrStats,
@@ -139,7 +141,8 @@ impl<T> MshrFile<T> {
         Self {
             slots: Vec::new(),
             index: FastHashMap::default(),
-            free: BinaryHeap::new(),
+            free: Vec::new(),
+            free_hint: 0,
             capacity,
             max_merge: max_merge.max(1),
             stats: MshrStats::default(),
@@ -157,21 +160,39 @@ impl<T> MshrFile<T> {
     /// The lowest free slot, materializing the next one when every
     /// materialized slot is live. `None` when the file is full.
     fn take_free_slot(&mut self) -> Option<usize> {
-        if let Some(Reverse(i)) = self.free.pop() {
-            return Some(i);
-        }
-        if self.slots.len() < self.capacity {
-            self.slots.push(Slot::PRISTINE);
-            return Some(self.slots.len() - 1);
-        }
-        None
+        let i = match self.free[self.free_hint..].iter().position(|&word| word != 0) {
+            Some(offset) => {
+                self.free_hint += offset;
+                let word = &mut self.free[self.free_hint];
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                self.free_hint * 64 + bit
+            }
+            None => {
+                self.free_hint = self.free.len();
+                if self.slots.len() >= self.capacity {
+                    return None;
+                }
+                self.slots.push(Slot::PRISTINE);
+                if self.free.len() * 64 < self.slots.len() {
+                    self.free.push(0);
+                }
+                self.slots.len() - 1
+            }
+        };
+        debug_assert!(
+            self.slots[..i].iter().all(|slot| slot.key != FREE),
+            "slot {i} handed out while a lower slot is free"
+        );
+        Some(i)
     }
 
     /// Frees slot `i`, which tracks `line_addr`.
     fn release(&mut self, i: usize, line_addr: Addr) {
         self.slots[i].key = FREE;
         self.index.remove(&line_addr);
-        self.free.push(Reverse(i));
+        self.free[i / 64] |= 1 << (i % 64);
+        self.free_hint = self.free_hint.min(i / 64);
     }
 
     /// Presents a missing access. See [`MshrOutcome`].
@@ -333,7 +354,6 @@ impl<T: Snapshot> MshrFile<T> {
         }
         self.slots.clear();
         self.index.clear();
-        self.free.clear();
         for i in 0..capacity {
             let slot = Slot {
                 key: r.get_u64()?,
@@ -345,18 +365,22 @@ impl<T: Snapshot> MshrFile<T> {
                 continue;
             }
             while self.slots.len() < i {
-                self.free.push(Reverse(self.slots.len()));
                 self.slots.push(Slot::PRISTINE);
             }
-            if slot.key == FREE {
-                self.free.push(Reverse(i));
-            } else if self.index.insert(slot.key, i).is_some() {
+            if slot.key != FREE && self.index.insert(slot.key, i).is_some() {
                 return Err(CheckpointError::Malformed(format!(
                     "MSHR line {:#x} is tracked by two slots",
                     slot.key
                 )));
             }
             self.slots.push(slot);
+        }
+        self.free = vec![0; self.slots.len().div_ceil(64)];
+        self.free_hint = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.key == FREE {
+                self.free[i / 64] |= 1 << (i % 64);
+            }
         }
         self.stats = MshrStats::load(r)?;
         Ok(())
@@ -664,6 +688,46 @@ mod tests {
                     slow.save_state(&mut w);
                     assert!(state_bytes(&fast) == w.into_bytes(), "checkpoint bytes diverged: {ctx}");
                 }
+            }
+        }
+    }
+
+    /// Sweeps a three-word file between nearly empty and full, checking
+    /// every allocation against a first-free scan of a slot → line table
+    /// that is carried across save/restore.
+    #[test]
+    fn free_slot_bitset_hands_out_the_first_free_slot() {
+        use crate::rng::Rng64;
+        let capacity = 150;
+        let mut rng = Rng64::new(0xB175E7);
+        let mut m: MshrFile<u32> = MshrFile::new(capacity, 1);
+        let mut table: Vec<Option<Addr>> = vec![None; capacity];
+        for op in 0..40_000u32 {
+            // Alternate alloc-heavy and free-heavy phases.
+            let alloc_pct = if (op / 2000) % 2 == 0 { 85 } else { 5 };
+            let line = rng.gen_range(200) * 128;
+            let roll = rng.gen_range(100);
+            if roll == 0 {
+                let bytes = state_bytes(&m);
+                m = MshrFile::new(capacity, 1);
+                m.restore_state(&mut Reader::new(&bytes)).expect("restores");
+            } else if roll < alloc_pct {
+                let first_free = table.iter().position(Option::is_none);
+                match m.access(line, FULL_SECTOR_MASK, op) {
+                    MshrOutcome::Allocated => {
+                        let slot = m.find(line).expect("allocated line is indexed");
+                        assert_eq!(Some(slot), first_free, "op {op}");
+                        table[slot] = Some(line);
+                    }
+                    MshrOutcome::Full(_) => {
+                        assert!(first_free.is_none() || table.contains(&Some(line)), "op {op}")
+                    }
+                    other => panic!("op {op}: unexpected {other:?} with one merge per entry"),
+                }
+            } else if let Some(slot) = m.find(line) {
+                assert_eq!(table[slot], Some(line), "op {op}");
+                m.complete(line).expect("live entry completes");
+                table[slot] = None;
             }
         }
     }

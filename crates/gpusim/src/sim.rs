@@ -193,14 +193,16 @@ impl<B: MemoryBackend> Simulator<B> {
         // 2. SMs issue and dispatch; requests go onto the interconnect.
         let out = &mut self.out;
         for (sm, overflow) in self.sms.iter_mut().zip(&mut self.overflow) {
-            // Retry requests that could not be placed last cycle; a
-            // rejected request goes back to the queue head untouched.
-            while let Some(req) = overflow.pop_front() {
+            // Retry requests that could not be placed last cycle, in
+            // order; a head whose partition queue is still full stays put.
+            while let Some(req) = overflow.front() {
                 let p = self.map.partition_of(req.line_addr);
-                if let Err(req) = self.icnt.push_request(now, p, req) {
-                    overflow.push_front(req);
+                if self.icnt.request_full(p) {
                     break;
                 }
+                let Some(req) = overflow.pop_front() else { break };
+                let pushed = self.icnt.push_request(now, p, req);
+                debug_assert!(pushed.is_ok(), "a queue with room refused a request");
             }
             let room = if overflow.is_empty() { self.cfg.l1_ports as usize } else { 0 };
             out.requests.clear();

@@ -14,8 +14,7 @@
 //! outstanding loads are *parked* in a bitset until a response lowers
 //! their `outstanding` count (DESIGN.md §10, "Parked warps").
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
@@ -107,7 +106,10 @@ pub struct Sm {
     /// Scratch for draining completed MSHR targets (reused every fill).
     fill_targets: Vec<u32>,
     dispatch: VecDeque<PendingAccess>,
-    hit_returns: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// L1 hits waiting out the hit latency, as `(ready cycle, warp)`.
+    /// Every hit is queued at `now + l1_latency`, so push order is time
+    /// order and the front is always the next one due.
+    hit_returns: VecDeque<(Cycle, u32)>,
     /// One bit per warp, set while the warp is *parked*: retired, or
     /// holding a fetched instruction that waits on its own outstanding
     /// loads. The issue scan never judges a parked warp, since its verdict
@@ -161,7 +163,7 @@ impl Sm {
             l1_mshrs: MshrFile::new(cfg.l1_mshrs as usize, cfg.l1_mshr_merge as usize),
             fill_targets: Vec::new(),
             dispatch: VecDeque::new(),
-            hit_returns: BinaryHeap::new(),
+            hit_returns: VecDeque::new(),
             parked: vec![0; words],
             mem_parked: 0,
             retired: 0,
@@ -311,8 +313,8 @@ impl Sm {
         if !self.dispatch.is_empty() {
             merge(now);
         }
-        if let Some(Reverse((at, _))) = self.hit_returns.peek() {
-            merge((*at).max(now));
+        if let Some(&(at, _)) = self.hit_returns.front() {
+            merge(at.max(now));
         }
         if now < self.issue_idle_until {
             // A valid no-issue verdict already knows the answer: every
@@ -370,11 +372,13 @@ impl Sm {
     }
 
     fn drain_hit_returns(&mut self, now: Cycle) {
-        while let Some(Reverse((at, warp))) = self.hit_returns.peek().copied() {
+        // Draining one cycle's hits is order-independent: each only
+        // lowers its warp's count, unparks it and drops the no-issue cache.
+        while let Some(&(at, warp)) = self.hit_returns.front() {
             if at > now {
                 break;
             }
-            self.hit_returns.pop();
+            self.hit_returns.pop_front();
             let slot = &mut self.warps[warp as usize];
             slot.outstanding = slot.outstanding.saturating_sub(1);
             self.unpark(warp as usize);
@@ -397,7 +401,12 @@ impl Sm {
                                 Probe::Hit => {
                                     // Count the hit / refresh LRU now that it is consumed.
                                     let _ = self.l1.probe_way(way, pa.access.sectors);
-                                    self.hit_returns.push(Reverse((now + self.l1_latency, pa.warp)));
+                                    let at = now + self.l1_latency;
+                                    debug_assert!(
+                                        self.hit_returns.back().is_none_or(|&(last, _)| last <= at),
+                                        "L1 hit returns must be queued in time order"
+                                    );
+                                    self.hit_returns.push_back((at, pa.warp));
                                     self.dispatch.pop_front();
                                     continue;
                                 }
@@ -672,7 +681,7 @@ impl Sm {
             pa.access.save(w);
             pa.kind.save(w);
         }
-        let mut hits: Vec<(Cycle, u32)> = self.hit_returns.iter().map(|Reverse(e)| *e).collect();
+        let mut hits: Vec<(Cycle, u32)> = self.hit_returns.iter().copied().collect();
         hits.sort_unstable();
         hits.save(w);
         w.put_u64(self.issue_idle_until);
@@ -733,13 +742,16 @@ impl Sm {
             dispatch.push_back(PendingAccess { warp, access: Access::load(r)?, kind: AccessKind::load(r)? });
         }
         self.dispatch = dispatch;
-        let hits: Vec<(Cycle, u32)> = Vec::load(r)?;
+        let mut hits: Vec<(Cycle, u32)> = Vec::load(r)?;
         for &(_, warp) in &hits {
             if warp as usize >= n {
                 return Err(CheckpointError::Malformed(format!("hit return for warp {warp} of {n}")));
             }
         }
-        self.hit_returns = hits.into_iter().map(Reverse).collect();
+        // Saved sorted; sorting again keeps the FIFO in time order even
+        // for a hand-edited checkpoint.
+        hits.sort_unstable();
+        self.hit_returns = hits.into();
         self.issue_idle_until = r.get_u64()?;
         self.issue_idle_blocked = r.get_bool()?;
         let last_issued = r.get_u32()?;
@@ -907,6 +919,56 @@ mod tests {
                 let states = drive(&mut resumed, at..end, &mut inflight);
                 assert!(states == expected[at as usize..], "{scheduler:?}@{at}: resumed run diverges");
             }
+        }
+    }
+
+    /// L1 hits queue in dispatch order, so one cycle's returns need not
+    /// be in warp order; a restored SM holds them sorted by
+    /// `(cycle, warp)`. Draining either order must give the same state.
+    #[test]
+    fn same_cycle_hit_returns_drain_to_the_same_state() {
+        let mut c = cfg();
+        c.scheduler = SchedulerPolicy::Lrr;
+        let programs = || -> Vec<Box<dyn WarpProgram + Send>> {
+            (0..12u64)
+                .map(|w| {
+                    // A shared line every warp keeps hitting once it is
+                    // filled, between misses that spread the warps out.
+                    let hit = || Inst::Load {
+                        accesses: vec![Access::new(0x8000, FULL_SECTOR_MASK)],
+                        dependent: false,
+                    };
+                    let mut insts = vec![load(0x8000)];
+                    for i in 0..8 {
+                        insts.extend([hit(), hit(), Inst::use_mem(), load(0x9000 + (w * 8 + i) * 128)]);
+                    }
+                    Box::new(Script(insts)) as Box<dyn WarpProgram + Send>
+                })
+                .collect()
+        };
+        let unsorted = |sm: &Sm| sm.hit_returns.iter().zip(sm.hit_returns.iter().skip(1)).any(|(a, b)| a > b);
+        let end = 1500;
+        let mut whole = Sm::new(0, &c, programs());
+        let mut inflight = VecDeque::new();
+        let mut expected = Vec::new();
+        let mut ties = Vec::new();
+        for now in 0..end {
+            expected.extend(drive(&mut whole, now..now + 1, &mut inflight));
+            if unsorted(&whole) {
+                ties.push(now + 1);
+            }
+        }
+        assert!(whole.finished(), "the scripts run to completion");
+        assert!(!ties.is_empty(), "some cycle queued hits out of warp order");
+        for &at in ties.iter().step_by(ties.len().div_ceil(4)) {
+            let mut first = Sm::new(0, &c, programs());
+            let mut inflight = VecDeque::new();
+            drive(&mut first, 0..at, &mut inflight);
+            let mut resumed = Sm::new(0, &c, programs());
+            resumed.restore_state(&mut Reader::new(&state_bytes(&first))).expect("restores");
+            assert!(unsorted(&first) && !unsorted(&resumed));
+            let states = drive(&mut resumed, at..end, &mut inflight);
+            assert!(states == expected[at as usize..], "@{at}: sorted hit returns drain differently");
         }
     }
 

@@ -33,7 +33,6 @@
 //! re-serializes to itself (up to the spacing between tokens).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read as _};
 use std::path::Path;
 use std::str::SplitWhitespace;
@@ -136,23 +135,27 @@ pub fn serialize_inst(inst: &Inst) -> String {
 
 /// Appends one instruction's trace line (no newline) to `out`: the
 /// buffer-reusing form [`Trace::write_text`] serializes millions of
-/// lines through without an allocation per instruction.
+/// lines through without an allocation per instruction. Fields are
+/// written digit by digit rather than through `core::fmt`, which
+/// dominated text export.
 pub fn serialize_inst_into(out: &mut String, inst: &Inst) {
     let accesses = |out: &mut String, list: &[Access]| {
         for (i, a) in list.iter().enumerate() {
-            let sep = if i == 0 { "" } else { " " };
-            let _ = write!(out, "{sep}{:x}:{:x}", a.line_addr, a.sectors.0);
+            if i > 0 {
+                out.push(' ');
+            }
+            push_hex(out, a.line_addr);
+            out.push(':');
+            push_hex(out, u64::from(a.sectors.0));
         }
     };
     match inst {
-        Inst::Alu { stall, wait_mem: false } => {
-            let _ = write!(out, "A {stall}");
-        }
-        Inst::Alu { stall, wait_mem: true } => {
-            let _ = write!(out, "U {stall}");
+        Inst::Alu { stall, wait_mem } => {
+            out.push_str(if *wait_mem { "U " } else { "A " });
+            push_dec(out, *stall);
         }
         Inst::Load { accesses: list, dependent } => {
-            let _ = write!(out, "L {} ", u8::from(*dependent));
+            out.push_str(if *dependent { "L 1 " } else { "L 0 " });
             accesses(out, list);
         }
         Inst::Store { accesses: list } => {
@@ -161,6 +164,19 @@ pub fn serialize_inst_into(out: &mut String, inst: &Inst) {
         }
         Inst::Exit => out.push('X'),
     }
+}
+
+/// Appends `n` in decimal: the spelling [`dec_field`] accepts.
+fn push_dec(out: &mut String, n: u32) {
+    let digits = n.checked_ilog10().unwrap_or(0) + 1;
+    out.extend((0..digits).rev().map(|i| char::from(b'0' + (n / 10u32.pow(i) % 10) as u8)));
+}
+
+/// Appends `n` in lowercase hex without prefix or leading zeros: the
+/// spelling [`hex_field`] accepts.
+fn push_hex(out: &mut String, n: u64) {
+    let nibbles = (u64::BITS - (n | 1).leading_zeros()).div_ceil(4);
+    out.extend((0..nibbles).rev().map(|i| char::from(b"0123456789abcdef"[(n >> (4 * i)) as usize & 0xF])));
 }
 
 /// A decimal field in the one spelling the serializer writes: ASCII
@@ -638,6 +654,22 @@ mod tests {
             Inst::Store { accesses: vec![Access { line_addr: 0x3c80, sectors: FULL_SECTOR_MASK }] },
             Inst::Exit,
         ]
+    }
+
+    #[test]
+    fn hand_rolled_fields_match_core_fmt() {
+        let mut rng = crate::rng::Rng64::new(0xF1E1D);
+        let edges = [0, 1, 9, 10, 15, 16, 99, 100, 0xFFFF_FFFF, 1 << 32, u64::MAX >> 4, u64::MAX];
+        let randoms: Vec<u64> = (0..2000).map(|i| rng.next_u64() >> (i % 64)).collect();
+        for &n in edges.iter().chain(&randoms) {
+            let mut out = String::new();
+            push_hex(&mut out, n);
+            assert_eq!(out, format!("{n:x}"));
+            let n = n as u32;
+            out.clear();
+            push_dec(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]
