@@ -4,7 +4,7 @@
 //! idealization knobs of Table V.
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
-use secmem_gpusim::cache::{Eviction, SectoredCache};
+use secmem_gpusim::cache::{Eviction, Probe, SectoredCache};
 use secmem_gpusim::hash::{FastHashMap, FastHashSet};
 use secmem_gpusim::mshr::{MshrFile, MshrOutcome};
 use secmem_gpusim::stats::{meta_index, MetadataTypeStats};
@@ -133,75 +133,54 @@ impl<T> MetadataCaches<T> {
     /// On [`MdOutcome::FetchNeeded`], the caller issues a 128 B DRAM read
     /// for `line` and later calls [`MetadataCaches::fill`].
     pub fn access(&mut self, class: TrafficClass, line: Addr, waiter: T) -> MdOutcome {
+        let mi = self.mshr_index(class);
         let s = &mut self.stats[meta_index(class)];
         match &mut self.store {
             Store::Perfect => {
                 s.cache.hits += 1;
-                MdOutcome::Hit
+                return MdOutcome::Hit;
             }
             Store::Infinite(present) => {
                 if present.contains(&line) {
                     s.cache.hits += 1;
                     return MdOutcome::Hit;
                 }
-                s.cache.misses += 1;
-                let m = &mut self.mshrs[0];
-                match m.access(line, FULL_SECTOR_MASK, waiter) {
-                    MshrOutcome::Allocated => {
-                        s.mshr.primary += 1;
-                        MdOutcome::FetchNeeded
-                    }
-                    MshrOutcome::Merged | MshrOutcome::MergedNewSectors(_) => {
-                        s.mshr.secondary += 1;
-                        MdOutcome::Merged
-                    }
-                    MshrOutcome::Full(_) => {
-                        s.mshr.stalls += 1;
-                        MdOutcome::Stall
-                    }
-                }
             }
             Store::Real(caches) => {
                 let ci = cache_index(self.kind, caches, class);
-                use secmem_gpusim::cache::Probe;
-                match caches[ci].probe(line, FULL_SECTOR_MASK) {
-                    Probe::Hit => {
-                        s.cache.hits += 1;
-                        MdOutcome::Hit
-                    }
-                    Probe::PartialMiss(_) | Probe::Miss => {
-                        s.cache.misses += 1;
-                        if self.mshr_enabled {
-                            let mi = if self.mshrs.len() == 3 { meta_index(class) } else { 0 };
-                            match self.mshrs[mi].access(line, FULL_SECTOR_MASK, waiter) {
-                                MshrOutcome::Allocated => {
-                                    s.mshr.primary += 1;
-                                    MdOutcome::FetchNeeded
-                                }
-                                MshrOutcome::Merged | MshrOutcome::MergedNewSectors(_) => {
-                                    s.mshr.secondary += 1;
-                                    MdOutcome::Merged
-                                }
-                                MshrOutcome::Full(_) => {
-                                    s.mshr.stalls += 1;
-                                    MdOutcome::Stall
-                                }
-                            }
-                        } else {
-                            // No MSHRs (§V-A): every miss fetches, even to a
-                            // line already in flight (a redundant secondary
-                            // fetch). Track waiters privately, FIFO.
-                            let entry = self.private_waiters.entry(line).or_default();
-                            if entry.is_empty() {
-                                s.mshr.primary += 1;
-                            } else {
-                                s.mshr.secondary += 1;
-                            }
-                            entry.push(waiter);
-                            MdOutcome::FetchNeeded
-                        }
-                    }
+                if caches[ci].probe(line, FULL_SECTOR_MASK) == Probe::Hit {
+                    s.cache.hits += 1;
+                    return MdOutcome::Hit;
                 }
+                if !self.mshr_enabled {
+                    s.cache.misses += 1;
+                    // No MSHRs (§V-A): every miss fetches, even to a line
+                    // already in flight (a redundant secondary fetch).
+                    // Track waiters privately, FIFO.
+                    let entry = self.private_waiters.entry(line).or_default();
+                    if entry.is_empty() {
+                        s.mshr.primary += 1;
+                    } else {
+                        s.mshr.secondary += 1;
+                    }
+                    entry.push(waiter);
+                    return MdOutcome::FetchNeeded;
+                }
+            }
+        }
+        s.cache.misses += 1;
+        match self.mshrs[mi].access(line, FULL_SECTOR_MASK, waiter) {
+            MshrOutcome::Allocated => {
+                s.mshr.primary += 1;
+                MdOutcome::FetchNeeded
+            }
+            MshrOutcome::Merged | MshrOutcome::MergedNewSectors(_) => {
+                s.mshr.secondary += 1;
+                MdOutcome::Merged
+            }
+            MshrOutcome::Full(_) => {
+                s.mshr.stalls += 1;
+                MdOutcome::Stall
             }
         }
     }

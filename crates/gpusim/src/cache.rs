@@ -5,11 +5,14 @@
 //! the missing sectors, and a line may hold any subset of valid sectors.
 //! This structure backs the per-SM L1, the L2 banks, and (in `secmem-core`)
 //! all metadata caches — the paper's metadata caches are explicitly
-//! "128 B blk, allocate-on-fill" (Table III).
+//! "128 B blk, allocate-on-fill" (Table III). The L1 and each L2 bank pair
+//! it with an MSHR file as one `CacheLevel`, which owns their load-miss
+//! path.
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot as _, Writer};
 
 use crate::error::ConfigError;
+use crate::mshr::{MshrFile, MshrOutcome};
 use crate::types::{Addr, SectorMask, LINE_SIZE};
 
 /// Result of probing the cache for a read.
@@ -90,24 +93,6 @@ impl LineState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Way(usize);
 
-/// Why a queue's head load missed and was refused: what its retry would
-/// find again as long as its cache and MSHR file are untouched. The L1
-/// dispatch queue and the L2 input queue hold their head until it is
-/// accepted, so only a fill (or a response) can change that; whoever
-/// applies one drops the memo, and a retry with the memo in hand skips
-/// the set scan and, on a full MSHR file, the MSHR lookup too. Derived
-/// state: never checkpointed, cleared on restore.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeadStall {
-    /// The head's line, as [`SectoredCache::lookup`] found it.
-    pub(crate) way: Option<Way>,
-    /// The sectors the head still needs.
-    pub(crate) missing: SectorMask,
-    /// The MSHR file refused the head; otherwise the next stage had no
-    /// room and the MSHR file was not asked.
-    pub(crate) mshr_full: bool,
-}
-
 /// Aggregate hit/miss statistics for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -124,6 +109,16 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Adds another cache's counters into this one.
+    pub fn merge(&mut self, other: &CacheStats) {
+        let CacheStats { hits, misses, fills, dirty_evictions, evictions } = *other;
+        self.hits += hits;
+        self.misses += misses;
+        self.fills += fills;
+        self.dirty_evictions += dirty_evictions;
+        self.evictions += evictions;
+    }
+
     /// Miss rate over all accesses (0 when idle).
     pub fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -560,6 +555,145 @@ impl SectoredCache {
     }
 }
 
+/// Why a level's head load missed and was refused: what its retry would
+/// find again as long as the level is untouched. The L1 dispatch queue
+/// and the L2 input queue hold their head until it is accepted, so only
+/// a change to the cache or the MSHR file can alter that, and any mutable
+/// access to either forgets the memo. A retry with the memo in hand skips
+/// the set scan and, on a full MSHR file, the MSHR lookup too. Derived
+/// state: never checkpointed.
+#[derive(Debug, Clone, Copy)]
+struct HeadStall {
+    /// The head's line, as [`SectoredCache::lookup`] found it.
+    way: Option<Way>,
+    /// The sectors the head still needs.
+    missing: SectorMask,
+    /// The MSHR file refused the head; otherwise the next stage had no
+    /// room and the MSHR file was not asked.
+    mshr_full: bool,
+}
+
+/// What [`CacheLevel::load`] did with a load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Load<T> {
+    /// Every requested sector is resident: the target is handed back.
+    Hit(T),
+    /// The MSHR file took the miss: the caller fetches these sectors.
+    Fetch(SectorMask),
+    /// The miss merged into a fetch already under way.
+    Merged,
+    /// The next stage had no room or the MSHR file was full: the target
+    /// is handed back and stays the head of its queue.
+    Refused(T),
+}
+
+/// One level of the data-cache hierarchy, the per-SM L1 or an L2 bank: a
+/// sectored cache, the MSHR file that merges its misses, and the memo of
+/// its refused head load (DESIGN.md §10, "Remembered head stalls").
+#[derive(Debug)]
+pub(crate) struct CacheLevel<T> {
+    cache: SectoredCache,
+    mshrs: MshrFile<T>,
+    stall: Option<HeadStall>,
+}
+
+impl<T> CacheLevel<T> {
+    pub(crate) fn new(cache: SectoredCache, mshrs: MshrFile<T>) -> Self {
+        Self { cache, mshrs, stall: None }
+    }
+
+    pub(crate) fn cache(&self) -> &SectoredCache {
+        &self.cache
+    }
+
+    pub(crate) fn mshrs(&self) -> &MshrFile<T> {
+        &self.mshrs
+    }
+
+    /// The cache, to change it (fill, write, invalidate, restore): forgets
+    /// the memo.
+    pub(crate) fn cache_mut(&mut self) -> &mut SectoredCache {
+        self.stall = None;
+        &mut self.cache
+    }
+
+    /// The MSHR file, to change it (fill, restore): forgets the memo.
+    pub(crate) fn mshrs_mut(&mut self) -> &mut MshrFile<T> {
+        self.stall = None;
+        &mut self.mshrs
+    }
+
+    /// The sectors of `sectors` that `way` lacks; `None` on a hit.
+    fn missing(&self, way: Option<Way>, sectors: SectorMask) -> Option<SectorMask> {
+        match self.cache.peek_way(way, sectors) {
+            Probe::Hit => None,
+            Probe::PartialMiss(missing) => Some(missing),
+            Probe::Miss => Some(sectors),
+        }
+    }
+
+    /// Presents the head load of the caller's queue. `room` says whether
+    /// the next stage can take a fetch; it is asked only on a miss. A hit
+    /// or an accepted miss is accounted once; a refusal is remembered, so
+    /// the retry of the same head skips what cannot have changed.
+    pub(crate) fn load(
+        &mut self,
+        line: Addr,
+        sectors: SectorMask,
+        target: T,
+        room: impl FnOnce() -> bool,
+    ) -> Load<T> {
+        let stall = match self.stall.take() {
+            Some(stall) => {
+                #[cfg(debug_assertions)]
+                self.audit(stall, line, sectors);
+                stall
+            }
+            None => {
+                // One set scan serves both the verdict here and the
+                // accounting probe once the load is consumed.
+                let way = self.cache.lookup(line);
+                let Some(missing) = self.missing(way, sectors) else {
+                    let _ = self.cache.probe_way(way, sectors);
+                    return Load::Hit(target);
+                };
+                HeadStall { way, missing, mshr_full: false }
+            }
+        };
+        // Without room downstream we cannot risk allocating an MSHR whose
+        // fetch could not be sent.
+        if !room() {
+            self.stall = Some(stall);
+            return Load::Refused(target);
+        }
+        if stall.mshr_full {
+            self.mshrs.note_stalls(1);
+            self.stall = Some(stall);
+            return Load::Refused(target);
+        }
+        let load = match self.mshrs.access(line, stall.missing, target) {
+            MshrOutcome::Full(target) => {
+                self.stall = Some(HeadStall { mshr_full: true, ..stall });
+                return Load::Refused(target);
+            }
+            MshrOutcome::Allocated => Load::Fetch(stall.missing),
+            MshrOutcome::MergedNewSectors(new) => Load::Fetch(new),
+            MshrOutcome::Merged => Load::Merged,
+        };
+        let _ = self.cache.probe_way(stall.way, sectors);
+        load
+    }
+
+    /// Checks a remembered refusal against full probes before it is reused.
+    #[cfg(debug_assertions)]
+    fn audit(&self, stall: HeadStall, line: Addr, sectors: SectorMask) {
+        let way = self.cache.lookup(line);
+        debug_assert_eq!(way, stall.way, "remembered way of {line:#x}");
+        debug_assert_eq!(self.missing(way, sectors), Some(stall.missing), "remembered sectors of {line:#x}");
+        debug_assert!(!stall.mshr_full || self.mshrs.refuses(line), "remembered MSHR refusal of {line:#x}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,5 +953,124 @@ mod tests {
             c.fill(i * 128, full(), SectorMask::EMPTY);
         }
         assert!(c.occupancy() <= 48);
+    }
+
+    /// [`CacheLevel::load`] without the memo: the cache and the MSHR file
+    /// fully probed on every call.
+    fn reference_load(
+        cache: &mut SectoredCache,
+        mshrs: &mut MshrFile<u32>,
+        line: Addr,
+        sectors: SectorMask,
+        target: u32,
+        room: bool,
+    ) -> Load<u32> {
+        let missing = match cache.peek(line, sectors) {
+            Probe::Hit => {
+                let _ = cache.probe(line, sectors);
+                return Load::Hit(target);
+            }
+            Probe::PartialMiss(missing) => missing,
+            Probe::Miss => sectors,
+        };
+        if !room {
+            return Load::Refused(target);
+        }
+        let load = match mshrs.access(line, missing, target) {
+            MshrOutcome::Full(target) => return Load::Refused(target),
+            MshrOutcome::Allocated => Load::Fetch(missing),
+            MshrOutcome::MergedNewSectors(new) => Load::Fetch(new),
+            MshrOutcome::Merged => Load::Merged,
+        };
+        let _ = cache.probe(line, sectors);
+        load
+    }
+
+    /// A level's checkpoint bytes: the cache, then the MSHR file.
+    fn level_bytes(cache: &SectoredCache, mshrs: &MshrFile<u32>) -> Vec<u8> {
+        let mut w = Writer::new();
+        cache.save_state(&mut w);
+        mshrs.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Drives a `CacheLevel` and its memo-free reference with the same
+    /// seeded loads (a head retried until accepted, with random room),
+    /// fills, MSHR fills, writes, invalidations and restores, and demands
+    /// the same outcomes, statistics and checkpoint bytes after every op.
+    #[test]
+    fn remembered_refusals_match_full_probes() {
+        use crate::rng::Rng64;
+        // Two 2-way sets and a 2-entry file merging 2: both kinds of
+        // refusal are common, and fills often land on the refused line.
+        let geometry = || (SectoredCache::new(4 * 128, 2), MshrFile::<u32>::new(2, 2));
+        let (mut room_refusals, mut mshr_refusals) = (0, 0);
+        for seed in 0..8u64 {
+            let mut rng = Rng64::new(0xCAC4_E000 + seed);
+            let (cache, mshrs) = geometry();
+            let mut level = CacheLevel::new(cache, mshrs);
+            let (mut cache, mut mshrs) = geometry();
+            let mut head: Option<(Addr, SectorMask)> = None;
+            let mut snapshot: Option<Vec<u8>> = None;
+            let (mut out, mut out_ref) = (Vec::new(), Vec::new());
+            for op in 0..4000u32 {
+                let ctx = format!("seed {seed} op {op}");
+                let sectors = SectorMask(1 + rng.gen_range(15) as u8);
+                let line = match head {
+                    Some((line, _)) if rng.one_in(2) => line,
+                    _ => rng.gen_range(6) * 128,
+                };
+                match rng.gen_range(20) {
+                    0..=10 => {
+                        let (line, sectors) = *head.get_or_insert((line, sectors));
+                        let room = !rng.one_in(3);
+                        let got = level.load(line, sectors, op, || room);
+                        let want = reference_load(&mut cache, &mut mshrs, line, sectors, op, room);
+                        assert_eq!(got, want, "{ctx}");
+                        match got {
+                            Load::Refused(_) if room => mshr_refusals += 1,
+                            Load::Refused(_) => room_refusals += 1,
+                            _ => head = None,
+                        }
+                    }
+                    11..=13 => {
+                        let dirty = SectorMask(sectors.0 & rng.gen_range(16) as u8);
+                        let got = level.cache_mut().fill(line, sectors, dirty);
+                        assert_eq!(got, cache.fill(line, sectors, dirty), "{ctx}");
+                    }
+                    14..=16 => {
+                        let got = level.mshrs_mut().note_fill(line, sectors, &mut out);
+                        assert_eq!(got, mshrs.note_fill(line, sectors, &mut out_ref), "{ctx}");
+                        assert_eq!(out, out_ref, "{ctx}");
+                    }
+                    17 => assert_eq!(
+                        level.cache_mut().write(line, sectors),
+                        cache.write(line, sectors),
+                        "{ctx}"
+                    ),
+                    18 => {
+                        level.cache_mut().invalidate_sectors(line, sectors);
+                        cache.invalidate_sectors(line, sectors);
+                    }
+                    _ => match snapshot.take() {
+                        None => snapshot = Some(level_bytes(level.cache(), level.mshrs())),
+                        Some(bytes) => {
+                            let mut r = Reader::new(&bytes);
+                            level.cache_mut().restore_state(&mut r).expect("cache restores");
+                            level.mshrs_mut().restore_state(&mut r).expect("MSHRs restore");
+                            let mut r = Reader::new(&bytes);
+                            cache.restore_state(&mut r).expect("reference cache restores");
+                            mshrs.restore_state(&mut r).expect("reference MSHRs restore");
+                        }
+                    },
+                }
+                assert_eq!(level.cache().stats(), cache.stats(), "{ctx}");
+                assert_eq!(level.mshrs().stats(), mshrs.stats(), "{ctx}");
+                let same = level_bytes(level.cache(), level.mshrs()) == level_bytes(&cache, &mshrs);
+                assert!(same, "checkpoint bytes diverged: {ctx}");
+            }
+        }
+        let refusals = format!("refusals: {room_refusals} room, {mshr_refusals} MSHR");
+        assert!(room_refusals > 1000 && mshr_refusals > 1000, "{refusals}");
     }
 }

@@ -68,6 +68,22 @@ pub struct DramStats {
 }
 
 impl DramStats {
+    /// Adds another channel's counters into this one.
+    pub fn merge(&mut self, other: &DramStats) {
+        let DramStats { per_class, busy_fp, rejected, row_hits, row_misses } = other;
+        for (a, b) in self.per_class.iter_mut().zip(per_class) {
+            let DramClassStats { reads, writes, bytes_read, bytes_written } = *b;
+            a.reads += reads;
+            a.writes += writes;
+            a.bytes_read += bytes_read;
+            a.bytes_written += bytes_written;
+        }
+        self.busy_fp += busy_fp;
+        self.rejected += rejected;
+        self.row_hits += row_hits;
+        self.row_misses += row_misses;
+    }
+
     fn class_mut(&mut self, c: TrafficClass) -> &mut DramClassStats {
         &mut self.per_class[c.index()]
     }
@@ -95,11 +111,6 @@ impl DramStats {
             (self.busy_fp as f64 / FP as f64) / cycles as f64
         }
     }
-}
-
-#[derive(Debug)]
-struct InFlight<T> {
-    req: DramRequest<T>,
 }
 
 /// In-flight completions keyed `(done_at, slot)`, retired in key order.
@@ -181,7 +192,7 @@ pub struct Dram<T> {
     queue_cap: usize,
     next_free_fp: u64,
     inflight: Completions,
-    inflight_store: Vec<Option<InFlight<T>>>,
+    inflight_store: Vec<Option<DramRequest<T>>>,
     free_slots: Vec<usize>,
     ready: VecDeque<(DramRequest<T>, Option<FaultKind>)>,
     seq: u64,
@@ -356,10 +367,10 @@ impl<T> Dram<T> {
                 break;
             };
             let slot = if let Some(s) = self.free_slots.pop() {
-                self.inflight_store[s] = Some(InFlight { req });
+                self.inflight_store[s] = Some(req);
                 s
             } else {
-                self.inflight_store.push(Some(InFlight { req }));
+                self.inflight_store.push(Some(req));
                 self.inflight_store.len() - 1
             };
             self.inflight.push_serviced((done_at, slot as u64));
@@ -374,13 +385,13 @@ impl<T> Dram<T> {
             let slot = slot as usize;
             let already_delayed = std::mem::replace(&mut self.no_refault[slot], false);
             let fault = match (&mut self.injector, already_delayed, self.inflight_store[slot].as_ref()) {
-                (Some(inj), false, Some(inf)) => inj.decide(inf.req.class, inf.req.is_write, inf.req.addr),
+                (Some(inj), false, Some(req)) => inj.decide(req.class, req.is_write, req.addr),
                 _ => None,
             };
             if let Some(kind) = fault {
                 if self.telemetry.is_enabled() {
-                    if let Some(inf) = self.inflight_store[slot].as_ref() {
-                        let class = inf.req.class;
+                    if let Some(req) = self.inflight_store[slot].as_ref() {
+                        let class = req.class;
                         self.record_fault_event(now, class, kind);
                     }
                 }
@@ -395,12 +406,12 @@ impl<T> Dram<T> {
                     self.inflight.push_side((now + Cycle::from(d.max(1)), slot as u64));
                 }
                 other => {
-                    let Some(inflight) = self.inflight_store[slot].take() else {
+                    let Some(req) = self.inflight_store[slot].take() else {
                         debug_assert!(false, "retiring a completion without a stored request");
                         continue;
                     };
                     self.free_slots.push(slot);
-                    self.ready.push_back((inflight.req, other));
+                    self.ready.push_back((req, other));
                 }
             }
         }
@@ -504,16 +515,7 @@ impl<T: Snapshot> Dram<T> {
         let mut inflight: Vec<(Cycle, u64)> = self.inflight.iter().collect();
         inflight.sort_unstable();
         inflight.save(w);
-        w.put_usize(self.inflight_store.len());
-        for slot in &self.inflight_store {
-            match slot {
-                None => w.put_u8(0),
-                Some(inf) => {
-                    w.put_u8(1);
-                    inf.req.save(w);
-                }
-            }
-        }
+        self.inflight_store.save(w);
         self.free_slots.save(w);
         self.ready.save(w);
         w.put_u64(self.seq);
@@ -559,17 +561,7 @@ impl<T: Snapshot> Dram<T> {
         self.queue = queue;
         self.next_free_fp = r.get_u64()?;
         let inflight: Vec<(Cycle, u64)> = Vec::load(r)?;
-        let store_len = r.get_count()?;
-        let mut store: Vec<Option<InFlight<T>>> = Vec::with_capacity(store_len);
-        for _ in 0..store_len {
-            store.push(match r.get_u8()? {
-                0 => None,
-                1 => Some(InFlight { req: DramRequest::load(r)? }),
-                other => {
-                    return Err(CheckpointError::Malformed(format!("in-flight slot discriminant {other}")))
-                }
-            });
-        }
+        let store: Vec<Option<DramRequest<T>>> = Vec::load(r)?;
         for &(_, slot) in &inflight {
             let occupied = store.get(slot as usize).is_some_and(Option::is_some);
             if !occupied {
@@ -876,7 +868,7 @@ mod tests {
         /// retired tokens.
         fn checked_cycle(d: &mut Dram<u32>, now: Cycle, seen: &mut Seen) -> Vec<u32> {
             let token =
-                |d: &Dram<u32>, slot: u64| d.inflight_store[slot as usize].as_ref().map(|f| f.req.token);
+                |d: &Dram<u32>, slot: u64| d.inflight_store[slot as usize].as_ref().map(|req| req.token);
             let mut due: Vec<(Cycle, u64, Option<u32>)> = d
                 .inflight
                 .iter()

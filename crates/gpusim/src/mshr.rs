@@ -72,6 +72,14 @@ pub struct MshrStats {
 }
 
 impl MshrStats {
+    /// Adds another file's counters into this one.
+    pub fn merge(&mut self, other: &MshrStats) {
+        let MshrStats { primary, secondary, stalls } = *other;
+        self.primary += primary;
+        self.secondary += secondary;
+        self.stalls += stalls;
+    }
+
     /// Fraction of misses that were secondary (0 when no misses).
     pub fn secondary_ratio(&self) -> f64 {
         let total = self.primary + self.secondary;
@@ -228,21 +236,20 @@ impl<T> MshrFile<T> {
         }
     }
 
+    /// True if [`Self::access`] would return [`MshrOutcome::Full`] for
+    /// `line_addr`.
+    pub fn refuses(&self, line_addr: Addr) -> bool {
+        match self.find(line_addr) {
+            Some(i) => self.slots[i].targets.len() >= self.max_merge,
+            None => self.is_full(),
+        }
+    }
+
     /// Accounts `n` accesses the caller knows would return
     /// [`MshrOutcome::Full`] (nothing has been filled or completed since
     /// each last did) without looking a line up: the same stall count.
     pub fn note_stalls(&mut self, n: u64) {
         self.stats.stalls += n;
-    }
-
-    /// True if the line has an in-flight entry.
-    pub fn contains(&self, line_addr: Addr) -> bool {
-        self.find(line_addr).is_some()
-    }
-
-    /// The sectors requested by the line's in-flight entry, if any.
-    pub fn requested(&self, line_addr: Addr) -> Option<SectorMask> {
-        self.find(line_addr).map(|i| self.slots[i].requested)
     }
 
     /// The targets merged into the line's in-flight entry, if any (used by
@@ -665,7 +672,10 @@ mod tests {
                     match rng.gen_range(20) {
                         0..=10 => {
                             let t = op as u32;
-                            assert_eq!(fast.access(line, sectors, t), slow.access(line, sectors, t), "{ctx}");
+                            let refuses = fast.refuses(line);
+                            let got = fast.access(line, sectors, t);
+                            assert_eq!(got, slow.access(line, sectors, t), "{ctx}");
+                            assert_eq!(matches!(got, MshrOutcome::Full(_)), refuses, "{ctx}");
                         }
                         11..=16 => {
                             let got = fast.note_fill(line, sectors, &mut out_fast);

@@ -1,7 +1,8 @@
 //! A memory partition: sectored L2 banks in front of a memory backend
 //! (bare DRAM for the baseline, or a secure memory engine).
 //!
-//! Each of the GPU's 32 partitions owns 2 × 96 KB L2 banks with MSHRs.
+//! Each of the GPU's 32 partitions owns 2 × 96 KB L2 banks with MSHRs,
+//! each bank a `cache::CacheLevel` (the same load-miss path as the L1).
 //! Loads that miss go to the backend; dirty sector evictions and stores
 //! that miss (write-validate) generate backend writes. Because the L2 is
 //! sectored, a stream of 32 B sector misses to one 128 B line reaches the
@@ -13,24 +14,27 @@ use std::collections::VecDeque;
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
 use crate::backend::MemoryBackend;
-use crate::cache::{CacheStats, HeadStall, Probe, SectoredCache, WriteOutcome};
+use crate::cache::{CacheLevel, CacheStats, Load, SectoredCache, WriteOutcome};
 use crate::config::{AddressMap, GpuConfig};
 use crate::icnt::DelayQueue;
-use crate::mshr::{MshrFile, MshrOutcome, MshrStats};
+use crate::mshr::{MshrFile, MshrStats};
 use crate::types::{AccessKind, Addr, BackendReq, Cycle, MemRequest, SectorMask};
 
 #[derive(Debug)]
 struct L2Bank {
-    cache: SectoredCache,
-    mshrs: MshrFile<MemRequest>,
+    /// The bank's cache and MSHRs; it remembers why the `input` head was
+    /// last refused when that head is a load to this bank.
+    level: CacheLevel<MemRequest>,
     hit_delay: DelayQueue<MemRequest>,
 }
 
 impl L2Bank {
     fn new(cfg: &GpuConfig) -> Self {
         Self {
-            cache: SectoredCache::new(cfg.l2_bytes_per_bank, cfg.l2_assoc),
-            mshrs: MshrFile::new(cfg.l2_mshrs as usize, cfg.l2_mshr_merge as usize),
+            level: CacheLevel::new(
+                SectoredCache::new(cfg.l2_bytes_per_bank, cfg.l2_assoc),
+                MshrFile::new(cfg.l2_mshrs as usize, cfg.l2_mshr_merge as usize),
+            ),
             hit_delay: DelayQueue::new(cfg.l2_latency, 4, usize::MAX),
         }
     }
@@ -55,9 +59,6 @@ pub struct MemPartition<B> {
     wb_cap: usize,
     next_backend_id: u64,
     accept_per_cycle: u32,
-    /// Why the `input` head (a load to bank `.0`) was last refused; see
-    /// [`HeadStall`]. Dropped by a fill into that bank.
-    head_stall: Option<(usize, HeadStall)>,
 }
 
 impl<B: MemoryBackend> MemPartition<B> {
@@ -75,7 +76,6 @@ impl<B: MemoryBackend> MemPartition<B> {
             wb_cap: 16,
             next_backend_id: (id as u64) << 48,
             accept_per_cycle: cfg.icnt_flit_per_cycle.max(cfg.l2_banks_per_partition),
-            head_stall: None,
         }
     }
 
@@ -105,35 +105,21 @@ impl<B: MemoryBackend> MemPartition<B> {
     pub fn l2_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for b in &self.banks {
-            let s = b.cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.fills += s.fills;
-            total.evictions += s.evictions;
-            total.dirty_evictions += s.dirty_evictions;
+            total.merge(&b.level.cache().stats());
         }
         total
     }
 
     /// L2 accesses (hits plus misses) across banks.
     pub fn l2_accesses(&self) -> u64 {
-        self.banks
-            .iter()
-            .map(|b| {
-                let s = b.cache.stats();
-                s.hits + s.misses
-            })
-            .sum()
+        self.banks.iter().map(|b| b.level.cache().stats().accesses()).sum()
     }
 
     /// Aggregated L2 MSHR statistics across banks.
     pub fn l2_mshr_stats(&self) -> MshrStats {
         let mut total = MshrStats::default();
         for b in &self.banks {
-            let s = b.mshrs.stats();
-            total.primary += s.primary;
-            total.secondary += s.secondary;
-            total.stalls += s.stalls;
+            total.merge(&b.level.mshrs().stats());
         }
         total
     }
@@ -147,73 +133,28 @@ impl<B: MemoryBackend> MemPartition<B> {
     /// back in `Err` and must go back to the head of `input`.
     fn try_accept(&mut self, now: Cycle, req: MemRequest) -> Result<(), MemRequest> {
         let bank_idx = self.bank_index(req.line_addr);
-        let head_stall = self.head_stall.take();
+        let bank = &mut self.banks[bank_idx];
+        let (line_addr, sectors) = (req.line_addr, req.sectors);
         match req.kind {
             AccessKind::Load => {
-                let stall = match head_stall {
-                    Some((bank, stall)) => {
-                        debug_assert_eq!(bank, bank_idx, "the memo belongs to the refused head");
-                        stall
+                debug_assert!(
+                    bank.level.mshrs().targets(line_addr).is_none_or(|t| t.iter().all(|t| t.id != req.id)),
+                    "request id {} is already in flight in an L2 MSHR entry",
+                    req.id
+                );
+                let backend = &self.backend;
+                match bank.level.load(line_addr, sectors, req, || backend.can_accept_read()) {
+                    Load::Hit(req) => {
+                        let pushed = bank.hit_delay.try_push(now, req);
+                        debug_assert!(pushed.is_ok(), "hit queue is unbounded");
                     }
-                    None => {
-                        // One set scan: the way found here also serves the
-                        // accounting probe once the request is consumed.
-                        let cache = &self.banks[bank_idx].cache;
-                        let way = cache.lookup(req.line_addr);
-                        let missing = match cache.peek_way(way, req.sectors) {
-                            Probe::Hit => {
-                                let bank = &mut self.banks[bank_idx];
-                                let _ = bank.cache.probe_way(way, req.sectors);
-                                let pushed = bank.hit_delay.try_push(now, req);
-                                debug_assert!(pushed.is_ok(), "hit queue is unbounded");
-                                return Ok(());
-                            }
-                            Probe::PartialMiss(m) => m,
-                            Probe::Miss => req.sectors,
-                        };
-                        HeadStall { way, missing, mshr_full: false }
-                    }
-                };
-                if !self.backend.can_accept_read() {
-                    self.head_stall = Some((bank_idx, stall));
-                    return Err(req);
-                }
-                let HeadStall { way, missing, mshr_full } = stall;
-                let bank = &mut self.banks[bank_idx];
-                if mshr_full {
-                    bank.mshrs.note_stalls(1);
-                    self.head_stall = Some((bank_idx, stall));
-                    return Err(req);
-                }
-                #[cfg(debug_assertions)]
-                if let Some(targets) = bank.mshrs.targets(req.line_addr) {
-                    debug_assert!(
-                        targets.iter().all(|t| t.id != req.id),
-                        "request id {} is already in flight in an L2 MSHR entry",
-                        req.id
-                    );
-                }
-                let line_addr = req.line_addr;
-                let sectors = req.sectors;
-                match bank.mshrs.access(line_addr, missing, req) {
-                    MshrOutcome::Full(req) => {
-                        self.head_stall = Some((bank_idx, HeadStall { mshr_full: true, ..stall }));
-                        Err(req)
-                    }
-                    MshrOutcome::Merged => {
-                        let _ = bank.cache.probe_way(way, sectors);
-                        Ok(())
-                    }
-                    outcome => {
-                        let to_fetch = match outcome {
-                            MshrOutcome::MergedNewSectors(m) => m,
-                            _ => missing,
-                        };
-                        let _ = bank.cache.probe_way(way, sectors);
-                        // The L2 is sectored: each missing 32 B sector goes
-                        // to the memory side as its own request (this is
-                        // what produces the 1-primary + N-secondary
-                        // metadata-cache miss pattern of §V-B).
+                    Load::Refused(req) => return Err(req),
+                    Load::Merged => {}
+                    // The L2 is sectored: each missing 32 B sector goes to
+                    // the memory side as its own request (this is what
+                    // produces the 1-primary + N-secondary metadata-cache
+                    // miss pattern of §V-B).
+                    Load::Fetch(to_fetch) => {
                         for sector in to_fetch.iter() {
                             let id = self.next_backend_id();
                             self.backend.submit_read(
@@ -226,37 +167,32 @@ impl<B: MemoryBackend> MemPartition<B> {
                                 },
                             );
                         }
-                        Ok(())
                     }
                 }
+                Ok(())
             }
             AccessKind::Store => {
-                let bank = &mut self.banks[bank_idx];
-                match bank.cache.write(req.line_addr, req.sectors) {
-                    WriteOutcome::Hit => Ok(()),
-                    WriteOutcome::Miss => {
-                        // Write-validate: install the sectors dirty without
-                        // fetching, possibly evicting a dirty victim into
-                        // the writeback buffer.
-                        if self.wb_buffer.len() >= self.wb_cap {
-                            return Err(req);
-                        }
-                        let evicted =
-                            self.banks[bank_idx].cache.fill(req.line_addr, req.sectors, req.sectors);
-                        if let Some(ev) = evicted {
-                            if !ev.dirty.is_empty() {
-                                let id = self.next_backend_id();
-                                self.wb_buffer.push_back(BackendReq {
-                                    id,
-                                    line_addr: ev.line_addr,
-                                    sectors: ev.dirty,
-                                    bank: crate::narrow::usize_to_u32(bank_idx, "bank index < bank count"),
-                                });
-                            }
-                        }
-                        Ok(())
+                if bank.level.cache_mut().write(line_addr, sectors) == WriteOutcome::Hit {
+                    return Ok(());
+                }
+                // Write-validate: install the sectors dirty without
+                // fetching, possibly evicting a dirty victim into the
+                // writeback buffer.
+                if self.wb_buffer.len() >= self.wb_cap {
+                    return Err(req);
+                }
+                if let Some(ev) = bank.level.cache_mut().fill(line_addr, sectors, sectors) {
+                    if !ev.dirty.is_empty() {
+                        let id = self.next_backend_id();
+                        self.wb_buffer.push_back(BackendReq {
+                            id,
+                            line_addr: ev.line_addr,
+                            sectors: ev.dirty,
+                            bank: crate::narrow::usize_to_u32(bank_idx, "bank index < bank count"),
+                        });
                     }
                 }
+                Ok(())
             }
         }
     }
@@ -279,7 +215,7 @@ impl<B: MemoryBackend> MemPartition<B> {
 
     /// Outstanding L2 MSHR entries across all banks (stall diagnostics).
     pub fn mshr_occupancy(&self) -> usize {
-        self.banks.iter().map(|b| b.mshrs.len()).sum()
+        self.banks.iter().map(|b| b.level.mshrs().len()).sum()
     }
 
     /// Advances the partition one cycle, consuming staged requests as
@@ -322,12 +258,8 @@ impl<B: MemoryBackend> MemPartition<B> {
     /// Applies one backend fill to its L2 bank; dirty evictions land in
     /// the writeback buffer.
     fn apply_fill(&mut self, fill: &BackendReq) {
-        let bank_idx = fill.bank as usize;
-        if self.head_stall.is_some_and(|(bank, _)| bank == bank_idx) {
-            self.head_stall = None;
-        }
-        let bank = &mut self.banks[bank_idx];
-        if let Some(ev) = bank.cache.fill(fill.line_addr, fill.sectors, SectorMask::EMPTY) {
+        let bank = &mut self.banks[fill.bank as usize];
+        if let Some(ev) = bank.level.cache_mut().fill(fill.line_addr, fill.sectors, SectorMask::EMPTY) {
             if !ev.dirty.is_empty() {
                 self.next_backend_id += 1;
                 let id = self.next_backend_id;
@@ -342,8 +274,8 @@ impl<B: MemoryBackend> MemPartition<B> {
         // Fill progress is tracked inside the MSHR entry itself; a
         // completed entry drains its merged targets straight into the
         // response list without any intermediate allocation.
-        let bank = &mut self.banks[bank_idx];
-        let _ = bank.mshrs.note_fill(fill.line_addr, fill.sectors, &mut self.responses);
+        let bank = &mut self.banks[fill.bank as usize];
+        let _ = bank.level.mshrs_mut().note_fill(fill.line_addr, fill.sectors, &mut self.responses);
     }
 
     /// Earliest cycle at or after `now` at which this partition can make
@@ -381,7 +313,7 @@ impl<B: MemoryBackend> MemPartition<B> {
             && self.input.is_empty()
             && self.wb_buffer.is_empty()
             && self.responses.is_empty()
-            && self.banks.iter().all(|b| b.mshrs.is_empty() && b.hit_delay.is_empty())
+            && self.banks.iter().all(|b| b.level.mshrs().is_empty() && b.hit_delay.is_empty())
     }
 
     /// Partition id.
@@ -392,8 +324,8 @@ impl<B: MemoryBackend> MemPartition<B> {
     /// Resets statistics (cache contents and queues preserved).
     pub fn reset_stats(&mut self) {
         for bank in &mut self.banks {
-            bank.cache.reset_stats();
-            bank.mshrs.reset_stats();
+            bank.level.cache_mut().reset_stats();
+            bank.level.mshrs_mut().reset_stats();
         }
         self.backend.reset_stats();
     }
@@ -404,8 +336,8 @@ impl<B: MemoryBackend> MemPartition<B> {
     pub fn save_state(&self, w: &mut Writer) {
         w.put_usize(self.banks.len());
         for bank in &self.banks {
-            bank.cache.save_state(w);
-            bank.mshrs.save_state(w);
+            bank.level.cache().save_state(w);
+            bank.level.mshrs().save_state(w);
             bank.hit_delay.save_state(w);
         }
         self.backend.save_state(w);
@@ -432,12 +364,11 @@ impl<B: MemoryBackend> MemPartition<B> {
             )));
         }
         for bank in &mut self.banks {
-            bank.cache.restore_state(r)?;
-            bank.mshrs.restore_state(r)?;
+            bank.level.cache_mut().restore_state(r)?;
+            bank.level.mshrs_mut().restore_state(r)?;
             bank.hit_delay.restore_state(r)?;
         }
         self.backend.restore_state(r)?;
-        self.head_stall = None;
         let input: VecDeque<MemRequest> = VecDeque::load(r)?;
         if input.len() > self.input_cap {
             return Err(CheckpointError::Malformed(format!(

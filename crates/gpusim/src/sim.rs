@@ -602,33 +602,12 @@ impl<B: MemoryBackend> Simulator<B> {
             report.thread_instructions += sm.instructions * self.cfg.threads_per_warp as u64;
             report.mem_stall_cycles += sm.mem_stall_cycles;
             report.warps += sm.warp_count() as u64;
-            let l1 = sm.l1_stats();
-            report.l1.hits += l1.hits;
-            report.l1.misses += l1.misses;
-            report.l1.fills += l1.fills;
-            report.l1.evictions += l1.evictions;
-            report.l1.dirty_evictions += l1.dirty_evictions;
+            report.l1.merge(&sm.l1_stats());
         }
         for part in &self.partitions {
-            let l2 = part.l2_stats();
-            report.l2.hits += l2.hits;
-            report.l2.misses += l2.misses;
-            report.l2.fills += l2.fills;
-            report.l2.evictions += l2.evictions;
-            report.l2.dirty_evictions += l2.dirty_evictions;
-            let m = part.l2_mshr_stats();
-            report.l2_mshr.primary += m.primary;
-            report.l2_mshr.secondary += m.secondary;
-            report.l2_mshr.stalls += m.stalls;
-            let d = part.backend().dram_stats();
-            for (i, c) in d.per_class.iter().enumerate() {
-                report.dram.per_class[i].reads += c.reads;
-                report.dram.per_class[i].writes += c.writes;
-                report.dram.per_class[i].bytes_read += c.bytes_read;
-                report.dram.per_class[i].bytes_written += c.bytes_written;
-            }
-            report.dram.busy_fp += d.busy_fp;
-            report.dram.rejected += d.rejected;
+            report.l2.merge(&part.l2_stats());
+            report.l2_mshr.merge(&part.l2_mshr_stats());
+            report.dram.merge(part.backend().dram_stats());
             report.engine.merge(&part.backend().engine_stats());
             report.faults.merge(&part.backend().fault_stats());
         }
@@ -1251,5 +1230,20 @@ mod report_tests {
         let util = report.bandwidth_utilization(&cfg);
         assert!(util > 0.7 && util <= 1.0, "util {util}");
         assert_eq!(report.engine, crate::stats::EngineStats::default(), "baseline has no engine stats");
+    }
+
+    /// A banked channel's row-buffer counts reach the report, summed over
+    /// the partitions.
+    #[test]
+    fn report_sums_row_buffer_counts() {
+        let mut cfg = GpuConfig::small();
+        cfg.dram_banks = 16;
+        let kernel = StreamKernel { alu_per_mem: 0, bytes_per_warp: 1 << 20, warps: 16 };
+        let mut sim = Simulator::new(cfg, &kernel, |_, c| PassthroughBackend::from_config(c));
+        let report = sim.run(5_000);
+        let rows = sim.partitions.iter().map(|p| p.backend().dram_stats());
+        let (hits, misses) = rows.fold((0, 0), |(h, m), d| (h + d.row_hits, m + d.row_misses));
+        assert!(hits + misses > 0, "the banked model counts rows");
+        assert_eq!((report.dram.row_hits, report.dram.row_misses), (hits, misses));
     }
 }

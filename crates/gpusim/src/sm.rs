@@ -2,7 +2,8 @@
 //!
 //! Each SM holds a set of resident warps, a greedy-then-oldest (GTO)
 //! scheduler issuing up to `issue_width` warp instructions per cycle, a
-//! sectored write-through L1 with MSHRs, and a dispatch queue that feeds
+//! sectored write-through L1 with MSHRs (a `cache::CacheLevel`, the same
+//! load-miss path as an L2 bank), and a dispatch queue that feeds
 //! coalesced accesses into the interconnect. The model captures what the
 //! paper's analysis depends on: thread-level parallelism hides memory
 //! latency until either warps run out (small kernels like `nw`) or a
@@ -18,10 +19,10 @@ use std::collections::VecDeque;
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 
-use crate::cache::{HeadStall, Probe, SectoredCache};
+use crate::cache::{CacheLevel, Load, SectoredCache};
 use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::kernel::WarpProgram;
-use crate::mshr::{FillOutcome, MshrFile, MshrOutcome};
+use crate::mshr::{FillOutcome, MshrFile};
 use crate::types::{Access, AccessKind, Cycle, Inst, MemRequest, SectorMask, WarpRef};
 
 /// Maximum occupancy of the access dispatch queue before instruction
@@ -101,8 +102,9 @@ pub struct Sm {
     l1_ports: u32,
     max_outstanding: u32,
     warps: Vec<WarpSlot>,
-    l1: SectoredCache,
-    l1_mshrs: MshrFile<u32>,
+    /// The L1 and its MSHRs; it remembers why the `dispatch` head (a
+    /// load) was last refused.
+    l1: CacheLevel<u32>,
     /// Scratch for draining completed MSHR targets (reused every fill).
     fill_targets: Vec<u32>,
     dispatch: VecDeque<PendingAccess>,
@@ -131,9 +133,6 @@ pub struct Sm {
     /// Any event that could unblock a warp resets this to 0.
     issue_idle_until: Cycle,
     issue_idle_blocked: bool,
-    /// Why the `dispatch` head (a load) was last refused; see
-    /// [`HeadStall`]. Dropped by every response.
-    head_stall: Option<HeadStall>,
     last_issued: u32,
     next_req_id: u64,
     /// Warp instructions issued.
@@ -159,8 +158,10 @@ impl Sm {
             l1_ports: cfg.l1_ports,
             max_outstanding: cfg.max_outstanding_loads.max(1),
             warps,
-            l1: SectoredCache::new(cfg.l1_bytes, cfg.l1_assoc),
-            l1_mshrs: MshrFile::new(cfg.l1_mshrs as usize, cfg.l1_mshr_merge as usize),
+            l1: CacheLevel::new(
+                SectoredCache::new(cfg.l1_bytes, cfg.l1_assoc),
+                MshrFile::new(cfg.l1_mshrs as usize, cfg.l1_mshr_merge as usize),
+            ),
             fill_targets: Vec::new(),
             dispatch: VecDeque::new(),
             hit_returns: VecDeque::new(),
@@ -170,7 +171,6 @@ impl Sm {
             visited: vec![0; words],
             issue_idle_until: 0,
             issue_idle_blocked: false,
-            head_stall: None,
             last_issued: 0,
             next_req_id: (id as u64) << 40,
             instructions: 0,
@@ -187,8 +187,8 @@ impl Sm {
     pub fn reset_stats(&mut self) {
         self.instructions = 0;
         self.mem_stall_cycles = 0;
-        self.l1.reset_stats();
-        self.l1_mshrs.reset_stats();
+        self.l1.cache_mut().reset_stats();
+        self.l1.mshrs_mut().reset_stats();
     }
 
     /// Number of thread instructions issued so far.
@@ -198,7 +198,7 @@ impl Sm {
 
     /// The L1 cache statistics.
     pub fn l1_stats(&self) -> crate::cache::CacheStats {
-        self.l1.stats()
+        self.l1.cache().stats()
     }
 
     /// True when every warp has retired.
@@ -257,18 +257,17 @@ impl Sm {
     /// Delivers a memory response (an L2/engine fill) to this SM.
     pub fn on_response(&mut self, resp: &MemRequest) {
         self.issue_idle_until = 0;
-        self.head_stall = None;
         let line = resp.line_addr;
         self.fill_targets.clear();
-        match self.l1_mshrs.note_fill(line, resp.sectors, &mut self.fill_targets) {
+        match self.l1.mshrs_mut().note_fill(line, resp.sectors, &mut self.fill_targets) {
             FillOutcome::Untracked => {
                 // No waiter (e.g. the entry was satisfied already).
-                self.l1.fill(line, resp.sectors, SectorMask::EMPTY);
+                self.l1.cache_mut().fill(line, resp.sectors, SectorMask::EMPTY);
             }
             FillOutcome::Partial => {}
             FillOutcome::Complete(sectors) => {
                 // Fill exactly the sectors the entry requested, as before.
-                self.l1.fill(line, sectors, SectorMask::EMPTY);
+                self.l1.cache_mut().fill(line, sectors, SectorMask::EMPTY);
                 for i in 0..self.fill_targets.len() {
                     let warp = self.fill_targets[i] as usize;
                     let slot = &mut self.warps[warp];
@@ -389,94 +388,40 @@ impl Sm {
     fn dispatch_accesses(&mut self, now: Cycle, mut icnt_room: usize, out: &mut SmOutput) {
         for _ in 0..self.l1_ports {
             let Some(pa) = self.dispatch.front().copied() else { break };
+            let Access { line_addr, sectors } = pa.access;
             match pa.kind {
-                AccessKind::Load => {
-                    let stall = match self.head_stall.take() {
-                        Some(stall) => stall,
-                        None => {
-                            // One set scan serves both the verdict here and
-                            // the accounting probe once the access is consumed.
-                            let way = self.l1.lookup(pa.access.line_addr);
-                            let missing = match self.l1.peek_way(way, pa.access.sectors) {
-                                Probe::Hit => {
-                                    // Count the hit / refresh LRU now that it is consumed.
-                                    let _ = self.l1.probe_way(way, pa.access.sectors);
-                                    let at = now + self.l1_latency;
-                                    debug_assert!(
-                                        self.hit_returns.back().is_none_or(|&(last, _)| last <= at),
-                                        "L1 hit returns must be queued in time order"
-                                    );
-                                    self.hit_returns.push_back((at, pa.warp));
-                                    self.dispatch.pop_front();
-                                    continue;
-                                }
-                                Probe::PartialMiss(missing) => missing,
-                                Probe::Miss => pa.access.sectors,
-                            };
-                            HeadStall { way, missing, mshr_full: false }
-                        }
-                    };
-                    // Without interconnect room we cannot risk allocating an
-                    // MSHR whose request we could not send.
-                    if icnt_room == 0 {
-                        self.head_stall = Some(stall);
-                        return;
+                AccessKind::Load => match self.l1.load(line_addr, sectors, pa.warp, || icnt_room > 0) {
+                    Load::Hit(warp) => {
+                        let at = now + self.l1_latency;
+                        debug_assert!(
+                            self.hit_returns.back().is_none_or(|&(last, _)| last <= at),
+                            "L1 hit returns must be queued in time order"
+                        );
+                        self.hit_returns.push_back((at, warp));
                     }
-                    if stall.mshr_full {
-                        self.l1_mshrs.note_stalls(1);
-                        self.head_stall = Some(stall);
-                        return;
+                    Load::Fetch(want) => {
+                        out.requests.push(self.make_request(
+                            line_addr,
+                            want,
+                            AccessKind::Load,
+                            Some(pa.warp),
+                        ));
+                        icnt_room -= 1;
                     }
-                    let HeadStall { way, missing: want, .. } = stall;
-                    match self.l1_mshrs.access(pa.access.line_addr, want, pa.warp) {
-                        MshrOutcome::Allocated => {
-                            let _ = self.l1.probe_way(way, pa.access.sectors);
-                            out.requests.push(self.make_request(
-                                pa.access.line_addr,
-                                want,
-                                AccessKind::Load,
-                                Some(pa.warp),
-                            ));
-                            icnt_room -= 1;
-                            self.dispatch.pop_front();
-                        }
-                        MshrOutcome::MergedNewSectors(m) => {
-                            let _ = self.l1.probe_way(way, pa.access.sectors);
-                            out.requests.push(self.make_request(
-                                pa.access.line_addr,
-                                m,
-                                AccessKind::Load,
-                                Some(pa.warp),
-                            ));
-                            icnt_room -= 1;
-                            self.dispatch.pop_front();
-                        }
-                        MshrOutcome::Merged => {
-                            let _ = self.l1.probe_way(way, pa.access.sectors);
-                            self.dispatch.pop_front();
-                        }
-                        MshrOutcome::Full(_) => {
-                            self.head_stall = Some(HeadStall { mshr_full: true, ..stall });
-                            return;
-                        }
-                    }
-                }
+                    Load::Merged => {}
+                    Load::Refused(_) => return,
+                },
                 AccessKind::Store => {
                     if icnt_room == 0 {
                         return;
                     }
                     // Write-through, write-no-allocate L1: drop stale sectors.
-                    self.l1.invalidate_sectors(pa.access.line_addr, pa.access.sectors);
-                    out.requests.push(self.make_request(
-                        pa.access.line_addr,
-                        pa.access.sectors,
-                        AccessKind::Store,
-                        None,
-                    ));
+                    self.l1.cache_mut().invalidate_sectors(line_addr, sectors);
+                    out.requests.push(self.make_request(line_addr, sectors, AccessKind::Store, None));
                     icnt_room -= 1;
-                    self.dispatch.pop_front();
                 }
             }
+            self.dispatch.pop_front();
         }
     }
 
@@ -673,8 +618,8 @@ impl Sm {
             w.put_u32(slot.outstanding);
             w.put_bool(slot.finished);
         }
-        self.l1.save_state(w);
-        self.l1_mshrs.save_state(w);
+        self.l1.cache().save_state(w);
+        self.l1.mshrs().save_state(w);
         w.put_usize(self.dispatch.len());
         for pa in &self.dispatch {
             w.put_u32(pa.warp);
@@ -729,9 +674,8 @@ impl Sm {
                 self.retired += 1;
             }
         }
-        self.l1.restore_state(r)?;
-        self.l1_mshrs.restore_state(r)?;
-        self.head_stall = None;
+        self.l1.cache_mut().restore_state(r)?;
+        self.l1.mshrs_mut().restore_state(r)?;
         let dispatch_len = r.get_count()?;
         let mut dispatch = VecDeque::with_capacity(dispatch_len);
         for _ in 0..dispatch_len {

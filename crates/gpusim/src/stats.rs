@@ -51,23 +51,18 @@ pub fn meta_index(class: TrafficClass) -> usize {
 impl EngineStats {
     /// Merges another engine's statistics into this one.
     pub fn merge(&mut self, other: &EngineStats) {
-        for i in 0..3 {
-            let a = &mut self.meta[i];
-            let b = &other.meta[i];
-            a.cache.hits += b.cache.hits;
-            a.cache.misses += b.cache.misses;
-            a.cache.fills += b.cache.fills;
-            a.cache.evictions += b.cache.evictions;
-            a.cache.dirty_evictions += b.cache.dirty_evictions;
-            a.mshr.primary += b.mshr.primary;
-            a.mshr.secondary += b.mshr.secondary;
-            a.mshr.stalls += b.mshr.stalls;
-            a.writebacks += b.writebacks;
+        let EngineStats { meta, aes_stall_cycles, aes_blocks, decrypt_waited_on_counter, tree_verifications } =
+            other;
+        for (a, b) in self.meta.iter_mut().zip(meta) {
+            let MetadataTypeStats { cache, mshr, writebacks } = b;
+            a.cache.merge(cache);
+            a.mshr.merge(mshr);
+            a.writebacks += writebacks;
         }
-        self.aes_stall_cycles += other.aes_stall_cycles;
-        self.aes_blocks += other.aes_blocks;
-        self.decrypt_waited_on_counter += other.decrypt_waited_on_counter;
-        self.tree_verifications += other.tree_verifications;
+        self.aes_stall_cycles += aes_stall_cycles;
+        self.aes_blocks += aes_blocks;
+        self.decrypt_waited_on_counter += decrypt_waited_on_counter;
+        self.tree_verifications += tree_verifications;
     }
 
     /// Stats for one metadata class.

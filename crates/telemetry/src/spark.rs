@@ -13,7 +13,7 @@ use crate::sink::TelemetrySnapshot;
 const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// Maximum glyphs per line; longer series are bucketed down.
-const WIDTH: usize = 40;
+pub const WIDTH: usize = 40;
 
 /// Renders `values` as a sparkline string, downsampling to at most
 /// [`WIDTH`] glyphs by averaging buckets. Empty input renders empty.

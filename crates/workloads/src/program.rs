@@ -38,7 +38,7 @@ impl SyntheticKernel {
     ///
     /// # Errors
     ///
-    /// Returns the [`SpecError`] from [`BenchSpec::validate`].
+    /// Returns the [`SpecError`](crate::spec::SpecError) from [`BenchSpec::validate`].
     pub fn try_new(spec: BenchSpec, seed: u64) -> Result<Self, crate::spec::SpecError> {
         spec.validate()?;
         Ok(Self { spec, seed })
