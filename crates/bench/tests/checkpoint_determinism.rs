@@ -82,8 +82,8 @@ const FRAME_CYCLE: u64 = 20_000;
 /// with separate metadata caches (power-of-two sets) and one with the
 /// 6-set unified metadata cache.
 const PINNED_FRAMES: [(&str, MetadataCacheKind, u64); 2] = [
-    ("b+tree", MetadataCacheKind::Separate, 0x30e5_bb32_e6e3_959c),
-    ("kmeans", MetadataCacheKind::Unified, 0x26b4_0a69_b0fe_bbd0),
+    ("b+tree", MetadataCacheKind::Separate, 0x9a8a_346b_8806_ccee),
+    ("kmeans", MetadataCacheKind::Unified, 0x81c8_ded1_d0fb_8f97),
 ];
 
 #[test]

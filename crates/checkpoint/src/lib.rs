@@ -30,7 +30,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SECMCKPT";
 
 /// Current checkpoint format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// FNV-1a offset basis (matches the fingerprint hash used by the bench
 /// harness so one hash implementation serves the whole workspace).
@@ -792,17 +792,20 @@ mod tests {
         bad[0] ^= 0xFF;
         assert_eq!(Frame::decode(&bad), Err(CheckpointError::BadMagic));
 
-        // A frame encoded with a different version: rebuild by hand so
-        // the checksum is valid and the version check is what fires.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&MAGIC);
-        v2.extend_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        v2.extend_from_slice(&1u64.to_le_bytes());
-        v2.extend_from_slice(&2u64.to_le_bytes());
-        v2.extend_from_slice(&0u64.to_le_bytes());
-        let sum = fnv1a(&v2);
-        v2.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(Frame::decode(&v2), Err(CheckpointError::BadVersion { .. })));
+        // Frames of the previous and the next version: rebuild by hand
+        // so the checksum is valid and the version check is what fires.
+        for version in [2, FORMAT_VERSION + 1] {
+            let mut other = Vec::new();
+            other.extend_from_slice(&MAGIC);
+            other.extend_from_slice(&u32::to_le_bytes(version));
+            other.extend_from_slice(&1u64.to_le_bytes());
+            other.extend_from_slice(&2u64.to_le_bytes());
+            other.extend_from_slice(&0u64.to_le_bytes());
+            let sum = fnv1a(&other);
+            other.extend_from_slice(&sum.to_le_bytes());
+            let expected = CheckpointError::BadVersion { found: version, expected: FORMAT_VERSION };
+            assert_eq!(Frame::decode(&other), Err(expected), "version {version}");
+        }
 
         let mut flipped = good.clone();
         let mid = flipped.len() / 2;

@@ -195,7 +195,6 @@ pub struct Dram<T> {
     inflight_store: Vec<Option<DramRequest<T>>>,
     free_slots: Vec<usize>,
     ready: VecDeque<(DramRequest<T>, Option<FaultKind>)>,
-    seq: u64,
     stats: DramStats,
     /// Optional fault engine consulted once per retiring transaction.
     injector: Option<FaultInjector>,
@@ -247,7 +246,6 @@ impl<T> Dram<T> {
             inflight_store: Vec::new(),
             free_slots: Vec::new(),
             ready: VecDeque::new(),
-            seq: 0,
             stats: DramStats::default(),
             injector: None,
             no_refault: Vec::new(),
@@ -377,7 +375,6 @@ impl<T> Dram<T> {
             if self.no_refault.len() < self.inflight_store.len() {
                 self.no_refault.resize(self.inflight_store.len(), false);
             }
-            self.seq += 1;
         }
         // Retire completions, consulting the fault injector (at most
         // once per transaction) as each one leaves the channel.
@@ -518,7 +515,6 @@ impl<T: Snapshot> Dram<T> {
         self.inflight_store.save(w);
         self.free_slots.save(w);
         self.ready.save(w);
-        w.put_u64(self.seq);
         self.stats.save(w);
         self.no_refault.save(w);
         match &self.injector {
@@ -594,7 +590,6 @@ impl<T: Snapshot> Dram<T> {
         self.inflight_store = store;
         self.free_slots = free_slots;
         self.ready = VecDeque::load(r)?;
-        self.seq = r.get_u64()?;
         self.stats = DramStats::load(r)?;
         let no_refault: Vec<bool> = Vec::load(r)?;
         if !self.inflight_store.is_empty() && no_refault.len() < self.inflight_store.len() {
