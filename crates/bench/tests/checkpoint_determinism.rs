@@ -14,7 +14,10 @@ use secmem_core::{MetadataCacheKind, SecureBackend, SecureMemConfig, SecuritySch
 use secmem_gpusim::backend::{MemoryBackend, PassthroughBackend};
 use secmem_gpusim::cache::ReplacementPolicy;
 use secmem_gpusim::config::GpuConfig;
+use secmem_gpusim::fault::{FaultClassStats, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use secmem_gpusim::sim::Simulator;
+use secmem_gpusim::types::TrafficClass;
+use secmem_telemetry::{Telemetry, TelemetryConfig};
 use secmem_workloads::{suite, SyntheticKernel};
 
 const CYCLES: u64 = 3_000;
@@ -77,25 +80,98 @@ fn snapshot_resume_is_invisible_across_the_full_matrix() {
 const FRAME_CYCLE: u64 = 20_000;
 
 /// FNV-1a of `save_checkpoint().encode()` at [`FRAME_CYCLE`] on the small
-/// GPU. The report fingerprints never serialize a cache, so these pins
-/// are what holds the cache, MSHR and engine state bytes fixed: one run
-/// with separate metadata caches (power-of-two sets) and one with the
-/// 6-set unified metadata cache.
-const PINNED_FRAMES: [(&str, MetadataCacheKind, u64); 2] = [
-    ("b+tree", MetadataCacheKind::Separate, 0x9a8a_346b_8806_ccee),
-    ("kmeans", MetadataCacheKind::Unified, 0x81c8_ded1_d0fb_8f97),
+/// GPU, per `(bench, case)`. The report fingerprints never serialize a
+/// cache, so these pins are what holds the cache, MSHR and engine state
+/// bytes fixed. Each case reaches codecs the others leave out:
+///
+/// * `separate`/`unified`: `ctr_mac_bmt` with separate metadata caches
+///   (power-of-two sets) and with the 6-set unified metadata cache;
+/// * `baseline`: the passthrough backend and its DRAM token;
+/// * `telemetry`: an armed sampler (its remembered counters) and the
+///   engine's thrash detectors;
+/// * `faults`: a fault plan with `Delay`, `Drop` and `BitFlip` rules, so
+///   the injector's random stream and rule counters, the fault statistics
+///   and the detected fault events are in the frame;
+/// * `profile_reuse`: the engine's reuse-distance profilers.
+const PINNED_FRAMES: [(&str, &str, u64); 6] = [
+    ("b+tree", "separate", 0x9a8a_346b_8806_ccee),
+    ("kmeans", "unified", 0x81c8_ded1_d0fb_8f97),
+    ("b+tree", "baseline", 0x7dfa_9b24_1f91_6651),
+    ("kmeans", "telemetry", 0x39d3_87dc_5e20_4099),
+    ("b+tree", "faults", 0xd672_d395_f515_942d),
+    ("fdtd2d", "profile_reuse", 0xf60e_b23a_3507_3a25),
 ];
+
+/// Runs `sim` to [`FRAME_CYCLE`] and fingerprints its checkpoint frame.
+fn frame_fingerprint<B: MemoryBackend>(mut sim: Simulator<B>) -> u64 {
+    let _ = sim.run_checked(FRAME_CYCLE);
+    fnv1a(&sim.save_checkpoint().encode())
+}
+
+/// The fault plan of the `faults` frame: late data reads, one dropped
+/// counter read and detected MAC bit flips.
+fn frame_fault_plan() -> FaultPlan {
+    FaultPlan::new(7)
+        .with(FaultSpec::new(FaultKind::Delay(300), FaultTrigger::OneIn(40)).on_class(TrafficClass::Data))
+        .with(FaultSpec::new(FaultKind::Drop, FaultTrigger::Nth(200)).on_class(TrafficClass::Counter))
+        .with(FaultSpec::new(FaultKind::BitFlip, FaultTrigger::EveryNth(150)).on_class(TrafficClass::Mac))
+}
+
+fn pinned_frame(bench: &str, case: &str) -> u64 {
+    let k = kernel(bench);
+    let gpu = GpuConfig::small();
+    let ctr_mac_bmt = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
+    let secure = |cfg: SecureMemConfig| {
+        Simulator::new(gpu.clone(), &k, move |_, g| SecureBackend::new(cfg.clone(), g))
+    };
+    match case {
+        "separate" | "unified" => {
+            let cache_kind =
+                if case == "separate" { MetadataCacheKind::Separate } else { MetadataCacheKind::Unified };
+            frame_fingerprint(secure(SecureMemConfig { cache_kind, ..ctr_mac_bmt }))
+        }
+        "baseline" => {
+            frame_fingerprint(Simulator::new(gpu.clone(), &k, |_, g| PassthroughBackend::from_config(g)))
+        }
+        "telemetry" => {
+            let mut sim = secure(ctr_mac_bmt);
+            sim.set_telemetry(Telemetry::enabled(TelemetryConfig {
+                sample_interval: 1_000,
+                ..TelemetryConfig::default()
+            }));
+            frame_fingerprint(sim)
+        }
+        "faults" => {
+            let plan = frame_fault_plan();
+            let mut sim = Simulator::new(gpu.clone(), &k, move |p, g| {
+                let mut b = SecureBackend::new(ctr_mac_bmt.clone(), g);
+                b.install_faults(plan.injector_for(p));
+                b
+            });
+            let _ = sim.run_checked(FRAME_CYCLE);
+            // The frame must hold every kind of fault state it pins.
+            let faults = sim.report().faults;
+            let total = |f: fn(&FaultClassStats) -> u64| faults.per_class.iter().map(f).sum::<u64>();
+            assert!(total(|c| c.delayed) > 0, "no delayed completion by the frame cycle");
+            assert!(total(|c| c.dropped) > 0, "no dropped completion by the frame cycle");
+            assert!(total(|c| c.detected) > 0, "no detected corruption by the frame cycle");
+            fnv1a(&sim.save_checkpoint().encode())
+        }
+        "profile_reuse" => frame_fingerprint(secure(SecureMemConfig { profile_reuse: true, ..ctr_mac_bmt })),
+        other => panic!("unknown frame case {other}"),
+    }
+}
 
 #[test]
 fn checkpoint_frames_are_pinned() {
-    for (bench, cache_kind, expected) in PINNED_FRAMES {
-        let k = kernel(bench);
-        let cfg = SecureMemConfig { cache_kind, ..SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt) };
-        let mut sim = Simulator::new(GpuConfig::small(), &k, move |_, g| SecureBackend::new(cfg.clone(), g));
-        let _ = sim.run_checked(FRAME_CYCLE);
-        let fp = fnv1a(&sim.save_checkpoint().encode());
-        assert_eq!(fp, expected, "{bench}/{cache_kind:?}: checkpoint frame bytes changed ({fp:#018x})");
-    }
+    let changed: Vec<String> = PINNED_FRAMES
+        .iter()
+        .filter_map(|&(bench, case, expected)| {
+            let fp = pinned_frame(bench, case);
+            (fp != expected).then(|| format!("{bench}/{case}: {fp:#018x}, pinned {expected:#018x}"))
+        })
+        .collect();
+    assert!(changed.is_empty(), "checkpoint frame bytes changed:\n{}", changed.join("\n"));
 }
 
 #[test]
