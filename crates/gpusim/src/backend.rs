@@ -7,7 +7,7 @@
 //! processing — exactly where the paper places the secure memory hardware
 //! (inside each memory controller, Fig. 1).
 
-use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
+use secmem_checkpoint::{snapshot_enum, CheckpointError, Reader, Snapshot, Writer};
 use secmem_telemetry::{EventKind, Telemetry, TelemetryEvent};
 
 use crate::dram::{Dram, DramRequest, DramStats};
@@ -102,25 +102,7 @@ enum Token {
     Write,
 }
 
-impl Snapshot for Token {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Token::Read(req) => {
-                w.put_u8(0);
-                req.save(w);
-            }
-            Token::Write => w.put_u8(1),
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(Token::Read(BackendReq::load(r)?)),
-            1 => Ok(Token::Write),
-            d => Err(CheckpointError::Malformed(format!("dram token discriminant {d}"))),
-        }
-    }
-}
+snapshot_enum!(Token, "dram token discriminant" { 0 => Read(req), 1 => Write });
 
 /// The baseline backend: a bare DRAM channel, no security processing.
 #[derive(Debug)]

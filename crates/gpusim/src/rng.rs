@@ -56,14 +56,7 @@ impl Rng64 {
     }
 }
 
-impl secmem_checkpoint::Snapshot for Rng64 {
-    fn save(&self, w: &mut secmem_checkpoint::Writer) {
-        w.put_u64(self.state);
-    }
-    fn load(r: &mut secmem_checkpoint::Reader<'_>) -> Result<Self, secmem_checkpoint::CheckpointError> {
-        Ok(Self { state: r.get_u64()? })
-    }
-}
+secmem_checkpoint::snapshot_fields!(Rng64 { state });
 
 #[cfg(test)]
 mod tests {

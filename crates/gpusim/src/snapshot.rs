@@ -2,21 +2,29 @@
 //!
 //! Structural components (caches, MSHR files, DRAM, SMs, partitions)
 //! restore **in place** through their own `save_state`/`restore_state`
-//! methods so geometry can be validated against the rebuilt structure;
-//! this module only covers the value types that flow between them:
-//! requests, instructions, masks and statistics blocks.
+//! methods so geometry can be validated against the rebuilt structure,
+//! each shape check one call to [`Reader::expect_count`],
+//! [`Reader::get_queue`] or [`Reader::expect_presence`]. This module
+//! covers the value types that flow between them: requests,
+//! instructions, masks and statistics blocks.
 //!
+//! Each plain struct and enum names its fields once, in one
+//! [`snapshot_fields!`] or [`snapshot_enum!`] list: the list is both the
+//! write order and the read order, and the struct literal it builds on
+//! load makes the compiler reject a missing field. Only [`SectorMask`]
+//! and [`Access`], which validate what they decode, are written by hand.
 //! Every enum is encoded as an explicit `u8` discriminant (never a cast
 //! of the Rust layout) and every decode validates the discriminant, so a
 //! corrupted payload yields a typed [`CheckpointError`] instead of a
 //! nonsense value.
 
-use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
+use secmem_checkpoint::{snapshot_enum, snapshot_fields, CheckpointError, Reader, Snapshot, Writer};
 
 use crate::cache::CacheStats;
 use crate::dram::{DramClassStats, DramStats};
 use crate::fault::{FaultClassStats, FaultEvent, FaultKind, FaultStats};
 use crate::mshr::MshrStats;
+use crate::stats::MetadataTypeStats;
 use crate::types::{
     Access, AccessKind, BackendReq, Inst, MemRequest, SectorMask, TrafficClass, WarpRef, LINE_SIZE,
 };
@@ -31,37 +39,6 @@ impl Snapshot for SectorMask {
             return Err(CheckpointError::Malformed(format!("sector mask bits {bits:#04x}")));
         }
         Ok(SectorMask(bits))
-    }
-}
-
-impl Snapshot for TrafficClass {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(self.index() as u8);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(TrafficClass::Data),
-            1 => Ok(TrafficClass::Counter),
-            2 => Ok(TrafficClass::Mac),
-            3 => Ok(TrafficClass::Tree),
-            other => Err(CheckpointError::Malformed(format!("traffic class {other}"))),
-        }
-    }
-}
-
-impl Snapshot for AccessKind {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AccessKind::Load => 0,
-            AccessKind::Store => 1,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(AccessKind::Load),
-            1 => Ok(AccessKind::Store),
-            other => Err(CheckpointError::Malformed(format!("access kind {other}"))),
-        }
     }
 }
 
@@ -80,235 +57,33 @@ impl Snapshot for Access {
     }
 }
 
-impl Snapshot for Inst {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Inst::Alu { stall, wait_mem } => {
-                w.put_u8(0);
-                w.put_u32(*stall);
-                w.put_bool(*wait_mem);
-            }
-            Inst::Load { accesses, dependent } => {
-                w.put_u8(1);
-                accesses.save(w);
-                w.put_bool(*dependent);
-            }
-            Inst::Store { accesses } => {
-                w.put_u8(2);
-                accesses.save(w);
-            }
-            Inst::Exit => w.put_u8(3),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(Inst::Alu { stall: r.get_u32()?, wait_mem: r.get_bool()? }),
-            1 => Ok(Inst::Load { accesses: Vec::load(r)?, dependent: r.get_bool()? }),
-            2 => Ok(Inst::Store { accesses: Vec::load(r)? }),
-            3 => Ok(Inst::Exit),
-            other => Err(CheckpointError::Malformed(format!("instruction discriminant {other}"))),
-        }
-    }
-}
+snapshot_enum!(TrafficClass, "traffic class" { 0 => Data, 1 => Counter, 2 => Mac, 3 => Tree });
+snapshot_enum!(AccessKind, "access kind" { 0 => Load, 1 => Store });
+snapshot_enum!(Inst, "instruction discriminant" {
+    0 => Alu { stall, wait_mem },
+    1 => Load { accesses, dependent },
+    2 => Store { accesses },
+    3 => Exit,
+});
+snapshot_enum!(FaultKind, "fault kind" {
+    0 => BitFlip,
+    1 => Drop,
+    2 => Delay(cycles),
+    3 => MetaCorrupt,
+    4 => Replay,
+});
 
-impl Snapshot for WarpRef {
-    fn save(&self, w: &mut Writer) {
-        w.put_u32(self.sm);
-        w.put_u32(self.warp);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(WarpRef { sm: r.get_u32()?, warp: r.get_u32()? })
-    }
-}
-
-impl Snapshot for MemRequest {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        w.put_u64(self.line_addr);
-        self.sectors.save(w);
-        self.kind.save(w);
-        self.warp.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(MemRequest {
-            id: r.get_u64()?,
-            line_addr: r.get_u64()?,
-            sectors: SectorMask::load(r)?,
-            kind: AccessKind::load(r)?,
-            warp: Option::load(r)?,
-        })
-    }
-}
-
-impl Snapshot for BackendReq {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        w.put_u64(self.line_addr);
-        self.sectors.save(w);
-        w.put_u32(self.bank);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(BackendReq {
-            id: r.get_u64()?,
-            line_addr: r.get_u64()?,
-            sectors: SectorMask::load(r)?,
-            bank: r.get_u32()?,
-        })
-    }
-}
-
-impl Snapshot for CacheStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.fills);
-        w.put_u64(self.dirty_evictions);
-        w.put_u64(self.evictions);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(CacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            fills: r.get_u64()?,
-            dirty_evictions: r.get_u64()?,
-            evictions: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for MshrStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.primary);
-        w.put_u64(self.secondary);
-        w.put_u64(self.stalls);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(MshrStats { primary: r.get_u64()?, secondary: r.get_u64()?, stalls: r.get_u64()? })
-    }
-}
-
-impl Snapshot for crate::stats::MetadataTypeStats {
-    fn save(&self, w: &mut Writer) {
-        self.cache.save(w);
-        self.mshr.save(w);
-        w.put_u64(self.writebacks);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(crate::stats::MetadataTypeStats {
-            cache: CacheStats::load(r)?,
-            mshr: MshrStats::load(r)?,
-            writebacks: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for DramClassStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
-        w.put_u64(self.bytes_read);
-        w.put_u64(self.bytes_written);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(DramClassStats {
-            reads: r.get_u64()?,
-            writes: r.get_u64()?,
-            bytes_read: r.get_u64()?,
-            bytes_written: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for DramStats {
-    fn save(&self, w: &mut Writer) {
-        self.per_class.save(w);
-        w.put_u64(self.busy_fp);
-        w.put_u64(self.rejected);
-        w.put_u64(self.row_hits);
-        w.put_u64(self.row_misses);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(DramStats {
-            per_class: <[DramClassStats; 4]>::load(r)?,
-            busy_fp: r.get_u64()?,
-            rejected: r.get_u64()?,
-            row_hits: r.get_u64()?,
-            row_misses: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for FaultKind {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            FaultKind::BitFlip => w.put_u8(0),
-            FaultKind::Drop => w.put_u8(1),
-            FaultKind::Delay(cycles) => {
-                w.put_u8(2);
-                w.put_u32(*cycles);
-            }
-            FaultKind::MetaCorrupt => w.put_u8(3),
-            FaultKind::Replay => w.put_u8(4),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(FaultKind::BitFlip),
-            1 => Ok(FaultKind::Drop),
-            2 => Ok(FaultKind::Delay(r.get_u32()?)),
-            3 => Ok(FaultKind::MetaCorrupt),
-            4 => Ok(FaultKind::Replay),
-            other => Err(CheckpointError::Malformed(format!("fault kind {other}"))),
-        }
-    }
-}
-
-impl Snapshot for FaultClassStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.injected);
-        w.put_u64(self.dropped);
-        w.put_u64(self.delayed);
-        w.put_u64(self.detected);
-        w.put_u64(self.undetected);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(FaultClassStats {
-            injected: r.get_u64()?,
-            dropped: r.get_u64()?,
-            delayed: r.get_u64()?,
-            detected: r.get_u64()?,
-            undetected: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for FaultStats {
-    fn save(&self, w: &mut Writer) {
-        self.per_class.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(FaultStats { per_class: <[FaultClassStats; 4]>::load(r)? })
-    }
-}
-
-impl Snapshot for FaultEvent {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.cycle);
-        w.put_u64(self.line_addr);
-        self.class.save(w);
-        self.kind.save(w);
-        w.put_bool(self.detected);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(FaultEvent {
-            cycle: r.get_u64()?,
-            line_addr: r.get_u64()?,
-            class: TrafficClass::load(r)?,
-            kind: FaultKind::load(r)?,
-            detected: r.get_bool()?,
-        })
-    }
-}
+snapshot_fields!(WarpRef { sm, warp });
+snapshot_fields!(MemRequest { id, line_addr, sectors, kind, warp });
+snapshot_fields!(BackendReq { id, line_addr, sectors, bank });
+snapshot_fields!(CacheStats { hits, misses, fills, dirty_evictions, evictions });
+snapshot_fields!(MshrStats { primary, secondary, stalls });
+snapshot_fields!(MetadataTypeStats { cache, mshr, writebacks });
+snapshot_fields!(DramClassStats { reads, writes, bytes_read, bytes_written });
+snapshot_fields!(DramStats { per_class, busy_fp, rejected, row_hits, row_misses });
+snapshot_fields!(FaultClassStats { injected, dropped, delayed, detected, undetected });
+snapshot_fields!(FaultStats { per_class });
+snapshot_fields!(FaultEvent { cycle, line_addr, class, kind, detected });
 
 #[cfg(test)]
 mod tests {
