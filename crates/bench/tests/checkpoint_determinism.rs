@@ -16,6 +16,7 @@ use secmem_gpusim::cache::ReplacementPolicy;
 use secmem_gpusim::config::GpuConfig;
 use secmem_gpusim::fault::{FaultClassStats, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use secmem_gpusim::sim::Simulator;
+use secmem_gpusim::stats::SimReport;
 use secmem_gpusim::types::TrafficClass;
 use secmem_telemetry::{Telemetry, TelemetryConfig};
 use secmem_workloads::{suite, SyntheticKernel};
@@ -87,25 +88,27 @@ const FRAME_CYCLE: u64 = 20_000;
 /// * `separate`/`unified`: `ctr_mac_bmt` with separate metadata caches
 ///   (power-of-two sets) and with the 6-set unified metadata cache;
 /// * `baseline`: the passthrough backend and its DRAM token;
-/// * `telemetry`: an armed sampler (its remembered counters) and the
+/// * `telemetry`: an armed sampler (its previous sample) and the
 ///   engine's thrash detectors;
 /// * `faults`: a fault plan with `Delay`, `Drop` and `BitFlip` rules, so
 ///   the injector's random stream and rule counters, the fault statistics
 ///   and the detected fault events are in the frame;
 /// * `profile_reuse`: the engine's reuse-distance profilers.
 const PINNED_FRAMES: [(&str, &str, u64); 6] = [
-    ("b+tree", "separate", 0x9a8a_346b_8806_ccee),
-    ("kmeans", "unified", 0x81c8_ded1_d0fb_8f97),
-    ("b+tree", "baseline", 0x7dfa_9b24_1f91_6651),
-    ("kmeans", "telemetry", 0x39d3_87dc_5e20_4099),
-    ("b+tree", "faults", 0xd672_d395_f515_942d),
-    ("fdtd2d", "profile_reuse", 0xf60e_b23a_3507_3a25),
+    ("b+tree", "separate", 0x3cb8_08e1_daf6_7216),
+    ("kmeans", "unified", 0xfbde_c0e5_8acd_e26a),
+    ("b+tree", "baseline", 0x64c8_d5f9_8f29_7ba5),
+    ("kmeans", "telemetry", 0xff35_879f_1e6e_5ee1),
+    ("b+tree", "faults", 0xe3d0_ae12_8f90_1b1a),
+    ("fdtd2d", "profile_reuse", 0xb0db_19ca_5d86_a0f2),
 ];
 
-/// Runs `sim` to [`FRAME_CYCLE`] and fingerprints its checkpoint frame.
-fn frame_fingerprint<B: MemoryBackend>(mut sim: Simulator<B>) -> u64 {
-    let _ = sim.run_checked(FRAME_CYCLE);
-    fnv1a(&sim.save_checkpoint().encode())
+/// Runs `sim` to [`FRAME_CYCLE`], by the idle-skip loop or by the
+/// reference that steps every cycle and partition, and returns its report
+/// and encoded checkpoint frame.
+fn run_to_frame<B: MemoryBackend>(mut sim: Simulator<B>, stepwise: bool) -> (SimReport, Vec<u8>) {
+    let _ = if stepwise { sim.run_stepwise(FRAME_CYCLE) } else { sim.run_checked(FRAME_CYCLE) };
+    (sim.report(), sim.save_checkpoint().encode())
 }
 
 /// The fault plan of the `faults` frame: late data reads, one dropped
@@ -117,7 +120,7 @@ fn frame_fault_plan() -> FaultPlan {
         .with(FaultSpec::new(FaultKind::BitFlip, FaultTrigger::EveryNth(150)).on_class(TrafficClass::Mac))
 }
 
-fn pinned_frame(bench: &str, case: &str) -> u64 {
+fn pinned_frame(bench: &str, case: &str, stepwise: bool) -> (SimReport, Vec<u8>) {
     let k = kernel(bench);
     let gpu = GpuConfig::small();
     let ctr_mac_bmt = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
@@ -128,10 +131,10 @@ fn pinned_frame(bench: &str, case: &str) -> u64 {
         "separate" | "unified" => {
             let cache_kind =
                 if case == "separate" { MetadataCacheKind::Separate } else { MetadataCacheKind::Unified };
-            frame_fingerprint(secure(SecureMemConfig { cache_kind, ..ctr_mac_bmt }))
+            run_to_frame(secure(SecureMemConfig { cache_kind, ..ctr_mac_bmt }), stepwise)
         }
         "baseline" => {
-            frame_fingerprint(Simulator::new(gpu.clone(), &k, |_, g| PassthroughBackend::from_config(g)))
+            run_to_frame(Simulator::new(gpu.clone(), &k, |_, g| PassthroughBackend::from_config(g)), stepwise)
         }
         "telemetry" => {
             let mut sim = secure(ctr_mac_bmt);
@@ -139,25 +142,26 @@ fn pinned_frame(bench: &str, case: &str) -> u64 {
                 sample_interval: 1_000,
                 ..TelemetryConfig::default()
             }));
-            frame_fingerprint(sim)
+            run_to_frame(sim, stepwise)
         }
         "faults" => {
             let plan = frame_fault_plan();
-            let mut sim = Simulator::new(gpu.clone(), &k, move |p, g| {
+            let sim = Simulator::new(gpu.clone(), &k, move |p, g| {
                 let mut b = SecureBackend::new(ctr_mac_bmt.clone(), g);
                 b.install_faults(plan.injector_for(p));
                 b
             });
-            let _ = sim.run_checked(FRAME_CYCLE);
+            let (report, frame) = run_to_frame(sim, stepwise);
             // The frame must hold every kind of fault state it pins.
-            let faults = sim.report().faults;
-            let total = |f: fn(&FaultClassStats) -> u64| faults.per_class.iter().map(f).sum::<u64>();
+            let total = |f: fn(&FaultClassStats) -> u64| report.faults.per_class.iter().map(f).sum::<u64>();
             assert!(total(|c| c.delayed) > 0, "no delayed completion by the frame cycle");
             assert!(total(|c| c.dropped) > 0, "no dropped completion by the frame cycle");
             assert!(total(|c| c.detected) > 0, "no detected corruption by the frame cycle");
-            fnv1a(&sim.save_checkpoint().encode())
+            (report, frame)
         }
-        "profile_reuse" => frame_fingerprint(secure(SecureMemConfig { profile_reuse: true, ..ctr_mac_bmt })),
+        "profile_reuse" => {
+            run_to_frame(secure(SecureMemConfig { profile_reuse: true, ..ctr_mac_bmt }), stepwise)
+        }
         other => panic!("unknown frame case {other}"),
     }
 }
@@ -167,11 +171,34 @@ fn checkpoint_frames_are_pinned() {
     let changed: Vec<String> = PINNED_FRAMES
         .iter()
         .filter_map(|&(bench, case, expected)| {
-            let fp = pinned_frame(bench, case);
+            let fp = fnv1a(&pinned_frame(bench, case, false).1);
             (fp != expected).then(|| format!("{bench}/{case}: {fp:#018x}, pinned {expected:#018x}"))
         })
         .collect();
     assert!(changed.is_empty(), "checkpoint frame bytes changed:\n{}", changed.join("\n"));
+}
+
+/// Idle-skip (whole steps jumped by `advance_idle`, partitions with no
+/// event left unstepped) must be invisible: for every pinned case the
+/// reference that steps every cycle and partition gives the same report
+/// and the same frame bytes, and those bytes hash to the pin.
+#[test]
+fn stepwise_reference_matches_idle_skip() {
+    for (bench, case, expected) in PINNED_FRAMES {
+        let (skip_report, skip_frame) = pinned_frame(bench, case, false);
+        let (step_report, step_frame) = pinned_frame(bench, case, true);
+        assert_eq!(
+            report_fingerprint(&skip_report),
+            report_fingerprint(&step_report),
+            "{bench}/{case}: report diverges\nidle-skip: {skip_report:?}\nstepwise: {step_report:?}"
+        );
+        assert!(
+            skip_frame == step_frame,
+            "{bench}/{case}: frame bytes diverge between idle-skip and stepwise"
+        );
+        let fp = fnv1a(&step_frame);
+        assert_eq!(fp, expected, "{bench}/{case}: stepwise frame {fp:#018x}, pinned {expected:#018x}");
+    }
 }
 
 #[test]
@@ -247,4 +274,52 @@ fn remembered_head_stalls_match_full_probes() {
         straight.save_checkpoint().encode() == restored.save_checkpoint().encode(),
         "restored every {EVERY} cycles: final frame bytes diverge"
     );
+}
+
+/// A sampler restored from a frame taken on a sample boundary continues
+/// the uninterrupted run's series point for point: the first window
+/// after the restore is measured from the counters the frame saved. The
+/// sampling interval is not in the frame, so a simulator restored with
+/// another interval samples at its own.
+#[test]
+fn restored_sampler_continues_the_series() {
+    const END: u64 = 2 * FRAME_CYCLE;
+    let k = kernel("kmeans");
+    let gpu = GpuConfig::small();
+    let cfg = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
+    let build = |sample_interval: u64| {
+        let cfg = cfg.clone();
+        let mut sim = Simulator::new(gpu.clone(), &k, move |_, g| SecureBackend::new(cfg.clone(), g));
+        sim.set_telemetry(Telemetry::enabled(TelemetryConfig {
+            sample_interval,
+            ..TelemetryConfig::default()
+        }));
+        sim
+    };
+    let mut straight = build(1_000);
+    let _ = straight.run_checked(END);
+    let mut first = build(1_000);
+    let _ = first.run_checked(FRAME_CYCLE);
+    let frame = Frame::decode(&first.save_checkpoint().encode()).expect("frame survives its own wire format");
+
+    let mut resumed = build(1_000);
+    resumed.restore_checkpoint(&frame).expect("restores");
+    let _ = resumed.run_checked(END);
+    let whole = straight.telemetry_snapshot().expect("telemetry enabled");
+    let tail = resumed.telemetry_snapshot().expect("telemetry enabled");
+    assert!(tail.series("mdc.hit_rate").is_some(), "the metadata caches are sampled");
+    let names = |snap: &secmem_telemetry::TelemetrySnapshot| snap.series.keys().cloned().collect::<Vec<_>>();
+    assert_eq!(names(&tail), names(&whole), "series names");
+    for (name, series) in &whole.series {
+        let after: Vec<(u64, f64)> =
+            series.points.iter().copied().filter(|&(at, _)| at > FRAME_CYCLE).collect();
+        assert_eq!(tail.series[name].points, after, "{name}: resumed samples differ");
+    }
+
+    let mut finer = build(500);
+    finer.restore_checkpoint(&frame).expect("the sampling interval is not part of the frame");
+    let _ = finer.run_checked(FRAME_CYCLE + 1_000);
+    let snap = finer.telemetry_snapshot().expect("telemetry enabled");
+    let first_at = snap.series("dram.data_bytes").and_then(|s| s.points.first()).map(|&(at, _)| at);
+    assert_eq!(first_at, Some(FRAME_CYCLE + 500), "first sample after a restore with interval 500");
 }

@@ -158,6 +158,9 @@ pub struct SecureBackend {
     tree_verifications: u64,
     /// Integrity events for injected faults (empty without an injector).
     fault_events: Vec<FaultEvent>,
+    /// The cycle of the current `submit_read`/`submit_write`/`cycle`
+    /// call, which each sets first. Between calls it records only which
+    /// cycles the partition was stepped, so it is not checkpointed.
     now: Cycle,
     /// Telemetry sink (disabled by default).
     telemetry: Telemetry,
@@ -970,7 +973,6 @@ impl MemoryBackend for SecureBackend {
         w.put_u64(self.decrypt_waited_on_counter);
         w.put_u64(self.tree_verifications);
         self.fault_events.save(w);
-        w.put_u64(self.now);
         // Thrash detectors: thresholds are config-derived; only the open-
         // episode flags are state. Telemetry wiring itself is not stored.
         for d in &self.thrash {
@@ -1011,7 +1013,6 @@ impl MemoryBackend for SecureBackend {
         self.decrypt_waited_on_counter = r.get_u64()?;
         self.tree_verifications = r.get_u64()?;
         self.fault_events = Vec::load(r)?;
-        self.now = r.get_u64()?;
         for d in &mut self.thrash {
             d.restore_active(r.get_bool()?);
         }

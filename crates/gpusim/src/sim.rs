@@ -7,7 +7,9 @@ use secmem_checkpoint::{snapshot_fields, CheckpointError, Frame, Reader, Snapsho
 use secmem_telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySnapshot};
 
 use crate::backend::MemoryBackend;
+use crate::cache::CacheStats;
 use crate::config::{AddressMap, GpuConfig};
+use crate::dram::DramStats;
 use crate::error::{PartitionStall, SimError, StallReport};
 use crate::icnt::Interconnect;
 use crate::kernel::Kernel;
@@ -52,27 +54,33 @@ pub struct Simulator<B> {
 /// [`crate::types::TrafficClass::ALL`] order.
 const CLASS_SERIES: [&str; 4] = ["dram.data_bytes", "dram.ctr_bytes", "dram.mac_bytes", "dram.bmt_bytes"];
 
-/// Counter values at the previous sample, for windowed deltas and rates.
-#[derive(Debug, Clone, Copy, Default)]
-struct PrevCounters {
-    class_bytes: [u64; 4],
-    row_hits: u64,
-    row_misses: u64,
-    l1_hits: u64,
-    l1_accesses: u64,
-    l2_hits: u64,
-    l2_accesses: u64,
-    mdc_hits: u64,
-    mdc_accesses: u64,
-}
-
 /// Periodic sampling state driven by [`Simulator::step`].
 #[derive(Debug)]
 struct SimSampler {
+    /// Cycles between samples, from the attached telemetry: like every
+    /// other geometry, not checkpointed.
     interval: Cycle,
-    next_at: Cycle,
-    last_at: Cycle,
-    prev: PrevCounters,
+    /// The previous sample; the next one is due `interval` cycles later.
+    last: SampleMark,
+}
+
+impl SimSampler {
+    /// The cycle the next sample is due.
+    fn due_at(&self) -> Cycle {
+        self.last.at + self.interval
+    }
+}
+
+/// A sample's cycle and the report totals it read, for windowed deltas
+/// and rates.
+#[derive(Debug, Clone, Copy, Default)]
+struct SampleMark {
+    at: Cycle,
+    l1: CacheStats,
+    l2: CacheStats,
+    dram: DramStats,
+    /// Every metadata cache, all classes merged.
+    mdc: CacheStats,
 }
 
 impl<B: MemoryBackend> Simulator<B> {
@@ -141,14 +149,9 @@ impl<B: MemoryBackend> Simulator<B> {
         for p in &mut self.partitions {
             p.set_telemetry(telemetry.clone());
         }
-        let prev = self.gather_counters();
+        let last = self.sample_mark();
         let interval = telemetry.sample_interval().max(1);
-        self.sampler = telemetry.is_enabled().then_some(SimSampler {
-            interval,
-            next_at: self.now + interval,
-            last_at: self.now,
-            prev,
-        });
+        self.sampler = telemetry.is_enabled().then_some(SimSampler { interval, last });
         self.telemetry = telemetry;
     }
 
@@ -180,6 +183,12 @@ impl<B: MemoryBackend> Simulator<B> {
 
     /// Advances the whole GPU by one cycle.
     pub fn step(&mut self) {
+        self.step_inner::<true>();
+    }
+
+    /// One cycle; with `SKIP`, a partition with no event due this cycle
+    /// is not stepped.
+    fn step_inner<const SKIP: bool>(&mut self) {
         let now = self.now;
 
         // 1. Deliver memory responses to SMs.
@@ -225,7 +234,7 @@ impl<B: MemoryBackend> Simulator<B> {
             // A partition with no event due this cycle would run a no-op
             // `cycle` (same event model `advance_idle` skips whole steps
             // on); responses only ever appear as a result of `cycle`.
-            if part.next_event_cycle(now) != Some(now) {
+            if SKIP && part.next_event_cycle(now) != Some(now) {
                 continue;
             }
             part.cycle(now);
@@ -283,7 +292,7 @@ impl<B: MemoryBackend> Simulator<B> {
             None => limit,
         };
         if let Some(s) = &self.sampler {
-            target = target.min(s.next_at);
+            target = target.min(s.due_at());
         }
         if target <= self.now {
             return;
@@ -301,7 +310,7 @@ impl<B: MemoryBackend> Simulator<B> {
     /// Takes a periodic sample when one is due. Disabled telemetry costs
     /// one `Option` discriminant check here.
     fn maybe_sample(&mut self) {
-        let due = matches!(&self.sampler, Some(s) if self.now >= s.next_at);
+        let due = matches!(&self.sampler, Some(s) if self.now >= s.due_at());
         if due {
             self.take_sample();
         }
@@ -310,37 +319,20 @@ impl<B: MemoryBackend> Simulator<B> {
     /// Closes the final (possibly partial) sampling window so series
     /// totals cover the whole run.
     fn final_sample(&mut self) {
-        let due = matches!(&self.sampler, Some(s) if self.now > s.last_at);
+        let due = matches!(&self.sampler, Some(s) if self.now > s.last.at);
         if due {
             self.take_sample();
         }
     }
 
-    /// Reads every counter the sampler windows over.
-    fn gather_counters(&self) -> PrevCounters {
-        let mut c = PrevCounters::default();
-        for sm in &self.sms {
-            let l1 = sm.l1_stats();
-            c.l1_hits += l1.hits;
-            c.l1_accesses += l1.hits + l1.misses;
+    /// The report totals the sampler windows over, stamped with `now`.
+    fn sample_mark(&self) -> SampleMark {
+        let totals = self.totals();
+        let mut mdc = CacheStats::default();
+        for m in &totals.engine.meta {
+            mdc.merge(&m.cache);
         }
-        for p in &self.partitions {
-            let d = p.backend().dram_stats();
-            for (i, cs) in d.per_class.iter().enumerate() {
-                c.class_bytes[i] += cs.bytes_read + cs.bytes_written;
-            }
-            c.row_hits += d.row_hits;
-            c.row_misses += d.row_misses;
-            let l2 = p.l2_stats();
-            c.l2_hits += l2.hits;
-            c.l2_accesses += l2.hits + l2.misses;
-            let engine = p.backend().engine_stats();
-            for m in &engine.meta {
-                c.mdc_hits += m.cache.hits;
-                c.mdc_accesses += m.cache.hits + m.cache.misses;
-            }
-        }
-        c
+        SampleMark { at: self.now, l1: totals.l1, l2: totals.l2, dram: totals.dram, mdc }
     }
 
     /// Records one sample: per-class DRAM byte deltas, windowed hit
@@ -348,36 +340,22 @@ impl<B: MemoryBackend> Simulator<B> {
     fn take_sample(&mut self) {
         let Some(mut sampler) = self.sampler.take() else { return };
         let now = self.now;
-        let cur = self.gather_counters();
-        let prev = sampler.prev;
+        let cur = self.sample_mark();
+        let prev = sampler.last;
         for (i, name) in CLASS_SERIES.iter().enumerate() {
-            let delta = cur.class_bytes[i].saturating_sub(prev.class_bytes[i]);
-            self.telemetry.record_delta(name, now, delta as f64);
+            let bytes = |d: &DramStats| d.per_class[i].bytes_read + d.per_class[i].bytes_written;
+            self.telemetry.record_delta(name, now, bytes(&cur.dram).saturating_sub(bytes(&prev.dram)) as f64);
         }
-        self.record_rate(
-            "dram.row_hit_rate",
-            now,
-            cur.row_hits.saturating_sub(prev.row_hits),
-            (cur.row_hits + cur.row_misses).saturating_sub(prev.row_hits + prev.row_misses),
-        );
-        self.record_rate(
-            "l1.hit_rate",
-            now,
-            cur.l1_hits.saturating_sub(prev.l1_hits),
-            cur.l1_accesses.saturating_sub(prev.l1_accesses),
-        );
-        self.record_rate(
-            "l2.hit_rate",
-            now,
-            cur.l2_hits.saturating_sub(prev.l2_hits),
-            cur.l2_accesses.saturating_sub(prev.l2_accesses),
-        );
-        self.record_rate(
-            "mdc.hit_rate",
-            now,
-            cur.mdc_hits.saturating_sub(prev.mdc_hits),
-            cur.mdc_accesses.saturating_sub(prev.mdc_accesses),
-        );
+        let rows = |d: &DramStats| (d.row_hits, d.row_hits + d.row_misses);
+        let hits = |c: &CacheStats| (c.hits, c.accesses());
+        for (name, (h, a), (prev_h, prev_a)) in [
+            ("dram.row_hit_rate", rows(&cur.dram), rows(&prev.dram)),
+            ("l1.hit_rate", hits(&cur.l1), hits(&prev.l1)),
+            ("l2.hit_rate", hits(&cur.l2), hits(&prev.l2)),
+            ("mdc.hit_rate", hits(&cur.mdc), hits(&prev.mdc)),
+        ] {
+            self.record_rate(name, now, h.saturating_sub(prev_h), a.saturating_sub(prev_a));
+        }
         let mut mdc_occupancy = 0usize;
         for p in &self.partitions {
             let i = p.id();
@@ -394,9 +372,7 @@ impl<B: MemoryBackend> Simulator<B> {
         self.telemetry.record_gauge("mdc.mshr_occupancy", now, mdc_occupancy as f64);
         let warps: u64 = self.sms.iter().map(|sm| sm.unfinished_warps() as u64).sum();
         self.telemetry.record_gauge("active_warps", now, warps as f64);
-        sampler.prev = cur;
-        sampler.last_at = now;
-        sampler.next_at = now + sampler.interval;
+        sampler.last = cur;
         self.sampler = Some(sampler);
     }
 
@@ -446,10 +422,28 @@ impl<B: MemoryBackend> Simulator<B> {
     /// service for [`GpuConfig::watchdog_cycles`] consecutive cycles
     /// while work is still outstanding.
     pub fn run_checked(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
+        self.run_loop::<true>(max_cycles)
+    }
+
+    /// The reference for [`Simulator::run_checked`]: the same loop,
+    /// watchdog included, but it steps every cycle and every partition
+    /// instead of skipping the ones the event probes call empty. Slow;
+    /// tests compare its reports and checkpoint frames with the fast loop.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::run_checked`].
+    #[doc(hidden)]
+    pub fn run_stepwise(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
+        self.run_loop::<false>(max_cycles)
+    }
+
+    /// The run loop; `SKIP` turns on idle-skip in and between steps.
+    fn run_loop<const SKIP: bool>(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
         let window = self.cfg.watchdog_cycles;
         self.phase_event(true, "run");
         while self.now < max_cycles {
-            self.step();
+            self.step_inner::<SKIP>();
             if self.finished() {
                 break;
             }
@@ -476,11 +470,13 @@ impl<B: MemoryBackend> Simulator<B> {
             // fast-forward to the next component event. The cap keeps the
             // watchdog honest — the next real step still lands exactly on
             // the cycle where `now - last_progress == window`.
-            let mut limit = max_cycles;
-            if window > 0 {
-                limit = limit.min(self.wd_last_progress + window - 1);
+            if SKIP {
+                let mut limit = max_cycles;
+                if window > 0 {
+                    limit = limit.min(self.wd_last_progress + window - 1);
+                }
+                self.advance_idle(limit);
             }
-            self.advance_idle(limit);
         }
         self.final_sample();
         self.phase_event(false, "run");
@@ -574,9 +570,7 @@ impl<B: MemoryBackend> Simulator<B> {
         // kept) so series totals keep reconciling with the measured
         // window's aggregates.
         if let Some(s) = &mut self.sampler {
-            s.prev = PrevCounters::default();
-            s.last_at = self.now;
-            s.next_at = self.now + s.interval;
+            s.last = SampleMark { at: self.now, ..SampleMark::default() };
         }
         // The statistics reset changed the progress signature without any
         // forward progress; re-baseline the watchdog so it measures from
@@ -594,8 +588,24 @@ impl<B: MemoryBackend> Simulator<B> {
             && self.partitions.iter().all(MemPartition::is_idle)
     }
 
-    /// Produces the aggregated end-of-run report.
+    /// Produces the aggregated end-of-run report: every per-SM and
+    /// per-partition statistic merged, plus the watchdog stall and the
+    /// telemetry summary.
     pub fn report(&self) -> SimReport {
+        let mut report = self.totals();
+        report.stall = self.stall.clone();
+        if let Some(snap) = self.telemetry.snapshot() {
+            let summary = secmem_telemetry::spark::summary(&snap);
+            if !summary.is_empty() {
+                report.telemetry_summary = Some(summary);
+            }
+        }
+        report
+    }
+
+    /// Every per-SM and per-partition statistic, merged: the one sum the
+    /// report and the sampler both read.
+    fn totals(&self) -> SimReport {
         let mut report = SimReport { cycles: self.now, ..SimReport::default() };
         for sm in &self.sms {
             report.warp_instructions += sm.instructions;
@@ -611,13 +621,6 @@ impl<B: MemoryBackend> Simulator<B> {
             report.engine.merge(&part.backend().engine_stats());
             report.faults.merge(&part.backend().fault_stats());
         }
-        report.stall = self.stall.clone();
-        if let Some(snap) = self.telemetry.snapshot() {
-            let summary = secmem_telemetry::spark::summary(&snap);
-            if !summary.is_empty() {
-                report.telemetry_summary = Some(summary);
-            }
-        }
         report
     }
 
@@ -632,13 +635,16 @@ impl<B: MemoryBackend> Simulator<B> {
     ///
     /// The frame covers every SM (warp programs, L1, MSHRs, dispatch and
     /// return queues), the interconnect, every partition (L2 banks,
-    /// backend, staging queues) and the watchdog/sampler cursors.
-    /// Restoring it into a simulator freshly built from the same
-    /// configuration, kernel and backend factory — then running to the
-    /// end — produces a report byte-identical to an uninterrupted run
-    /// (with telemetry disabled; an enabled sampler closes its current
-    /// window at the snapshot cycle, which shifts subsequent sample
-    /// boundaries).
+    /// backend, staging queues), the watchdog cursors and the sampler's
+    /// previous sample. It holds model state only: nothing the
+    /// configuration or other saved fields determine (the sampling
+    /// interval comes from the restoring simulator's telemetry), and
+    /// nothing that records which cycles were stepped, so a frame is the
+    /// same with idle-skip on or off. Restoring it into a simulator
+    /// freshly built from the same configuration, kernel and backend
+    /// factory — then running to the end — produces a report
+    /// byte-identical to an uninterrupted run, and, when the frame falls
+    /// on a sample boundary, the same samples after it.
     ///
     /// A pending [`StallReport`] is deliberately *not* captured: a
     /// resumed stalled machine re-trips its watchdog deterministically.
@@ -662,7 +668,7 @@ impl<B: MemoryBackend> Simulator<B> {
         self.wd_last_sig.save(&mut w);
         w.put_u64(self.wd_last_progress);
         w.tag(TAG_SAMPLER);
-        self.sampler.save(&mut w);
+        self.sampler.as_ref().map(|s| s.last).save(&mut w);
         Frame { config_fp: self.config_fingerprint(), cycle: self.now, payload: w.into_bytes() }
     }
 
@@ -705,9 +711,7 @@ impl<B: MemoryBackend> Simulator<B> {
         r.expect_tag(TAG_SAMPLER)?;
         r.expect_presence("telemetry sampler", self.sampler.is_some())?;
         if let Some(s) = &mut self.sampler {
-            *s = SimSampler::load(&mut r)?;
-            // A zero interval would make every cycle a sampling cycle.
-            s.interval = s.interval.max(1);
+            s.last = SampleMark::load(&mut r)?;
         }
         r.expect_end()?;
         self.now = frame.cycle;
@@ -725,18 +729,7 @@ const TAG_ICNT: u32 = 0x4943_4E54;
 const TAG_WATCHDOG: u32 = 0x5744_4F47;
 const TAG_SAMPLER: u32 = 0x534D_504C;
 
-snapshot_fields!(PrevCounters {
-    class_bytes,
-    row_hits,
-    row_misses,
-    l1_hits,
-    l1_accesses,
-    l2_hits,
-    l2_accesses,
-    mdc_hits,
-    mdc_accesses,
-});
-snapshot_fields!(SimSampler { interval, next_at, last_at, prev });
+snapshot_fields!(SampleMark { at, l1, l2, dram, mdc });
 
 #[cfg(test)]
 mod tests {

@@ -62,6 +62,7 @@ impl Default for Policy {
             hot_fns: s(&[
                 "cycle",
                 "step",
+                "step_inner",
                 "advance_idle",
                 "issue",
                 "pick_warp",
