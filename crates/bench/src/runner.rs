@@ -107,8 +107,7 @@ impl Drive for Plain {
         sim: &mut Simulator<B>,
         job: &Job,
     ) -> Result<SimReport, Self::Error> {
-        // `run_with_warmup(0, ..)` would still emit a warmup phase event.
-        Ok(if job.warmup == 0 { sim.run(job.cycles) } else { sim.run_with_warmup(job.warmup, job.cycles) })
+        Ok(sim.run_with_warmup(job.warmup, job.cycles))
     }
 }
 

@@ -45,7 +45,7 @@ pub struct Simulator<B> {
     /// Periodic sampling state; present only when telemetry is enabled,
     /// so the per-step cost of disabled telemetry is one `Option` check.
     sampler: Option<SimSampler>,
-    /// Request buffer every SM issues into during [`Simulator::step`],
+    /// Request buffer every SM issues into during [`Simulator::step_inner`],
     /// reused across SMs and cycles so stepping never allocates.
     out: SmOutput,
 }
@@ -54,7 +54,7 @@ pub struct Simulator<B> {
 /// [`crate::types::TrafficClass::ALL`] order.
 const CLASS_SERIES: [&str; 4] = ["dram.data_bytes", "dram.ctr_bytes", "dram.mac_bytes", "dram.bmt_bytes"];
 
-/// Periodic sampling state driven by [`Simulator::step`].
+/// Periodic sampling state driven by [`Simulator::step_inner`].
 #[derive(Debug)]
 struct SimSampler {
     /// Cycles between samples, from the attached telemetry: like every
@@ -181,13 +181,8 @@ impl<B: MemoryBackend> Simulator<B> {
         &self.partitions[index as usize]
     }
 
-    /// Advances the whole GPU by one cycle.
-    pub fn step(&mut self) {
-        self.step_inner::<true>();
-    }
-
-    /// One cycle; with `SKIP`, a partition with no event due this cycle
-    /// is not stepped.
+    /// Advances the whole GPU by one cycle; with `SKIP`, a partition with
+    /// no event due this cycle is not stepped.
     fn step_inner<const SKIP: bool>(&mut self) {
         let now = self.now;
 
@@ -280,7 +275,7 @@ impl<B: MemoryBackend> Simulator<B> {
     /// at which any component has an event, capped at `limit` (and at the
     /// sampler's next due cycle, so time series keep their cadence).
     ///
-    /// Correctness contract: every skipped cycle is one where [`Simulator::step`]
+    /// Correctness contract: every skipped cycle is one where [`Simulator::step_inner`]
     /// would have changed no state other than memory-stall accounting,
     /// which [`Sm::account_idle_stall`] replays exactly. When no component
     /// reports an event while work is still outstanding (a true deadlock,
@@ -303,7 +298,7 @@ impl<B: MemoryBackend> Simulator<B> {
             sm.account_idle_stall(now, gap);
         }
         self.now = target;
-        // lint:allow(T1): interval-gated, as in step()
+        // lint:allow(T1): interval-gated, as in step_inner()
         self.maybe_sample();
     }
 
@@ -405,11 +400,7 @@ impl<B: MemoryBackend> Simulator<B> {
     /// [`SimReport::stall`]. Use [`Simulator::run_checked`] to receive
     /// the stall as a typed error instead.
     pub fn run(&mut self, max_cycles: Cycle) -> SimReport {
-        match self.run_checked(max_cycles) {
-            Ok(report) => report,
-            // The stall is recorded in `self.stall`; the report carries it.
-            Err(_) => self.report(),
-        }
+        self.run_with_warmup(0, max_cycles)
     }
 
     /// Like [`Simulator::run`], but surfaces a watchdog stall as a typed
@@ -422,30 +413,64 @@ impl<B: MemoryBackend> Simulator<B> {
     /// service for [`GpuConfig::watchdog_cycles`] consecutive cycles
     /// while work is still outstanding.
     pub fn run_checked(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
-        self.run_loop::<true>(max_cycles)
+        checked(self.run_loop::<true>(0, max_cycles))
     }
 
-    /// The reference for [`Simulator::run_checked`]: the same loop,
-    /// watchdog included, but it steps every cycle and every partition
-    /// instead of skipping the ones the event probes call empty. Slow;
-    /// tests compare its reports and checkpoint frames with the fast loop.
+    /// The reference for [`Simulator::run_with_warmup`]: the same loop,
+    /// warmup and watchdog included, but it steps every cycle and every
+    /// partition instead of skipping the ones the event probes call
+    /// empty. Slow; tests compare its reports, telemetry and checkpoint
+    /// frames with the fast loop.
     ///
     /// # Errors
     ///
     /// As [`Simulator::run_checked`].
     #[doc(hidden)]
-    pub fn run_stepwise(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
-        self.run_loop::<false>(max_cycles)
+    pub fn run_stepwise(&mut self, warmup: Cycle, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
+        checked(self.run_loop::<false>(warmup, max_cycles))
     }
 
-    /// The run loop; `SKIP` turns on idle-skip in and between steps.
-    fn run_loop<const SKIP: bool>(&mut self, max_cycles: Cycle) -> Result<SimReport, Box<SimError>> {
+    /// Runs `warmup` cycles, discards all statistics, then runs until
+    /// `max_cycles` total: the budget counts from cycle 0, and the whole
+    /// warmup runs even when it is longer. The report covers only the
+    /// measured window. The watchdog (see [`Simulator::run`]) guards the
+    /// warmup too.
+    ///
+    /// If the kernel finishes, or the watchdog stops it, before the warmup
+    /// window elapses, the measured window is empty; the report is then
+    /// flagged with [`SimReport::warmup_truncated`] and its statistics
+    /// must not be interpreted.
+    pub fn run_with_warmup(&mut self, warmup: Cycle, max_cycles: Cycle) -> SimReport {
+        self.run_loop::<true>(warmup, max_cycles)
+    }
+
+    /// The one run loop: the warmup window (none when `warmup == 0`), its
+    /// boundary and the measured window; `SKIP` turns on idle-skip.
+    fn run_loop<const SKIP: bool>(&mut self, warmup: Cycle, max_cycles: Cycle) -> SimReport {
         let window = self.cfg.watchdog_cycles;
-        self.phase_event(true, "run");
-        while self.now < max_cycles {
+        let mut warming = warmup > 0;
+        let mut truncated = false;
+        let mut finished = false;
+        self.phase_event(true, if warming { "warmup" } else { "run" });
+        let stall = loop {
+            if warming && (finished || self.now >= warmup) {
+                // A kernel that finished inside the warmup leaves an empty
+                // measured window, and still steps once more below.
+                warming = false;
+                truncated = self.now < warmup || self.finished();
+                self.phase_event(false, "warmup");
+                self.reset_stats();
+                self.phase_event(true, "run");
+            } else if finished {
+                break None;
+            }
+            if !warming && self.now >= max_cycles {
+                break None;
+            }
             self.step_inner::<SKIP>();
-            if self.finished() {
-                break;
+            finished = self.finished();
+            if finished {
+                continue;
             }
             let sig = self.progress_signature();
             if sig != self.wd_last_sig {
@@ -454,68 +479,34 @@ impl<B: MemoryBackend> Simulator<B> {
                 continue;
             }
             if window > 0 && self.now - self.wd_last_progress >= window {
-                let stall = self.stall_report(self.now - self.wd_last_progress);
-                self.stall = Some(stall.clone());
-                if self.telemetry.is_enabled() {
-                    self.telemetry.record_event(TelemetryEvent {
-                        cycle: self.now,
-                        kind: EventKind::Stall { detail: stall.to_string() },
-                    });
-                }
-                self.final_sample();
-                self.phase_event(false, "run");
-                return Err(Box::new(SimError::Stalled(stall)));
+                break Some(self.stall_report(self.now - self.wd_last_progress));
             }
             // Idle-skip: the cycle made no externally visible progress, so
-            // fast-forward to the next component event. The cap keeps the
-            // watchdog honest — the next real step still lands exactly on
-            // the cycle where `now - last_progress == window`.
+            // fast-forward to the next component event. The caps keep the
+            // phases and the watchdog honest: the next real step lands on
+            // the warmup boundary, and exactly on the cycle where
+            // `now - last_progress == window`.
             if SKIP {
-                let mut limit = max_cycles;
+                let mut limit = if warming { warmup } else { max_cycles };
                 if window > 0 {
                     limit = limit.min(self.wd_last_progress + window - 1);
                 }
                 self.advance_idle(limit);
             }
+        };
+        if let Some(stall) = &stall {
+            if self.telemetry.is_enabled() {
+                let kind = EventKind::Stall { detail: stall.to_string() };
+                self.telemetry.record_event(TelemetryEvent { cycle: self.now, kind });
+            }
         }
+        self.stall = stall;
         self.final_sample();
-        self.phase_event(false, "run");
-        Ok(self.report())
-    }
-
-    /// Runs `warmup` cycles, discards all statistics, then runs until
-    /// `max_cycles` total. The report covers only the measured window.
-    ///
-    /// If the kernel finishes before the warmup window elapses the
-    /// measured window is empty; the report is then flagged with
-    /// [`SimReport::warmup_truncated`] and its statistics must not be
-    /// interpreted.
-    pub fn run_with_warmup(&mut self, warmup: Cycle, max_cycles: Cycle) -> SimReport {
-        self.phase_event(true, "warmup");
-        let mut last_sig = self.progress_signature();
-        while self.now < warmup {
-            self.step();
-            if self.finished() {
-                break;
-            }
-            let sig = self.progress_signature();
-            if sig != last_sig {
-                last_sig = sig;
-                continue;
-            }
-            self.advance_idle(warmup);
-        }
-        let truncated = self.now < warmup || self.finished();
-        self.phase_event(false, "warmup");
-        self.reset_stats();
-        let mut report = self.run(max_cycles);
+        self.phase_event(false, if warming { "warmup" } else { "run" });
+        let mut report = self.report();
         report.cycles = self.now.saturating_sub(warmup);
-        report.warmup_truncated = truncated;
-        debug_assert!(
-            !truncated || report.cycles == 0 || self.now >= warmup,
-            "warmup accounting: now={} warmup={warmup}",
-            self.now
-        );
+        // A run stopped inside its warmup has no measured window either.
+        report.warmup_truncated = truncated || warming;
         report
     }
 
@@ -558,8 +549,9 @@ impl<B: MemoryBackend> Simulator<B> {
     }
 
     /// Discards all statistics gathered so far (simulation state — cache
-    /// contents, queues, warp positions — is preserved).
-    pub fn reset_stats(&mut self) {
+    /// contents, queues, warp positions — is preserved): the warmup
+    /// boundary of [`Simulator::run_loop`].
+    fn reset_stats(&mut self) {
         for sm in &mut self.sms {
             sm.reset_stats();
         }
@@ -717,6 +709,14 @@ impl<B: MemoryBackend> Simulator<B> {
         self.now = frame.cycle;
         self.stall = None;
         Ok(())
+    }
+}
+
+/// A run's report, or the watchdog's stall as a typed error.
+fn checked(report: SimReport) -> Result<SimReport, Box<SimError>> {
+    match report.stall {
+        Some(stall) => Err(Box::new(SimError::Stalled(stall))),
+        None => Ok(report),
     }
 }
 
@@ -1117,6 +1117,7 @@ mod tests {
         use super::*;
         use crate::error::SimError;
         use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+        use secmem_telemetry::TelemetryConfig;
 
         /// Dropping every data-read completion wedges all warps: the
         /// watchdog must stop the run well before `max_cycles`.
@@ -1153,6 +1154,36 @@ mod tests {
             let stall = report.stall.as_ref().expect("stall recorded in report");
             assert!(stall.unfinished_warps > 0);
             assert!(report.faults.total_dropped() > 0, "drops accounted");
+        }
+
+        /// The watchdog guards the warmup too: a machine that wedges
+        /// there stops one window after its last progress, at the cycle
+        /// a run without warmup stops at, and its report has no
+        /// measured window.
+        #[test]
+        fn wedge_during_warmup_trips_inside_the_window() {
+            let unwarmed = drop_all_sim().run(1_000_000).stall.expect("stalls");
+            let mut sim = drop_all_sim();
+            sim.set_telemetry(Telemetry::enabled(TelemetryConfig::default()));
+            let report = sim.run_with_warmup(100_000, 1_000_000);
+            let stall = report.stall.as_ref().expect("the watchdog trips inside the warmup");
+            assert_eq!(stall, &unwarmed, "same stall as without a warmup");
+            assert!(stall.cycle < 100_000, "stopped at {} inside the warmup", stall.cycle);
+            assert_eq!(sim.now(), stall.cycle);
+            assert!(report.warmup_truncated, "no measured window");
+            assert_eq!(report.cycles, 0);
+            let snap = sim.telemetry_snapshot().expect("telemetry enabled");
+            let phases: Vec<String> = snap
+                .events
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    EventKind::PhaseBegin { name } => Some(format!("{name} B")),
+                    EventKind::PhaseEnd { name } => Some(format!("{name} E")),
+                    EventKind::Stall { .. } => Some("stall".to_string()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(phases, ["warmup B", "stall", "warmup E"]);
         }
 
         #[test]

@@ -101,9 +101,9 @@ pub struct SimReport {
     /// Present when the forward-progress watchdog stopped the run; the
     /// `cycles` and statistics fields then cover the truncated window.
     pub stall: Option<StallReport>,
-    /// True when the kernel finished before the requested warmup window
-    /// elapsed, so the post-warmup measurement window was empty and the
-    /// statistics in this report are not meaningful (see
+    /// True when the kernel finished, or the watchdog stopped it, before
+    /// the requested warmup window elapsed, so the post-warmup window was
+    /// empty and the statistics in this report are not meaningful (see
     /// [`Simulator::run_with_warmup`](crate::sim::Simulator::run_with_warmup)).
     pub warmup_truncated: bool,
     /// Rendered sparkline summary of the run's telemetry (present only
