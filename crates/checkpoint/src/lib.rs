@@ -41,7 +41,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SECMCKPT";
 
 /// Current checkpoint format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// FNV-1a offset basis (matches the fingerprint hash used by the bench
 /// harness so one hash implementation serves the whole workspace).
@@ -970,7 +970,7 @@ mod tests {
 
         // Frames of older versions and of the next: rebuild by hand
         // so the checksum is valid and the version check is what fires.
-        for version in [2, 3, FORMAT_VERSION + 1] {
+        for version in [2, 3, 4, FORMAT_VERSION + 1] {
             let mut other = Vec::new();
             other.extend_from_slice(&MAGIC);
             other.extend_from_slice(&u32::to_le_bytes(version));

@@ -167,12 +167,10 @@ pub struct SecureBackend {
     /// Partition id stamped on telemetry events.
     partition: u32,
     /// Per-metadata-class thrash detectors `[counter, mac, tree]`,
-    /// driven by windowed miss rates each sampling interval.
+    /// driven by windowed miss rates on the sampling clock.
     thrash: [ThrashDetector; 3],
     /// Metadata-cache (hits, misses) at the previous thrash check.
     thrash_prev: [(u64, u64); 3],
-    /// Next cycle at which the thrash detectors run.
-    next_thrash_check: Cycle,
 }
 
 impl SecureBackend {
@@ -260,7 +258,6 @@ impl SecureBackend {
             partition: 0,
             thrash: Default::default(),
             thrash_prev: [(0, 0); 3],
-            next_thrash_check: 0,
             cfg,
         })
     }
@@ -317,6 +314,12 @@ impl SecureBackend {
         if let Some(p) = self.profilers.as_deref_mut() {
             p[secmem_gpusim::stats::meta_index(class)].access(line);
         }
+    }
+
+    /// The first thrash check at or after `now`: a positive multiple of the
+    /// sampling interval, so no stored cycle has to survive a restore.
+    fn thrash_check_at(&self, now: Cycle) -> Cycle {
+        now.max(1).next_multiple_of(self.telemetry.sample_interval().max(1))
     }
 
     /// Feeds each metadata class's windowed miss rate to its hysteresis
@@ -821,8 +824,7 @@ impl MemoryBackend for SecureBackend {
             }
             self.handle_dram_completion(done);
         }
-        if self.telemetry.is_enabled() && now >= self.next_thrash_check {
-            self.next_thrash_check = now + self.telemetry.sample_interval().max(1);
+        if self.telemetry.is_enabled() && self.thrash_check_at(now) == now {
             self.check_thrash(now);
         }
         self.drain_retries();
@@ -895,7 +897,6 @@ impl MemoryBackend for SecureBackend {
     fn set_telemetry(&mut self, telemetry: Telemetry, partition: u32) {
         self.dram.set_telemetry(telemetry.clone(), partition);
         self.partition = partition;
-        self.next_thrash_check = self.now + telemetry.sample_interval().max(1);
         self.telemetry = telemetry;
     }
 
@@ -933,7 +934,7 @@ impl MemoryBackend for SecureBackend {
             merge(c);
         }
         if self.telemetry.is_enabled() {
-            merge(self.next_thrash_check.max(now));
+            merge(self.thrash_check_at(now));
         }
         // Anything else still in flight (e.g. transactions parked on
         // metadata fills) conservatively counts as active now rather
@@ -973,13 +974,14 @@ impl MemoryBackend for SecureBackend {
         w.put_u64(self.decrypt_waited_on_counter);
         w.put_u64(self.tree_verifications);
         self.fault_events.save(w);
-        // Thrash detectors: thresholds are config-derived; only the open-
-        // episode flags are state. Telemetry wiring itself is not stored.
+        // Thrash detectors: thresholds are config-derived and the check
+        // cadence is the sampling clock's; only the open-episode flags and
+        // the previous check's counts are state. Telemetry wiring itself
+        // is not stored.
         for d in &self.thrash {
             w.put_bool(d.is_thrashing());
         }
         self.thrash_prev.save(w);
-        w.put_u64(self.next_thrash_check);
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
@@ -1017,7 +1019,6 @@ impl MemoryBackend for SecureBackend {
             d.restore_active(r.get_bool()?);
         }
         self.thrash_prev = <[(u64, u64); 3]>::load(r)?;
-        self.next_thrash_check = r.get_u64()?;
         Ok(())
     }
 }
